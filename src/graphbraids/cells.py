@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import comb, factorial
 
 from .trees import OrderedTree
 
@@ -46,7 +47,6 @@ def cell_edges(cell):
 # enumeration
 
 def estimate_cell_count(t: OrderedTree, n: int) -> int:
-    from math import comb
     nv, ne = t.nv, len(t.all_edge_pairs())
     return sum(comb(ne, i) * comb(nv, n - i) for i in range(min(n, ne) + 1)
                if n - i <= nv)
@@ -60,8 +60,7 @@ def enumerate_cells(t: OrderedTree, n: int, flavor: str = "unordered",
         raise CellError(f"unknown flavor {flavor!r}")
     est = estimate_cell_count(t, n)
     if flavor == "ordered":
-        import math
-        est *= math.factorial(n)
+        est *= factorial(n)
     if est > cap:
         raise CellError(f"estimated cell count {est} exceeds cap {cap}")
     items = [vertex(v) for v in range(t.nv)] + t.all_edge_pairs()
@@ -97,6 +96,128 @@ def enumerate_cells(t: OrderedTree, n: int, flavor: str = "unordered",
                 out.extend(sorted(set(permutations(c))))
             ordered[d] = out
         by_dim = ordered
+    return by_dim
+
+
+def euler_characteristic(t: OrderedTree, n: int, flavor: str = "unordered") -> int:
+    """chi(UD_n) of t's graph from Gal's series
+    sum_n chi(UD_n) x^n = prod_v (1 + (1 - val v) x) / (1 - x)^|E|
+    (T. Gal, Colloq. Math. 89, 2001); chi(D_n) = n! chi(UD_n)."""
+    g = t.graph
+    poly = [1]
+    for v in g.vertices:
+        a = 1 - g.valency(v)
+        poly = [x + a * y for x, y in zip(poly + [0], [0] + poly)][:n + 1]
+    ne = len(g.edges)
+
+    def inverse(k):  # coefficient of x^k in (1 - x)^-|E|
+        return comb(ne + k - 1, k) if ne else int(k == 0)
+
+    chi = sum(c * inverse(n - j) for j, c in enumerate(poly))
+    return chi * factorial(n) if flavor == "ordered" else chi
+
+
+def complex_dimension(t: OrderedTree, n: int) -> int:
+    """The top dimension of UD_n: the most disjoint edges, at most n, that
+    leave n - d vertices free; negative when n exceeds the vertex count."""
+    edges = t.all_edge_pairs()
+    used: set[int] = set()
+
+    def has_matching(start: int, need: int) -> bool:
+        if need == 0:
+            return True
+        for i in range(start, len(edges) - need + 1):
+            a, b = edges[i]
+            if a in used or b in used:
+                continue
+            used.update(edges[i])
+            found = has_matching(i + 1, need - 1)
+            used.difference_update(edges[i])
+            if found:
+                return True
+        return False
+
+    d = min(n, t.nv - n)
+    while d > 0 and not has_matching(0, d):
+        d -= 1
+    return d
+
+
+def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
+                   cap: int = 10_000_000):
+    """The critical cells of UD_n (or D_n) grouped by dimension, each list
+    in the order ``enumerate_cells`` gives; every dimension of the complex
+    is a key, even one without critical cells.
+
+    A cell is critical when every vertex is blocked and no edge is order
+    respecting, so its edges are deleted edges or tree edges (tau, iota)
+    with iota not the first child of tau, and such a tree edge needs a
+    cell vertex u with parent[u] == tau and u < iota.  Vertices are added
+    in increasing order, each one 0 or with its parent already occupied.
+    Ordered critical cells are the permutations of the unordered ones.
+    Refuses once more than ``cap`` cells (ordered cells counted one by
+    one) have been generated."""
+    if flavor not in ("unordered", "ordered"):
+        raise CellError(f"unknown flavor {flavor!r}")
+    per_cell = factorial(n) if flavor == "ordered" else 1
+    parent, children, deleted = t.parent, t.children, t.deleted_set
+    nv = t.nv
+    edges = [e for e in t.all_edge_pairs()
+             if e in deleted or children[e[0]][0] != e[1]]
+    # a tree edge's earlier siblings, one of which must be a cell vertex
+    needs = {e: children[e[0]][:children[e[0]].index(e[1])]
+             for e in edges if e not in deleted}
+    by_dim: dict[int, list] = {d: [] for d in range(complex_dimension(t, n) + 1)}
+    chosen_edges: list = []
+    verts: list[int] = []
+    occupied: set[int] = set()
+    count = 0
+
+    def emit():
+        nonlocal count
+        vset = set(verts)
+        for e in chosen_edges:
+            if e in needs and vset.isdisjoint(needs[e]):
+                return
+        count += per_cell
+        if count > cap:
+            raise CellError(f"critical cell count exceeds cap {cap}")
+        cell = tuple(sorted(chosen_edges + [vertex(v) for v in verts]))
+        by_dim[len(chosen_edges)].append(cell)
+
+    def add_vertices(start: int, remaining: int):
+        if remaining == 0:
+            emit()
+            return
+        for v in range(start, nv):
+            if v in occupied or (v and parent[v] not in occupied):
+                continue
+            verts.append(v)
+            occupied.add(v)
+            add_vertices(v + 1, remaining - 1)
+            verts.pop()
+            occupied.discard(v)
+
+    def add_edges(start: int, remaining: int):
+        add_vertices(0, remaining)
+        if remaining == 0:
+            return
+        for i in range(start, len(edges)):
+            e = edges[i]
+            if e[0] in occupied or e[1] in occupied:
+                continue
+            chosen_edges.append(e)
+            occupied.update(e)
+            add_edges(i + 1, remaining - 1)
+            chosen_edges.pop()
+            occupied.difference_update(e)
+
+    add_edges(0, n)
+    for cs in by_dim.values():
+        cs.sort()
+    if flavor == "ordered":
+        by_dim = {d: [p for c in cs for p in permutations(c)]
+                  for d, cs in by_dim.items()}
     return by_dim
 
 
@@ -188,11 +309,6 @@ def phi_inverse(sorted_cell, sigma):
     for rank, pos in enumerate(sigma):
         out[pos - 1] = sorted_cell[rank]
     return tuple(out)
-
-
-def perm_compose(a, b):
-    """(a then read through b): the permutation sending i to a[b[i]-1]."""
-    return tuple(a[b[i] - 1] for i in range(len(a)))
 
 
 def perm_cycles(sigma) -> str:

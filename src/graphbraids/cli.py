@@ -24,11 +24,7 @@ from .cells import CellError
 
 def _load_graph(spec: str):
     path = Path(spec)
-    if path.exists():
-        text = path.read_text()
-        return build_graph(json.loads(text) if text.lstrip().startswith("{")
-                           else text)
-    return build_graph(spec)
+    return build_graph(path.read_text() if path.exists() else spec)
 
 
 def _prepare_tree(args):
@@ -62,7 +58,7 @@ def _report(args, command, results, verdict=None, t0=None):
     if verdict is not None:
         rep["verdict"] = verdict
     if t0 is not None:
-        rep["timing_ms"] = round(1000 * (time.time() - t0), 1)
+        rep["timing_ms"] = round(1000 * (time.perf_counter() - t0), 1)
     return rep
 
 
@@ -89,7 +85,7 @@ def _print_text(rep, indent=0):
 
 
 def cmd_homology(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     tree, prov = _prepare_tree(args)
     mc = build_morse_complex(tree, args.n, args.flavor, path=args.method,
                              cap=args.cap)
@@ -104,7 +100,7 @@ def cmd_homology(args):
 
 
 def cmd_formula(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = _load_graph(args.graph)
     flavor = "P2" if args.flavor == "ordered" else "B"
     if flavor == "P2" and args.n != 2:
@@ -120,7 +116,7 @@ def cmd_formula(args):
 
 
 def cmd_check(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     tree, prov = _prepare_tree(args)
     mc = build_morse_complex(tree, args.n, args.flavor, path=args.method,
                              cap=args.cap)
@@ -136,7 +132,7 @@ def cmd_check(args):
 
 
 def cmd_decompose(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = _load_graph(args.graph)
     tree = decomposition_tree(g)
     results = tree.to_json()
@@ -149,7 +145,7 @@ def cmd_decompose(args):
 
 
 def cmd_cells(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     tree, prov = _prepare_tree(args)
     mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
     crit = {}
@@ -175,7 +171,7 @@ def cmd_cells(args):
 
 
 def cmd_tree(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     tree, prov = _prepare_tree(args)
     rep = verify_conditions(tree, planar=(args.mode == "planar"))
     results = {
@@ -189,7 +185,7 @@ def cmd_tree(args):
 
 
 def cmd_present(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     tree, prov = _prepare_tree(args)
     mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
     pres = raw_presentation(mc)
@@ -202,7 +198,7 @@ def cmd_present(args):
 
 
 def cmd_beta2(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = _load_graph(args.graph)
     results = {"beta2_B2": beta2_formula(g, "B2"),
                "beta2_P2": beta2_formula(g, "P2")}
@@ -238,7 +234,6 @@ def make_parser():
             sp.add_argument("--subdivide", default="pinned",
                             help="pinned|auto|strict|uniform|none|<k>")
             sp.add_argument("--cap", type=int, default=10_000_000)
-        sp.add_argument("--seed", type=int, default=0)
 
     for name, fn, tree_args in (
             ("homology", cmd_homology, True), ("formula", cmd_formula, False),

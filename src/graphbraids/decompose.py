@@ -355,11 +355,6 @@ def beta2_formula(g: Graph, flavor: str = "B2") -> int:
     raise GraphError(f"unknown flavor {flavor!r}")
 
 
-def topologically_simple_triconnected(g: Graph) -> bool:
-    b = invariant_bundle(g, 2)
-    return b.n1 == 0 and b.n2 == 0 and (b.n3 + b.n3prime) == 1
-
-
 def classify_beta1_characterizations(g: Graph) -> dict:
     """The planar/non-planar characterizations of beta1(P2) = 2 beta1 (+1)."""
     b = invariant_bundle(g, 2)

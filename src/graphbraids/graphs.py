@@ -164,19 +164,6 @@ def segments(g: Graph) -> list[Segment]:
     return segs
 
 
-def smoothed_multigraph(g: Graph):
-    """Suppress valency-2 vertices: vertices of valency != 2 plus one edge per segment.
-
-    Returns (vertex list, list of (u, v, segment)).  Self-loop segments keep
-    u == v.  On a topological circle the single anchor vertex is kept.
-    """
-    segs = segments(g)
-    if not g.essential_vertices():
-        return ([segs[0].u] if segs else list(g.vertices[:1]),
-                [(s.u, s.v, s) for s in segs])
-    return sorted(g.essential_vertices()), [(s.u, s.v, s) for s in segs]
-
-
 # ---------------------------------------------------------------------------
 # subdivision
 
@@ -234,16 +221,19 @@ def subdivide(g: Graph, n: int, policy="auto"):
         pieces = {e.id: n + 1 for e in g.edges}
     elif policy in ("auto", "strict"):
         floor = max(n - 1, 1)
-        if policy == "strict" or n == 2:
-            # two-edge rule for n = 2: essential-to-essential paths get >= 2 edges
+        if policy == "strict" or n <= 2:
+            # two-edge rule for n = 2: essential-to-essential paths get >= 2
+            # edges; one point gets the same, since ordered trees need a
+            # simple graph
             floor = max(floor, 2)
+        cycle = max(n, 2) + 1  # a cycle of n + 1 edges, and simple
         targets: dict[str, int] = {}
         segs = segments(g)
         by_pair: dict[tuple[str, str], list[Segment]] = {}
         for s in segs:
             targets[id(s)] = max(len(s), floor)
             if s.u == s.v:
-                targets[id(s)] = max(targets[id(s)], n + 1)
+                targets[id(s)] = max(targets[id(s)], cycle)
             else:
                 by_pair.setdefault(tuple(sorted((s.u, s.v))), []).append(s)
         for fam in by_pair.values():
@@ -374,8 +364,12 @@ def build_graph(spec) -> Graph:
                 if fn is theta_graph:
                     return theta_graph(*args)
                 return complete_graph(*args) if len(args) == 1 else complete_bipartite(*args)
-        if name.lstrip().startswith("{"):
-            return build_graph(json.loads(name))
+        if name.startswith("{"):
+            try:
+                doc = json.loads(name)
+            except json.JSONDecodeError as exc:
+                raise GraphError(f"malformed JSON graph: {exc}") from None
+            return build_graph(doc)
         pairs = [ln.split() for ln in name.splitlines() if ln.split()]
         if pairs and all(len(p) == 2 for p in pairs):
             return build_graph([tuple(p) for p in pairs])

@@ -212,6 +212,3 @@ def _chain_sub(a: dict, b: dict) -> dict:
             del out[k]
     return out
 
-
-# re-export for the package namespace
-smith_normal_form = smith_normal_form

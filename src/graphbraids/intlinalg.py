@@ -260,7 +260,3 @@ def naive_invariant_factors(a):
                 out[i], out[i + 1] = g, l
                 changed = True
     return [d for d in out if d]
-
-
-def dump_csv(a) -> str:
-    return "\n".join(",".join(str(x) for x in row) for row in a)

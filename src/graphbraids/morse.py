@@ -50,7 +50,9 @@ class Reducer:
         for f, s in faces:
             if f == cell:
                 self_coeff += s
-        assert self_coeff in (1, -1), "matched face must appear once"
+        if self_coeff not in (1, -1):
+            raise MorseError(f"matched face of {C.format_cell(cell, self.ordered)} "
+                             f"appears with coefficient {self_coeff}")
         eps = -self_coeff
         deps = {}
         for f, s in faces:
@@ -575,7 +577,6 @@ class MorseComplex:
     critical: dict          # dim -> list of cells, largest basis key first
     index: dict             # dim -> {cell: row index}
     boundaries: dict        # dim -> matrix rows=dim cells, cols=(dim-1) cells
-    cell_counts: dict       # dim -> size of the full complex
     names: dict             # cell -> CriticalName
     provenance: str = "generic"
 
@@ -587,7 +588,8 @@ class MorseComplex:
         return sum((-1) ** d * len(cs) for d, cs in self.critical.items())
 
     def full_euler_characteristic(self) -> int:
-        return sum((-1) ** d * c for d, c in self.cell_counts.items())
+        """The Euler characteristic of the whole complex, from Gal's series."""
+        return C.euler_characteristic(self.tree, self.n, self.flavor)
 
     def validate_chain_complex(self):
         from .intlinalg import mat_mul
@@ -595,8 +597,8 @@ class MorseComplex:
         for d in dims:
             if d - 1 in self.boundaries:
                 prod = mat_mul(self.boundaries[d], self.boundaries[d - 1])
-                assert all(all(x == 0 for x in row) for row in prod), \
-                    f"d o d != 0 in degree {d}"
+                if any(any(row) for row in prod):
+                    raise MorseError(f"d o d != 0 in degree {d}")
 
     def name_of(self, cell) -> str:
         nm = self.names.get(cell)
@@ -614,8 +616,9 @@ def tree_satisfies_t123(t: OrderedTree) -> bool:
 
 def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
                         path: str = "generic", cap: int = 10_000_000) -> MorseComplex:
-    """Enumerate, classify, and reduce to the Morse complex with boundary
-    matrices over the reversed bases.
+    """Generate the critical cells and reduce to the Morse complex with
+    boundary matrices over the reversed bases.  ``cap`` bounds the number
+    of critical cells.
 
     path "fast" evaluates the closed formulas for the degree-2 boundary,
     "generic" iterates the reduction, "both" runs the two and insists they
@@ -629,12 +632,9 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
             raise MorseError("no closed boundary formulas for ordered n >= 3")
         if not ordered and not tree_satisfies_t123(t):
             raise MorseError("fast path needs a tree satisfying T1-T3")
-    by_dim = C.enumerate_cells(t, n, flavor, cap=cap)
-    counts = {d: len(cs) for d, cs in by_dim.items()}
     critical: dict[int, list] = {}
     names: dict = {}
-    for d, cs in sorted(by_dim.items()):
-        crit = [c for c in cs if C.classify(t, c).kind == "critical"]
+    for d, crit in sorted(C.critical_cells(t, n, flavor, cap=cap).items()):
         if ordered:
             def key(cell):
                 sc, sg = C.phi(cell)
@@ -674,8 +674,8 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
                 row[lower[cc]] = x
             rows.append(row)
         boundaries[d] = rows
-    return MorseComplex(t, n, flavor, critical, index, boundaries, counts,
-                        names, provenance=path)
+    return MorseComplex(t, n, flavor, critical, index, boundaries, names,
+                        provenance=path)
 
 
 def _fast_for(t: OrderedTree, cell, ordered: bool) -> dict:

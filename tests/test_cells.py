@@ -2,12 +2,18 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphbraids import cells as C
-from graphbraids.cells import (enumerate_cells, classify, matching, boundary,
-                               phi, phi_inverse, parse_cell, format_cell,
-                               perm_cycles, CellError)
-from graphbraids.fixtures import k33_pinned_tree, theta4_pinned_tree
+from graphbraids.cells import (enumerate_cells, critical_cells,
+                               euler_characteristic, classify, matching,
+                               boundary, phi, phi_inverse, parse_cell,
+                               format_cell, perm_cycles, CellError)
+from graphbraids.corpus import corpus
+from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
+                                  theta4_pinned_tree, fig_b3n3_tree)
+from graphbraids.graphs import subdivide
+from graphbraids.trees import choose_tree_and_order
 
 
 def test_cell_counts_k33():
@@ -28,6 +34,49 @@ def test_enumeration_cap():
     t = k33_pinned_tree()
     with pytest.raises(CellError, match="cap"):
         enumerate_cells(t, 2, "unordered", cap=10)
+
+
+def classified_critical_cells(t, n, flavor):
+    return {d: [c for c in cs if classify(t, c).kind == "critical"]
+            for d, cs in enumerate_cells(t, n, flavor).items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3),
+       st.sampled_from(["unordered", "ordered"]))
+def test_critical_cells_match_classification_on_corpus(seed, n, flavor):
+    g = corpus(seed, 1)[0]
+    gs, _ = subdivide(g, n, "strict" if n == 2 else "auto")
+    t = choose_tree_and_order(gs, n)
+    got = critical_cells(t, n, flavor)
+    want = classified_critical_cells(t, n, flavor)
+    assert sorted(got) == sorted(want)  # empty dimensions included
+    assert got == want
+
+
+def test_critical_cells_match_classification_k5():
+    t = k5_pinned_tree()
+    got = critical_cells(t, 4, "unordered")
+    assert got == classified_critical_cells(t, 4, "unordered")
+    assert sorted(got) == [0, 1, 2, 3, 4]
+    assert sum(len(cs) for cs in got.values()) == 396
+
+
+def test_critical_cell_cap_counts_ordered_cells():
+    t = k33_pinned_tree()
+    assert sum(len(cs) for cs in critical_cells(t, 2, cap=11).values()) == 11
+    assert sum(len(cs) for cs in critical_cells(t, 2, "ordered", cap=22).values()) == 22
+    with pytest.raises(CellError, match="cap"):
+        critical_cells(t, 2, "ordered", cap=21)
+
+
+def test_gal_series_matches_cell_counts():
+    for t, n in [(k33_pinned_tree(), 2), (theta4_pinned_tree(), 3),
+                 (fig_b3n3_tree(), 3)]:
+        for flavor in ("unordered", "ordered"):
+            cells = enumerate_cells(t, n, flavor)
+            chi = sum((-1) ** d * len(cs) for d, cs in cells.items())
+            assert euler_characteristic(t, n, flavor) == chi
 
 
 def test_classification_examples():

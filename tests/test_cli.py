@@ -99,6 +99,27 @@ def test_error_paths(capsys):
     assert run(["homology", "--graph", "K5", "--n", "4", "--cap", "10"]) == 2
 
 
+def test_bad_json_graph(tmp_path, capsys):
+    bad = '{"vertices": ['
+    assert run(["homology", "--graph", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed JSON graph") and err.count("\n") == 1
+    p = tmp_path / "bad.json"
+    p.write_text(bad)
+    assert run(["check", "--graph", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed JSON graph")
+
+
+@pytest.mark.parametrize("graph,rank", [("K4", 3), ("K5", 6), ("K(3,4)", 6),
+                                        ("K33", 4), ("Theta4", 3),
+                                        ("Theta(2)", 1)])
+def test_one_point_homology(capsys, graph, rank):
+    status, rep = capture(capsys, ["homology", "--graph", graph, "--n", "1"])
+    assert status == 0
+    assert h_of(rep, 0) == {"degree": 0, "rank": 1, "torsion": []}
+    assert h_of(rep, 1) == {"degree": 1, "rank": rank, "torsion": []}
+
+
 def test_text_format(capsys):
     status = run(["formula", "--graph", "K4", "--n", "2", "--format", "text"])
     out = capsys.readouterr().out

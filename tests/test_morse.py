@@ -79,6 +79,23 @@ def test_critical_counts():
         mc.validate_chain_complex()
 
 
+def test_corrupt_boundary_raises():
+    mc = build_morse_complex(k33_pinned_tree(), 2, "unordered")
+    d2 = mc.boundaries[2]
+    j = next(j for row in d2 for j, x in enumerate(row) if x)
+    mc.boundaries[1][j][0] += 1
+    with pytest.raises(MorseError, match="d o d"):
+        mc.validate_chain_complex()
+
+
+def test_missing_matched_face_raises(monkeypatch):
+    from graphbraids import cells
+    monkeypatch.setattr(cells, "boundary", lambda cell, ordered=False: [])
+    red = Reducer(k33_pinned_tree(), use_shortcut=False)
+    with pytest.raises(MorseError, match="matched face"):
+        red.reduce_cell(parse_cell("{1,4}")[0])
+
+
 def test_k33_critical_cells_known_values():
     t = k33_pinned_tree()
     mc = build_morse_complex(t, 2, "unordered")
