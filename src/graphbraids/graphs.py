@@ -375,6 +375,8 @@ def build_graph(spec) -> Graph:
             return build_graph([tuple(p) for p in pairs])
         raise GraphError(f"unknown graph name {name!r}")
     if isinstance(spec, dict):
+        if "vertices" not in spec or "edges" not in spec:
+            raise GraphError("JSON graph needs 'vertices' and 'edges'")
         return Graph(spec["vertices"], [tuple(e) for e in spec["edges"]])
     if isinstance(spec, (list, tuple)):
         vs = []

@@ -1,17 +1,19 @@
 """Homology of Morse complexes and the pivotal/separating/free census.
 
-H_i = ker d_i / im d_{i+1} computed exactly: an integer kernel basis from
-the Smith form of d_i, the image rewritten in kernel coordinates, and a
-second Smith form for the invariant factors.
+H_d = ker d_d / im d_(d+1) computed exactly.  Since ker d_d is a direct
+summand of the chain group, H_d is Z^(c_d - rank d_d - rank d_(d+1)) plus
+the torsion of d_(d+1): one Smith form per boundary matrix, without
+transforms, gives both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+# perfbench/tracer.py wraps all three names here, so the unused two stay
 from .intlinalg import (smith_normal_form, kernel_basis, kernel_coordinates,
                         rank as matrix_rank)
-from .morse import MorseComplex, wedge_cell, bare_fill
+from .morse import MorseComplex, MorseError, wedge_cell, bare_fill
 from . import cells as C
 
 
@@ -43,30 +45,15 @@ class AbelianGroup:
 
 def homology(mc: MorseComplex) -> dict[int, AbelianGroup]:
     """Integral homology of the Morse complex; degrees 0..2 always present."""
-    dims = sorted(set(mc.critical) | {0, 1, 2})
+    snf = {d: smith_normal_form(b)
+           for d, b in mc.boundaries.items() if b and b[0]}
     out: dict[int, AbelianGroup] = {}
-    for d in dims:
-        if d not in mc.critical:
-            out[d] = AbelianGroup(0)
-            continue
-        nd = len(mc.critical[d])
-        if nd == 0:
-            out[d] = AbelianGroup(0)
-            continue
-        lower = mc.boundaries.get(d)
-        upper = mc.boundaries.get(d + 1, [])
-        if d == 0 or not lower or not mc.critical.get(d - 1):
-            if upper:
-                out[d] = AbelianGroup.from_presentation(nd, upper)
-            else:
-                out[d] = AbelianGroup(nd)
-            continue
-        basis, snf = kernel_basis(lower)
-        if not upper:
-            out[d] = AbelianGroup(len(basis))
-            continue
-        coords = [kernel_coordinates(snf, row) for row in upper]
-        out[d] = AbelianGroup.from_presentation(len(basis), coords)
+    for d in sorted(set(mc.critical) | {0, 1, 2}):
+        lower, upper = snf.get(d), snf.get(d + 1)
+        free = (len(mc.critical.get(d, ())) - (lower.rank if lower else 0)
+                - (upper.rank if upper else 0))
+        torsion = tuple(x for x in upper.diag if x > 1) if upper else ()
+        out[d] = AbelianGroup(free, torsion)
     return out
 
 
@@ -179,7 +166,7 @@ def undetermined_block(mc: MorseComplex):
             if cc in col_index:
                 row[col_index[cc]] = x
             elif x:
-                raise AssertionError(
+                raise MorseError(
                     f"block row {label} leaks outside separating columns: "
                     f"{C.format_cell(cc, mc.ordered)}")
         rows.append(row)

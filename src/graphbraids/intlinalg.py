@@ -3,6 +3,12 @@
 Matrices are plain lists of lists of Python ints, so all arithmetic is
 arbitrary precision.  Row convention throughout: a chain is a row vector and
 a boundary matrix has one row per generator of the source.
+
+Invariant factors alone (``smith_normal_form`` without transforms, ``rank``)
+come from sparse elimination of the +-1 pivots followed by a dense Smith
+form of the small core left over; Morse boundary matrices are almost all
++-1.  The unimodular transforms, and the kernel helpers built on them, use
+the dense form throughout.
 """
 
 from __future__ import annotations
@@ -63,11 +69,87 @@ class SmithForm:
 def smith_normal_form(a, transforms: bool = False) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    Pivots are chosen by smallest nonzero magnitude, which keeps entries
-    small at the scales this library meets.  The returned diagonal is the
-    divisibility chain d1 | d2 | ... with positive entries.
+    Without transforms, the +-1 entries are eliminated first on sparse rows
+    (``_eliminate_units``), each one an invariant factor 1, and only the
+    core left over goes through the dense loop.  With transforms, the whole
+    matrix goes through the dense loop, which records U, Uinv and V.  The
+    returned diagonal is the divisibility chain d1 | d2 | ... with positive
+    entries.
     """
-    m = copy_matrix(a)
+    if transforms:
+        return _dense_smith_form(copy_matrix(a), transforms=True)
+    units, core = _eliminate_units(a)
+    diag = [1] * units + _dense_smith_form(core).diag
+    return SmithForm(diag, len(a), len(a[0]) if a else 0)
+
+
+def _eliminate_units(a):
+    """Eliminate +-1 pivots on sparse rows; return their number and the
+    dense core left over, without its zero rows and columns.
+
+    Each step takes the unit entry of least Markowitz cost
+    (row nnz - 1) * (column nnz - 1), the most fill-in it can cause, clears
+    its column by row operations and drops its row and column.  A unit
+    pivot splits off as a direct summand Z/1, so the invariant factors of
+    the matrix are the eliminated units followed by those of the core.
+    """
+    rows = {}
+    col_rows: dict = {}
+    for i, r in enumerate(a):
+        sparse = {j: x for j, x in enumerate(r) if x}
+        if sparse:
+            rows[i] = sparse
+            for j in sparse:
+                col_rows.setdefault(j, set()).add(i)
+    units = 0
+    while True:
+        best = None
+        for i, r in rows.items():
+            r_cost = len(r) - 1
+            for j, x in r.items():
+                if x == 1 or x == -1:
+                    cost = r_cost * (len(col_rows[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+                        if not cost:
+                            break
+            if best is not None and not best[0]:
+                break
+        if best is None:
+            break
+        _, pi, pj = best
+        pivot_row = rows.pop(pi)
+        for j in pivot_row:
+            col_rows[j].discard(pi)
+        p = pivot_row[pj]
+        for i in col_rows.pop(pj):
+            r = rows[i]
+            q = r.pop(pj) * p  # row[i] -= q * pivot_row clears column pj
+            for j, x in pivot_row.items():
+                if j == pj:
+                    continue
+                v = r.get(j, 0) - q * x
+                if v:
+                    if j not in r:
+                        col_rows[j].add(i)
+                    r[j] = v
+                elif j in r:
+                    del r[j]
+                    col_rows[j].discard(i)
+            if not r:
+                del rows[i]
+        units += 1
+    core_cols = sorted(j for j, rs in col_rows.items() if rs)
+    core = [[r.get(j, 0) for j in core_cols] for r in rows.values()]
+    return units, core
+
+
+def _dense_smith_form(m, transforms: bool = False) -> SmithForm:
+    """The dense Smith loop on m, which it overwrites.
+
+    Pivots are chosen by smallest nonzero magnitude, which keeps entries
+    small at the scales this library meets.
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     U = identity(rows) if transforms else None

@@ -110,6 +110,40 @@ def test_bad_json_graph(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: malformed JSON graph")
 
 
+@pytest.mark.parametrize("doc", ['{"edges": []}', '{"vertices": ["a"]}'])
+def test_json_graph_missing_keys(capsys, doc):
+    assert run(["homology", "--graph", doc]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: JSON graph needs 'vertices' and 'edges'\n"
+
+
+POINT = {"vertices": ["a"], "edges": []}
+SEGMENT = {"vertices": ["a", "b"], "edges": [["e", "a", "b"]]}
+CIRCLE = {"vertices": ["a", "b", "c"],
+          "edges": [["e1", "a", "b"], ["e2", "b", "c"], ["e3", "c", "a"]]}
+
+
+@pytest.mark.parametrize("graph,n,flavor,h0,h1", [
+    (POINT, 1, "unordered", 1, 0),
+    (POINT, 2, "unordered", 0, 0),
+    (SEGMENT, 2, "unordered", 1, 0),
+    (SEGMENT, 2, "ordered", 2, 0),
+    (SEGMENT, 3, "ordered", 6, 0),
+    (CIRCLE, 2, "unordered", 1, 1),
+    (CIRCLE, 3, "unordered", 1, 1),
+    (CIRCLE, 2, "ordered", 1, 1),
+    (CIRCLE, 3, "ordered", 2, 2),
+])
+def test_degenerate_graph_homology(capsys, graph, n, flavor, h0, h1):
+    status, rep = capture(capsys, ["homology", "--graph", json.dumps(graph),
+                                   "--n", str(n), "--flavor", flavor])
+    assert status == 0
+    groups = {h["degree"]: (h["rank"], h["torsion"])
+              for h in rep["results"]["homology"]}
+    assert groups.pop(0) == (h0, []) and groups.pop(1) == (h1, [])
+    assert all(g == (0, []) for g in groups.values())
+
+
 @pytest.mark.parametrize("graph,rank", [("K4", 3), ("K5", 6), ("K(3,4)", 6),
                                         ("K33", 4), ("Theta4", 3),
                                         ("Theta(2)", 1)])

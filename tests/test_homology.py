@@ -1,8 +1,11 @@
+import importlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphbraids.cells import parse_cell
+from graphbraids.corpus import corpus
 from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
                                   theta4_pinned_tree, fig_b3n3_tree)
 from graphbraids.graphs import build_graph, subdivide
@@ -10,7 +13,8 @@ from graphbraids.trees import choose_tree_and_order
 from graphbraids.morse import build_morse_complex
 from graphbraids.homology import (AbelianGroup, homology, classify_1cells,
                                   undetermined_block, relative_h1_rank)
-from graphbraids.intlinalg import smith_normal_form
+from graphbraids.intlinalg import (smith_normal_form, kernel_basis,
+                                   kernel_coordinates)
 
 
 def test_abelian_group_canonical():
@@ -18,6 +22,57 @@ def test_abelian_group_canonical():
     assert (g.rank, g.torsion) == (1, (6,))
     assert str(AbelianGroup(4, (2,))) == "Z^4 + Z_2"
     assert str(AbelianGroup(0)) == "0"
+
+
+def reference_homology(mc):
+    """Homology the long way: an integer basis of ker d_d from the Smith
+    form with transforms, im d_(d+1) rewritten in kernel coordinates, and a
+    second Smith form for the quotient."""
+    out = {}
+    for d in sorted(set(mc.critical) | {0, 1, 2}):
+        nd = len(mc.critical.get(d, ()))
+        lower = mc.boundaries.get(d)
+        upper = mc.boundaries.get(d + 1, [])
+        if nd == 0:
+            out[d] = AbelianGroup(0)
+            continue
+        if not lower or not mc.critical.get(d - 1):
+            out[d] = (AbelianGroup.from_presentation(nd, upper) if upper
+                      else AbelianGroup(nd))
+            continue
+        basis, snf = kernel_basis(lower)
+        coords = [kernel_coordinates(snf, row) for row in upper]
+        out[d] = (AbelianGroup.from_presentation(len(basis), coords) if coords
+                  else AbelianGroup(len(basis)))
+    return out
+
+
+def _corpus_complex(seed, n, flavor):
+    g = corpus(seed, 1)[0]
+    gs, _ = subdivide(g, n, "strict" if n == 2 else "auto")
+    return build_morse_complex(choose_tree_and_order(gs, n), n, flavor)
+
+
+@pytest.mark.parametrize("flavor", ["unordered", "ordered"])
+def test_homology_matches_kernel_reference(flavor):
+    complexes = [build_morse_complex(k33_pinned_tree(), 2, flavor),
+                 build_morse_complex(theta4_pinned_tree(), 3, flavor)]
+    if flavor == "unordered":
+        complexes.append(build_morse_complex(k5_pinned_tree(), 4, flavor))
+    complexes += [_corpus_complex(seed, n, flavor)
+                  for seed in (1, 2, 3) for n in (1, 2, 3)]
+    for mc in complexes:
+        assert homology(mc) == reference_homology(mc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3),
+       st.sampled_from(["unordered", "ordered"]))
+def test_homology_euler_characteristic_matches_gal_series(seed, n, flavor):
+    mc = _corpus_complex(seed, n, flavor)
+    h = homology(mc)
+    assert sum((-1) ** d * g.rank for d, g in h.items()) == \
+        mc.full_euler_characteristic()
 
 
 def test_h1_values_on_pinned_trees():
@@ -183,6 +238,19 @@ def test_classification_requires_supported_flavor():
     mc = build_morse_complex(t, 3, "ordered")
     with pytest.raises(ValueError):
         classify_1cells(mc)
+
+
+def test_block_row_leaking_outside_separating_columns_raises(monkeypatch):
+    from graphbraids.morse import MorseError
+    # the module, not the function the package re-exports under its name
+    H = importlib.import_module("graphbraids.homology")
+    mc = build_morse_complex(k5_pinned_tree(), 4, "unordered")
+    tags = classify_1cells(mc)
+    free = next(c for c, tag in tags.items() if tag == "free")
+    # every block row then carries a free 1-cell, outside the block's columns
+    monkeypatch.setattr(H, "_chain_sub", lambda a, b: {free: 1})
+    with pytest.raises(MorseError, match="leaks outside separating columns"):
+        undetermined_block(mc)
 
 
 def test_tags_consistent_with_matrix():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphbraids.intlinalg import (smith_normal_form, naive_invariant_factors,
                                    mat_mul, identity, kernel_basis,
-                                   kernel_coordinates, rank)
+                                   kernel_coordinates, rank, _eliminate_units)
 
 # the 3x7 degree-2 boundary matrix of the two-strand K33 complex
 K33_3x7 = [
@@ -45,6 +45,55 @@ def test_transforms_reconstruct():
                 min_size=6, max_size=6))
 def test_snf_matches_naive_oracle(m):
     assert smith_normal_form(m).diag == naive_invariant_factors(m)
+
+
+# mostly zeros, then units, then a few larger entries: the shape of a Morse
+# boundary matrix, where unit elimination leaves a small core
+SPARSE_ENTRY = st.sampled_from([0] * 8 + [1, -1] * 3 + [2, -2, 3])
+
+
+@st.composite
+def sparse_matrices(draw):
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    return [draw(st.lists(SPARSE_ENTRY, min_size=cols, max_size=cols))
+            for _ in range(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_sparse_snf_matches_naive_oracle(m):
+    s = smith_normal_form(m)
+    assert s.diag == naive_invariant_factors(m)
+    assert (s.rows, s.cols) == (len(m), len(m[0]))
+    assert rank(m) == s.rank
+
+
+def test_all_unit_matrices():
+    assert smith_normal_form([[1, 0, 0], [0, -1, 0], [0, 0, 1]]).diag == [1, 1, 1]
+    assert smith_normal_form([[1, 1, 1], [1, 1, 1], [-1, -1, -1]]).diag == [1]
+    assert smith_normal_form([[0, -1], [1, 0], [1, 1]]).diag == [1, 1]
+
+
+def test_no_unit_matrix_takes_the_dense_path():
+    m = [[2, 4], [6, 8]]
+    assert _eliminate_units(m) == (0, m)
+    assert smith_normal_form(m).diag == [2, 4]
+    assert smith_normal_form([[6, 10, 15]]).diag == [1]
+
+
+def test_zero_rows_and_columns():
+    m = [[0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 4]]
+    s = smith_normal_form(m)
+    assert s.diag == [2, 4] and (s.rows, s.cols) == (4, 4)
+    assert smith_normal_form([[0, 0, 0], [0, 1, 0]]).diag == [1]
+    assert smith_normal_form([[], []]).diag == []
+
+
+def test_unit_elimination_leaves_a_non_unit_core():
+    m = [[1, 1], [1, -1]]
+    units, core = _eliminate_units(m)
+    assert units == 1 and [abs(x) for row in core for x in row] == [2]
+    assert smith_normal_form(m).diag == [1, 2]
 
 
 def test_kernel_basis_and_coordinates():
