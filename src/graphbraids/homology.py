@@ -57,11 +57,6 @@ def homology(mc: MorseComplex) -> dict[int, AbelianGroup]:
     return out
 
 
-def betti(mc: MorseComplex, degree: int) -> int:
-    h = homology(mc)
-    return h.get(degree, AbelianGroup(0)).rank
-
-
 def relative_h1_rank(mc: MorseComplex) -> int:
     """rank H_1(M, M^0): generators all critical 1-cells, relations im d_2.
 

@@ -13,6 +13,7 @@ the dense form throughout.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 
@@ -92,6 +93,13 @@ def _eliminate_units(a):
     its column by row operations and drops its row and column.  A unit
     pivot splits off as a direct summand Z/1, so the invariant factors of
     the matrix are the eliminated units followed by those of the core.
+
+    Unit entries wait in a heap keyed by (cost, row, column), each with a
+    cost no higher than its current one.  A step changes costs only in the
+    rows it touches and in the pivot row's columns; an entry there whose
+    cost fell is pushed again.  A popped entry whose cost has risen goes
+    back with its current cost, so the first one popped at its current cost
+    is a least-cost unit.
     """
     rows = {}
     col_rows: dict = {}
@@ -101,28 +109,41 @@ def _eliminate_units(a):
             rows[i] = sparse
             for j in sparse:
                 col_rows.setdefault(j, set()).add(i)
+    heap: list = []
+    queued: dict = {}  # (row, column) -> its least cost in the heap
+
+    def offer(i, j):
+        x = rows[i][j]
+        if x == 1 or x == -1:
+            c = (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
+            if c < queued.get((i, j), c + 1):
+                queued[i, j] = c
+                heapq.heappush(heap, (c, i, j))
+
+    for i, r in rows.items():
+        for j in r:
+            offer(i, j)
     units = 0
-    while True:
-        best = None
-        for i, r in rows.items():
-            r_cost = len(r) - 1
-            for j, x in r.items():
-                if x == 1 or x == -1:
-                    cost = r_cost * (len(col_rows[j]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-                        if not cost:
-                            break
-            if best is not None and not best[0]:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
+    while heap and rows:
+        c, pi, pj = heapq.heappop(heap)
+        r = rows.get(pi)
+        if r is None or queued.get((pi, pj)) != c:
+            continue  # its row is gone, or a lower cost supersedes it
+        x = r.get(pj)
+        if x != 1 and x != -1:
+            del queued[pi, pj]
+            continue
+        now = (len(r) - 1) * (len(col_rows[pj]) - 1)
+        if now != c:
+            queued[pi, pj] = now
+            heapq.heappush(heap, (now, pi, pj))
+            continue
         pivot_row = rows.pop(pi)
         for j in pivot_row:
             col_rows[j].discard(pi)
         p = pivot_row[pj]
-        for i in col_rows.pop(pj):
+        touched = col_rows.pop(pj)
+        for i in touched:
             r = rows[i]
             q = r.pop(pj) * p  # row[i] -= q * pivot_row clears column pj
             for j, x in pivot_row.items():
@@ -139,6 +160,14 @@ def _eliminate_units(a):
             if not r:
                 del rows[i]
         units += 1
+        for i in touched:
+            if i in rows:
+                for j in rows[i]:
+                    offer(i, j)
+        for j in pivot_row:
+            if j != pj:
+                for i in col_rows[j]:
+                    offer(i, j)
     core_cols = sorted(j for j, rs in col_rows.items() if rs)
     core = [[r.get(j, 0) for j in core_cols] for r in rows.values()]
     return units, core

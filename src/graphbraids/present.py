@@ -4,6 +4,9 @@ Generators are critical 1-cells; relators are boundary words of critical
 2-cells pushed through the rewriting homomorphism onto critical 1-cells.
 Tietze elimination then removes pivotal generators in decreasing order and
 contracts separating generators along the labeled graph of their relations.
+Every relator is kept freely reduced, and an index from each generator to
+the relators that contain it lets a move rewrite only those relators.
+`commutator_form` recognises relators of the form [u, v] for display.
 """
 
 from __future__ import annotations
@@ -62,14 +65,39 @@ def exponent_sums(w) -> dict:
     return out
 
 
-def substitute(w, gen, repl) -> Word:
-    out = []
-    for g, e in w:
+def substitute(w, gen, repl, inv=None) -> Word:
+    """w with every letter gen^e replaced by repl^e, freely reduced while it
+    is spliced.  This is the stack of `free_reduce` run over the spliced
+    word in one pass: the runs of w between the letters of gen, and repl,
+    are each freely reduced, so only the first letters of a run can cancel
+    against the stack and the rest of the run is appended as it is.  `inv`,
+    repl's inverse, may be passed when many words take the same repl."""
+    out: list = []
+    start = 0
+    for i, (g, e) in enumerate(w):
         if g == gen:
-            out.extend(repl if e == 1 else winv(repl))
-        else:
-            out.append((g, e))
-    return free_reduce(tuple(out))
+            _splice(out, w[start:i])
+            if e == 1:
+                _splice(out, repl)
+            else:
+                if inv is None:
+                    inv = winv(repl)
+                _splice(out, inv)
+            start = i + 1
+    _splice(out, w[start:] if start else w)
+    return tuple(out)
+
+
+def _splice(out: list, run) -> None:
+    """Push the freely reduced word `run` onto the reduced stack `out`."""
+    k = 0
+    while out and k < len(run):
+        top, (g, e) = out[-1], run[k]
+        if top[0] != g or top[1] != -e:
+            break
+        out.pop()
+        k += 1
+    out.extend(run[k:] if k else run)
 
 
 # ---------------------------------------------------------------------------
@@ -296,86 +324,130 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
     """Tietze-minimize: eliminate pivotal generators in decreasing modified
     order, then contract separating generators along their relators.
 
+    Relators are kept by a stable id (their index in `pres.relators`, which
+    is also the index of their critical 2-cell), with an index from each
+    generator to the ids of the relators that contain it.  A move rewrites
+    only those relators: every other one is already freely reduced, so
+    substituting into it would return it unchanged.
+
     `audit`, when given, is called with the presentation after every Tietze
     move (used by tests to confirm the abelianization never changes)."""
-    pres = Presentation(list(pres.generators), list(pres.relators),
-                        dict(pres.names), list(pres.history), pres.killed)
+    out = Presentation(list(pres.generators), [], dict(pres.names),
+                       list(pres.history), pres.killed)
     tags = classify_1cells(mc)
     pairs = _leading_pairs(mc)
-    # relators tracked by their originating 2-cell while any remain unused
-    cell2_for_relator = list(mc.critical.get(2, ()))
+    rels = dict(enumerate(pres.relators))
+    rel_of_cell2 = {c2: i for i, c2 in enumerate(mc.critical.get(2, ()))}
+    gens_of = {i: {g for g, _ in r} for i, r in rels.items()}
+    index: dict = {}
+    for i, gens in gens_of.items():
+        for g in gens:
+            index.setdefault(g, set()).add(i)
 
-    def eliminate(gen, rel_idx, why):
-        rel = pres.relators[rel_idx]
+    def eliminate(gen, rid, why):
+        rel = rels[rid]
         hits = [i for i, (g, _) in enumerate(rel) if g == gen]
         if len(hits) != 1:
-            return False
+            return
         i = hits[0]
         u, e, v = rel[:i], rel[i][1], rel[i + 1:]
         repl = wmul(winv(u), winv(v))
+        inv = winv(repl)
         if e == -1:
-            repl = winv(repl)
-        pres.relators = [substitute(r, gen, repl)
-                         for j, r in enumerate(pres.relators) if j != rel_idx]
-        del cell2_for_relator[rel_idx]
-        pres.generators.remove(gen)
-        pres.history.append(f"eliminate {pres.names.get(gen, gen)} ({why})")
+            repl, inv = inv, repl
+        del rels[rid]
+        for g in gens_of.pop(rid):
+            index[g].discard(rid)
+        for j in index.pop(gen):
+            new = rels[j] = substitute(rels[j], gen, repl, inv)
+            old_gens, new_gens = gens_of[j], {g for g, _ in new}
+            old_gens.discard(gen)
+            for g in old_gens - new_gens:
+                index[g].discard(j)
+            for g in new_gens - old_gens:
+                index.setdefault(g, set()).add(j)
+            gens_of[j] = new_gens
+        out.generators.remove(gen)
+        out.history.append(f"eliminate {out.names.get(gen, gen)} ({why})")
         if audit is not None:
-            audit(pres)
-        return True
+            out.relators = list(rels.values())
+            audit(out)
 
-    pivotal = [g for g in pres.generators
+    pivotal = [g for g in out.generators
                if tags.get(g) == "pivotal" and g in pairs]
     pivotal.sort(key=lambda g: _modified_pivotal_key(mc, g), reverse=True)
     for g in pivotal:
-        c2 = pairs[g]
-        try:
-            rel_idx = cell2_for_relator.index(c2)
-        except ValueError:
-            continue
-        eliminate(g, rel_idx, "pivotal")
+        rid = rel_of_cell2[pairs[g]]
+        if rid in rels:
+            eliminate(g, rid, "pivotal")
 
     # separating contraction: repeatedly remove the smallest separating
-    # generator that some relator uses exactly once
-    def sep_gens():
-        return [g for g in pres.generators if tags.get(g) == "separating"]
-
-    progress = True
-    while progress:
-        progress = False
-        for g in sorted(sep_gens(), key=lambda g: cell_sort_key(
-                mc.tree, C.phi(g)[0] if mc.ordered else g,
-                C.phi(g)[1] if mc.ordered else None)):
-            candidates = [i for i, r in enumerate(pres.relators)
-                          if sum(1 for x, _ in r if x == g) == 1]
-            if not candidates:
-                continue
-            rel_idx = min(candidates, key=lambda i: len(pres.relators[i]))
-            if eliminate(g, rel_idx, "separating merge"):
-                progress = True
+    # generator that some relator uses exactly once, taking the shortest
+    # such relator (the earliest among equals)
+    separating = sorted(
+        (g for g in out.generators if tags.get(g) == "separating"),
+        key=lambda g: cell_sort_key(mc.tree, C.phi(g)[0] if mc.ordered else g,
+                                    C.phi(g)[1] if mc.ordered else None))
+    while True:
+        for g in separating:
+            best = None
+            for rid in index.get(g, ()):
+                r = rels[rid]
+                if sum(1 for x, _ in r if x == g) == 1 and (
+                        best is None or (len(r), rid) < best):
+                    best = (len(r), rid)
+            if best is not None:
+                eliminate(g, best[1], "separating merge")
+                separating.remove(g)
                 break
+        else:
+            break
 
-    pres.relators = [r for r in pres.relators if r]
-    cell2_for_relator = None
-    return pres
+    out.relators = [r for r in rels.values() if r]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # commutator detection
 
 def commutator_form(w):
-    """(u, v) with w ~ u v u^-1 v^-1 as a cyclic word, else None."""
+    """(u, v) with w ~ u v u^-1 v^-1 as a cyclic word, else None.
+
+    Splits are tried rotation by rotation, then by i and j, and the first
+    rotation r = u v x of the cyclically reduced w, u = r[:i], v = r[i:j],
+    with x = u^-1 v^-1 freely reduced wins.  Every rotation is freely
+    reduced, and so are u, v and x.  Where u^-1 meets v^-1, k letters cancel
+    (r[m] against r[j-1-m] for m < k, at most min(i, j - i)), so x can match
+    only when len(x) = L - j equals j - 2k.  For each j the longest run of
+    such cancelling pairs is found once per rotation; only the splits whose
+    k fits are compared letter by letter."""
     w = cyclic_reduce(w)
     L = len(w)
     if L == 0 or L % 2:
         return None
+    half = L // 2
     for rot in range(L):
         r = w[rot:] + w[:rot]
+        inv = [(g, -e) for g, e in r]
+        candidates = []
+        for j in range(half, L - 1):
+            # stops before the middle of r[:j]: no letter is its own
+            # inverse, and no two adjacent letters of r cancel
+            run = 0
+            while r[run] == inv[j - 1 - run]:
+                run += 1
+            if run >= j - half:
+                candidates.append((j, run))
         for i in range(1, L - 2):
-            for j in range(i + 1, L - 1):
-                u, v = r[:i], r[i:j]
-                if free_reduce(r[j:]) == wmul(winv(u), winv(v)):
-                    return free_reduce(u), free_reduce(v)
+            for j, run in candidates:
+                k = j - half
+                if j <= i or min(run, i, j - i) != k:
+                    continue
+                # x = r[i-1..k]^-1 followed by r[j-k-1..i]^-1
+                if r[j] != (inv[i - 1] if k < i else inv[j - k - 1]):
+                    continue
+                if r[j:] == tuple(inv[k:i][::-1] + inv[i:j - k][::-1]):
+                    return r[:i], r[i:j]
     return None
 
 

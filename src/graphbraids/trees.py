@@ -438,7 +438,9 @@ def choose_tree_and_order(g: Graph, n: int, mode: str = "generic") -> OrderedTre
     """Choose a maximal tree, embedding, and vertex order satisfying T1-T3
     (mode generic) or T1-T4 (mode planar, planar graphs only).  For n = 1
     the first candidate tree is taken: with one point every spanning tree
-    leaves vertex 0 and the deleted edges as the critical cells."""
+    leaves vertex 0 and the deleted edges as the critical cells.  With fewer
+    vertices than points (a single vertex, n >= 2) the configuration space
+    is empty, so the stem length does not matter."""
     strict = n == 2
     if not is_suitably_subdivided(g, n, strict=strict):
         raise TreeError(
@@ -455,7 +457,8 @@ def choose_tree_and_order(g: Graph, n: int, mode: str = "generic") -> OrderedTre
             children = _rooted_children(g, base, deleted)
             t = _apply_t3(g, base, children, n, "generic")
             report = verify_conditions(t)
-            if n == 1 or (report.ok() and t.stem_length() >= n - 1):
+            if n == 1 or (report.ok() and (t.stem_length() >= n - 1
+                                           or len(g.vertices) < n)):
                 return t
             last_error = report
     raise TreeError(f"could not satisfy T1-T3 on this graph: {last_error}")

@@ -144,6 +144,17 @@ def test_degenerate_graph_homology(capsys, graph, n, flavor, h0, h1):
     assert all(g == (0, []) for g in groups.values())
 
 
+@pytest.mark.parametrize("n,flavor", [(3, "unordered"), (3, "ordered"),
+                                      (4, "unordered")])
+def test_single_vertex_has_no_configurations(capsys, n, flavor):
+    # more points than vertices: the configuration space is empty
+    status, rep = capture(capsys, ["homology", "--graph", json.dumps(POINT),
+                                   "--n", str(n), "--flavor", flavor])
+    assert status == 0
+    assert all((h["rank"], h["torsion"]) == (0, [])
+               for h in rep["results"]["homology"])
+
+
 @pytest.mark.parametrize("graph,rank", [("K4", 3), ("K5", 6), ("K(3,4)", 6),
                                         ("K33", 4), ("Theta4", 3),
                                         ("Theta(2)", 1)])

@@ -68,6 +68,15 @@ def test_sparse_snf_matches_naive_oracle(m):
     assert rank(m) == s.rank
 
 
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_unit_elimination_leaves_no_unit_in_the_core(m):
+    # every unit, also one that fill-in creates, is taken as a pivot
+    units, core = _eliminate_units(m)
+    assert all(x not in (1, -1) for row in core for x in row)
+    assert units + len(core) <= len(m)
+
+
 def test_all_unit_matrices():
     assert smith_normal_form([[1, 0, 0], [0, -1, 0], [0, 0, 1]]).diag == [1, 1, 1]
     assert smith_normal_form([[1, 1, 1], [1, 1, 1], [-1, -1, -1]]).diag == [1]

@@ -1,15 +1,24 @@
-import pytest
+import copy
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from graphbraids import cells as C
 from graphbraids.cells import parse_cell, format_cell, vertex
-from graphbraids.fixtures import k33_pinned_tree, theta4_pinned_tree
+from graphbraids.corpus import corpus
+from graphbraids.fixtures import (k33_pinned_tree, theta4_pinned_tree,
+                                  k5_pinned_tree, fig_b3n3_tree)
 from graphbraids.graphs import build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
-from graphbraids.morse import build_morse_complex
-from graphbraids.homology import homology
+from graphbraids.morse import build_morse_complex, cell_sort_key, MorseError
+from graphbraids.homology import homology, classify_1cells
 from graphbraids.present import (free_reduce, wmul, winv, cyclic_reduce,
                                  exponent_sums, boundary_word, Rewriter,
                                  raw_presentation, simplify, commutator_form,
-                                 quadratic_genus, format_word, substitute)
+                                 quadratic_genus, format_word, substitute,
+                                 Presentation, _leading_pairs,
+                                 _modified_pivotal_key)
 
 
 def w(*letters):
@@ -215,3 +224,177 @@ def test_quadratic_genus():
     assert quadratic_genus(sphereish) == 0
     assert quadratic_genus((a, b, inv(a))) is None
     assert quadratic_genus((a, a)) is None
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: each move rewrites every relator, and the
+# commutator search tries every split
+
+
+def reference_substitute(w, gen, repl):
+    out = []
+    for g, e in w:
+        if g == gen:
+            out.extend(repl if e == 1 else winv(repl))
+        else:
+            out.append((g, e))
+    return free_reduce(tuple(out))
+
+
+def reference_simplify(pres, mc, audit=None):
+    pres = Presentation(list(pres.generators), list(pres.relators),
+                        dict(pres.names), list(pres.history), pres.killed)
+    tags = classify_1cells(mc)
+    pairs = _leading_pairs(mc)
+    cell2_for_relator = list(mc.critical.get(2, ()))
+
+    def eliminate(gen, rel_idx, why):
+        rel = pres.relators[rel_idx]
+        hits = [i for i, (g, _) in enumerate(rel) if g == gen]
+        if len(hits) != 1:
+            return False
+        i = hits[0]
+        u, e, v = rel[:i], rel[i][1], rel[i + 1:]
+        repl = wmul(winv(u), winv(v))
+        if e == -1:
+            repl = winv(repl)
+        pres.relators = [reference_substitute(r, gen, repl)
+                         for j, r in enumerate(pres.relators) if j != rel_idx]
+        del cell2_for_relator[rel_idx]
+        pres.generators.remove(gen)
+        pres.history.append(f"eliminate {pres.names.get(gen, gen)} ({why})")
+        if audit is not None:
+            audit(pres)
+        return True
+
+    pivotal = [g for g in pres.generators
+               if tags.get(g) == "pivotal" and g in pairs]
+    pivotal.sort(key=lambda g: _modified_pivotal_key(mc, g), reverse=True)
+    for g in pivotal:
+        try:
+            rel_idx = cell2_for_relator.index(pairs[g])
+        except ValueError:
+            continue
+        eliminate(g, rel_idx, "pivotal")
+
+    progress = True
+    while progress:
+        progress = False
+        seps = [g for g in pres.generators if tags.get(g) == "separating"]
+        for g in sorted(seps, key=lambda g: cell_sort_key(
+                mc.tree, C.phi(g)[0] if mc.ordered else g,
+                C.phi(g)[1] if mc.ordered else None)):
+            candidates = [i for i, r in enumerate(pres.relators)
+                          if sum(1 for x, _ in r if x == g) == 1]
+            if not candidates:
+                continue
+            rel_idx = min(candidates, key=lambda i: len(pres.relators[i]))
+            if eliminate(g, rel_idx, "separating merge"):
+                progress = True
+                break
+
+    pres.relators = [r for r in pres.relators if r]
+    return pres
+
+
+def reference_commutator_form(w):
+    w = cyclic_reduce(w)
+    L = len(w)
+    if L == 0 or L % 2:
+        return None
+    for rot in range(L):
+        r = w[rot:] + w[:rot]
+        for i in range(1, L - 2):
+            for j in range(i + 1, L - 1):
+                u, v = r[:i], r[i:j]
+                if free_reduce(r[j:]) == wmul(winv(u), winv(v)):
+                    return free_reduce(u), free_reduce(v)
+    return None
+
+
+K2221 = {"vertices": [f"v{i}" for i in range(7)],
+         "edges": [[f"v{a}", f"v{b}"]
+                   for a, b in itertools.combinations(range(7), 2)
+                   if (a, b) not in ((0, 1), (2, 3), (4, 5))]}
+
+
+def _generic_complex(g, n, flavor):
+    gs, _ = subdivide(g, n, "strict" if n == 2 else "auto")
+    return build_morse_complex(choose_tree_and_order(gs, n), n, flavor)
+
+
+def _same_simplification(mc):
+    raw = raw_presentation(mc)
+    got, want = simplify(raw, mc), reference_simplify(raw, mc)
+    assert got.generators == want.generators
+    assert got.relators == want.relators
+    assert got.history == want.history
+    assert got.killed == want.killed
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_morse_complex(k33_pinned_tree(), 2, "unordered"),
+    lambda: build_morse_complex(k33_pinned_tree(), 2, "ordered"),
+    lambda: build_morse_complex(theta4_pinned_tree(), 3, "unordered"),
+    lambda: build_morse_complex(fig_b3n3_tree(), 3, "unordered"),
+    lambda: build_morse_complex(k5_pinned_tree(), 4, "unordered"),
+    lambda: _generic_complex(build_graph(K2221), 3, "unordered"),
+    # a separating generator no relator used once becomes usable after a
+    # later merge rewrites one of its relators
+    lambda: _generic_complex(build_graph("FigCounterEx"), 2, "ordered"),
+], ids=["K33-n2", "K33-n2-ordered", "Theta4-n3", "FigB3n3-n3", "K5-n4",
+        "K2221-n3", "FigCounterEx-n2-ordered"])
+def test_simplify_matches_reference(make):
+    _same_simplification(make())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3),
+       st.sampled_from(["unordered", "ordered"]))
+def test_simplify_matches_reference_on_corpus(seed, n, flavor):
+    if flavor == "ordered":
+        n = 2  # pure braid presentations are defined for n = 2 only
+    mc = _generic_complex(corpus(seed, 1)[0], n, flavor)
+    try:
+        _same_simplification(mc)
+    except MorseError:
+        # a topological segment has no joining generator to kill
+        assert flavor == "ordered"
+
+
+def test_simplify_audits_every_move_without_touching_its_input():
+    mc = build_morse_complex(theta4_pinned_tree(), 3, "unordered")
+    raw = raw_presentation(mc)
+    before = copy.deepcopy(raw)
+    seen, want = [], []
+    got = simplify(raw, mc, audit=lambda p: seen.append(
+        (list(p.generators), list(p.relators), list(p.history))))
+    reference_simplify(raw, mc, audit=lambda p: want.append(
+        (list(p.generators), list(p.relators), list(p.history))))
+    assert len(seen) == len(got.history) - len(raw.history) > 0
+    assert seen == want
+    assert raw == before
+
+
+letters = st.tuples(st.sampled_from("abc"), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(letters, max_size=12), st.sampled_from("abc"),
+       st.lists(letters, max_size=5))
+def test_substitute_matches_reference(w, gen, repl):
+    w = free_reduce(tuple(w))
+    repl = free_reduce(tuple(x for x in repl if x[0] != gen))
+    assert substitute(w, gen, repl) == reference_substitute(w, gen, repl)
+    assert substitute(w, gen, repl, winv(repl)) == \
+        reference_substitute(w, gen, repl)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(letters, max_size=12), st.lists(letters, max_size=4),
+       st.lists(letters, max_size=4), st.lists(letters, max_size=3))
+def test_commutator_form_matches_reference(w, u, v, c):
+    u, v, c = tuple(u), tuple(v), tuple(c)
+    built = wmul(c, u, v, winv(u), winv(v), winv(c))
+    for word in (tuple(w), built, built + tuple(w[:1])):
+        assert commutator_form(word) == reference_commutator_form(word)
