@@ -270,7 +270,12 @@ def matching(t: OrderedTree, cell, ordered: bool = False):
     cls = classify(t, cell)
     if cls.kind != "redundant":
         return None
-    v = cls.witness
+    return matched_cell(t, cell, cls.witness, ordered)
+
+
+def matched_cell(t: OrderedTree, cell, v: int, ordered: bool = False):
+    """W(cell) for a redundant cell whose smallest unblocked vertex is v
+    (the witness of `classify`)."""
     e = (t.parent[v], v)
     out = [e if it == (v, -1) else it for it in cell]
     if not ordered:
@@ -294,6 +299,28 @@ def boundary(cell, ordered: bool = False):
                 face.sort()
             out.append((tuple(face), coeff))
     return out
+
+
+def boundary_word(cell, ordered: bool = False):
+    """Read the square boundary of a 2-cell as a word in its faces, letters
+    (face, +-1): with e the edge of larger terminal vertex and e' the other,
+    the word is [e'->iota][e->tau][e'->tau]^-1[e->iota]^-1.  Its
+    abelianization is minus the cubical boundary."""
+    positions = [(i, it) for i, it in enumerate(cell) if it[1] != -1]
+    if len(positions) != 2:
+        raise CellError("boundary words are defined for 2-cells")
+    positions.sort(key=lambda p: p[1][0])
+    (pos_lo, e_lo), (pos_hi, e_hi) = positions
+
+    def face(pos, repl):
+        out = list(cell)
+        out[pos] = vertex(repl)
+        if not ordered:
+            out.sort()
+        return tuple(out)
+
+    return ((face(pos_lo, e_lo[1]), 1), (face(pos_hi, e_hi[0]), 1),
+            (face(pos_lo, e_lo[0]), -1), (face(pos_hi, e_hi[1]), -1))
 
 
 def phi(cell):

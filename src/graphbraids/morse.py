@@ -1,15 +1,33 @@
-"""The Morse engine: matching, chain reduction, Morse boundaries, critical
-cell names, and the closed boundary formulas.
+"""The Morse engine: the reduction onto critical cells, Morse boundaries,
+critical cell names, and the closed boundary formulas.
 
-Reduction follows the matching W cellwise with memoization; the one-step
-special-reduction move is taken whenever its hypotheses hold (unordered
-flavor only: the ordered analogue fails for n >= 3, so ordered cells are
-always expanded through the full square).
+`Reducer` is the one reduction engine.  It follows the matching W cellwise
+with memoization and writes every cell in a coefficient `Algebra`: Z-chains
+(`CHAINS`, the default) give Morse boundaries, and free-group words over
+critical 1-cells (`present.WORDS`) give the rewriting homomorphism that
+presentations are read from.  A critical cell is itself, a collapsible cell
+is zero, and a redundant cell c is solved out of the boundary of W(c): the
+cubical boundary for chains, the square's boundary word for words.  Each
+cell is classified once per plan.
+
+Two shortcut moves replace c by c with one unblocked vertex v moved to its
+parent, unordered flavor only (the ordered analogue fails for n >= 3, so
+ordered cells are always expanded through the full square):
+
+* the plain move, when no vertex or edge end of c lies strictly between
+  parent[v] and v, is a special reduction; it holds in both algebras, and
+  the words it gives are the words of the full expansion;
+* the strengthened 1-cell move also lets blocked vertices, and an end of
+  c's edge that the move's target does not separate, sit in that gap.  It
+  holds for chains only: in the free group the full expansion can give the
+  target's word conjugated by another 1-cell, which abelianizing erases.
+  Only an abelian algebra takes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import cells as C
 from .trees import OrderedTree, verify_conditions
@@ -22,44 +40,73 @@ class MorseError(RuntimeError):
 # ---------------------------------------------------------------------------
 # reduction
 
+@dataclass(frozen=True)
+class Algebra:
+    """What a `Reducer` writes reduced cells in.
+
+    A critical cell is ``unit(cell)`` and a collapsible one ``zero``.
+    ``relation(cell, ordered)`` reads the boundary of a cell as a list of
+    (face, coefficient) whose sum (or product) is zero (or 1); a redundant
+    cell is solved out of the relation of its matched cell, and
+    ``combine(terms)`` turns the solution, as (value, coefficient) pairs of
+    the other faces, into the cell's value, one call per cell.  Only an
+    ``abelian`` algebra may take the strengthened 1-cell move."""
+    zero: object
+    unit: Callable
+    combine: Callable
+    relation: Callable
+    abelian: bool
+
+
+def _combine_chains(terms) -> dict:
+    acc: dict = {}
+    for chain, coeff in terms:
+        for cell, x in chain.items():
+            acc[cell] = acc.get(cell, 0) + coeff * x
+    return {cell: x for cell, x in acc.items() if x}
+
+
+# Z-chains {critical cell: nonzero coefficient} over the cubical boundary
+CHAINS = Algebra(zero={}, unit=lambda cell: {cell: 1}, combine=_combine_chains,
+                 relation=lambda cell, ordered: C.boundary(cell, ordered),
+                 abelian=True)
+
+
 class Reducer:
-    """Memoized stabilized reduction onto critical cells of one flavor."""
+    """Memoized reduction onto the critical cells of one flavor, with values
+    in ``algebra`` (Z-chains by default)."""
 
     def __init__(self, tree: OrderedTree, ordered: bool = False,
-                 use_shortcut: bool = True):
+                 use_shortcut: bool = True, algebra: Algebra = CHAINS):
         self.t = tree
         self.ordered = ordered
         self.use_shortcut = use_shortcut and not ordered
+        self.algebra = algebra
         self.memo: dict = {}
 
-    # one-step plan for a redundant cell: list of (cell, coeff) to recurse on
     def _plan(self, cell):
-        t = self.t
-        cls = C.classify(t, cell)
-        if cls.kind == "critical":
-            return "critical", None
-        if cls.kind == "collapsible":
-            return "collapsible", None
+        """("critical" | "collapsible", None), or ("redundant", [(face,
+        coefficient)]) with the cell's value the combination of the faces'."""
+        cls = C.classify(self.t, cell)
+        if cls.kind != "redundant":
+            return cls.kind, None
         if self.use_shortcut:
             move = self._shortcut_move(cell)
             if move is not None:
                 return "redundant", [(move, 1)]
-        w = C.matching(t, cell, ordered=self.ordered)
-        faces = C.boundary(w, ordered=self.ordered)
-        self_coeff = 0
-        for f, s in faces:
-            if f == cell:
-                self_coeff += s
-        if self_coeff not in (1, -1):
-            raise MorseError(f"matched face of {C.format_cell(cell, self.ordered)} "
-                             f"appears with coefficient {self_coeff}")
-        eps = -self_coeff
-        deps = {}
-        for f, s in faces:
-            if f == cell:
-                continue
-            deps[f] = deps.get(f, 0) + eps * s
-        return "redundant", [(f, c) for f, c in deps.items() if c]
+        matched = C.matched_cell(self.t, cell, cls.witness, self.ordered)
+        rel = self.algebra.relation(matched, self.ordered)
+        hits = [i for i, (f, _) in enumerate(rel) if f == cell]
+        if len(hits) != 1 or rel[hits[0]][1] not in (1, -1):
+            raise MorseError(f"matched face {C.format_cell(cell, self.ordered)} "
+                             f"is not once a +-1 term of the boundary of "
+                             f"{C.format_cell(matched, self.ordered)}")
+        # cell^e * rest = 1, read cyclically from the cell, so cell = rest^-e
+        i = hits[0]
+        e, rest = rel[i][1], rel[i + 1:] + rel[:i]
+        if e == -1:
+            return "redundant", rest
+        return "redundant", [(f, -x) for f, x in reversed(rest)]
 
     def _shortcut_move(self, cell):
         """One V-move c -> V_e(c) when the special-reduction hypotheses hold."""
@@ -70,18 +117,20 @@ class Reducer:
         for a, b in edges:
             ends.add(a)
             ends.add(b)
-        for v in sorted(C.unblocked_vertices(t, cell)):
+        unblocked = C.unblocked_vertices(t, cell)
+        items = occupied | ends
+        for v in sorted(unblocked):
             lo = t.parent[v]
-            blockers = [w for w in (occupied | ends) if lo < w < v]
-            if not blockers:
+            if not any(lo < w < v for w in items):
                 return self._apply_move(cell, v, lo)
-            if len(edges) == 1 and C.cell_dim(cell) == 1:
+            if (self.algebra.abelian and len(edges) == 1
+                    and C.cell_dim(cell) == 1):
                 # strengthened 1-cell form: blocked vertices in the gap are
                 # fine, and an end of the edge in the gap is fine when the
                 # edge is not separated by the move's target
                 p = edges[0]
                 vs_in_gap = [w for w in occupied if lo < w < v]
-                if any(w in C.unblocked_vertices(t, cell) for w in vs_in_gap):
+                if any(w in unblocked for w in vs_in_gap):
                     continue
                 ends_in_gap = [w for w in p if lo < w < v]
                 if ends_in_gap and t.separates(p, lo):
@@ -101,6 +150,7 @@ class Reducer:
         memo = self.memo
         if cell0 in memo:
             return memo[cell0]
+        alg = self.algebra
         plans: dict = {}
         stack = [(cell0, False)]
         in_progress = set()
@@ -118,10 +168,10 @@ class Reducer:
                 plans[cell] = plan
             kind, deps = plan
             if kind == "critical":
-                memo[cell] = {cell: 1}
+                memo[cell] = alg.unit(cell)
                 continue
             if kind == "collapsible":
-                memo[cell] = {}
+                memo[cell] = alg.zero
                 continue
             if not ready:
                 if cell in in_progress:
@@ -132,37 +182,24 @@ class Reducer:
                     if f not in memo:
                         stack.append((f, False))
             else:
-                acc: dict = {}
-                for f, coeff in deps:
-                    for cc, x in memo[f].items():
-                        acc[cc] = acc.get(cc, 0) + coeff * x
-                memo[cell] = {k: v for k, v in acc.items() if v}
+                if len(deps) == 1 and deps[0][1] == 1:
+                    # a shortcut move: values are kept reduced, so the
+                    # moved cell's value is this cell's as it stands
+                    memo[cell] = memo[deps[0][0]]
+                else:
+                    memo[cell] = alg.combine([(memo[f], x) for f, x in deps])
                 in_progress.discard(cell)
         return memo[cell0]
 
-    def reduce_chain(self, chain: dict) -> dict:
-        acc: dict = {}
-        for cell, coeff in chain.items():
-            if not coeff:
-                continue
-            for cc, x in self.reduce_cell(cell).items():
-                acc[cc] = acc.get(cc, 0) + coeff * x
-        return {k: v for k, v in acc.items() if v}
+    def reduce(self, terms):
+        """The value of a combination [(cell, coefficient)] of cells."""
+        return self.algebra.combine([(self.reduce_cell(c), x)
+                                     for c, x in terms])
 
 
-def reduce_chain(t: OrderedTree, chain: dict, ordered: bool = False,
-                 use_shortcut: bool = True) -> dict:
-    return Reducer(t, ordered, use_shortcut).reduce_chain(chain)
-
-
-def morse_boundary(t_or_reducer, cell, ordered: bool = False) -> dict:
+def morse_boundary(red: Reducer, cell):
     """The Morse boundary: reduce the cubical boundary onto critical cells."""
-    red = (t_or_reducer if isinstance(t_or_reducer, Reducer)
-           else Reducer(t_or_reducer, ordered))
-    chain = {}
-    for f, s in C.boundary(cell, ordered=red.ordered):
-        chain[f] = chain.get(f, 0) + s
-    return red.reduce_chain(chain)
+    return red.reduce(C.boundary(cell, ordered=red.ordered))
 
 
 # ---------------------------------------------------------------------------

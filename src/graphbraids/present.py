@@ -2,6 +2,11 @@
 
 Generators are critical 1-cells; relators are boundary words of critical
 2-cells pushed through the rewriting homomorphism onto critical 1-cells.
+That homomorphism is the Morse reduction of `morse.Reducer` computed in the
+free group instead of in Z: `WORDS` is its coefficient algebra, solving a
+redundant 1-cell out of the boundary word of its matched square.  Words do
+not commute, so the reducer takes only the plain shortcut move for them,
+never the strengthened 1-cell move that Z-chains allow (see `morse`).
 Tietze elimination then removes pivotal generators in decreasing order and
 contracts separating generators along the labeled graph of their relations.
 Every relator is kept freely reduced, and an index from each generator to
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cells as C
-from .morse import MorseComplex, MorseError, cell_sort_key
+from .morse import Algebra, MorseComplex, MorseError, Reducer, cell_sort_key
 from .homology import AbelianGroup, classify_1cells
 
 
@@ -101,122 +106,17 @@ def _splice(out: list, run) -> None:
 
 
 # ---------------------------------------------------------------------------
-# boundary words and the rewriting homomorphism
+# the rewriting homomorphism: the Morse reduction in the free group
 
-def boundary_word(cell, ordered: bool = False) -> Word:
-    """Read the square boundary of a 2-cell: with e the edge of larger
-    terminal vertex and e' the other, the word is
-    [e'->iota][e->tau][e'->tau]^-1[e->iota]^-1."""
-    positions = [(i, it) for i, it in enumerate(cell) if it[1] != -1]
-    if len(positions) != 2:
-        raise MorseError("boundary words are defined for 2-cells")
-    positions.sort(key=lambda p: p[1][0])
-    (pos_lo, e_lo), (pos_hi, e_hi) = positions
-
-    def face(pos, repl):
-        out = list(cell)
-        out[pos] = C.vertex(repl)
-        if not ordered:
-            out.sort()
-        return tuple(out)
-
-    return ((face(pos_lo, e_lo[1]), 1), (face(pos_hi, e_hi[0]), 1),
-            (face(pos_lo, e_lo[0]), -1), (face(pos_hi, e_hi[1]), -1))
+def _combine_words(terms) -> Word:
+    return wmul(*[w if e == 1 else winv(w) for w, e in terms])
 
 
-class Rewriter:
-    """Memoized rewriting of 1-cells into words over critical 1-cells."""
-
-    def __init__(self, tree, ordered: bool = False):
-        self.t = tree
-        self.ordered = ordered
-        self.memo: dict = {}
-
-    def _plan(self, cell):
-        t = self.t
-        cls = C.classify(t, cell)
-        if cls.kind == "critical":
-            return "critical", None
-        if cls.kind == "collapsible":
-            return "collapsible", None
-        if not self.ordered:
-            move = self._shortcut(cell)
-            if move is not None:
-                return "redundant", [(move, 1)]
-        v = cls.witness
-        w = C.matching(t, cell, ordered=self.ordered)
-        e = next(it for it in cell if it[1] != -1)
-        pos_e = list(w).index(e)
-        pos_t = list(w).index((t.parent[v], v))
-
-        def face(pos, repl):
-            out = list(w)
-            out[pos] = C.vertex(repl)
-            if not self.ordered:
-                out.sort()
-            return tuple(out)
-
-        return "redundant", [(face(pos_e, e[1]), 1),
-                             (face(pos_t, t.parent[v]), 1),
-                             (face(pos_e, e[0]), -1)]
-
-    def _shortcut(self, cell):
-        t = self.t
-        occupied = set(C.cell_vertices(cell))
-        ends = set()
-        for a, b in C.cell_edges(cell):
-            ends.add(a)
-            ends.add(b)
-        for v in sorted(C.unblocked_vertices(t, cell)):
-            lo = t.parent[v]
-            if not any(lo < w < v for w in (occupied | ends)):
-                out = [C.vertex(lo) if it == (v, -1) else it for it in cell]
-                out.sort()
-                return tuple(out)
-        return None
-
-    def rewrite_cell(self, cell0) -> Word:
-        memo = self.memo
-        if cell0 in memo:
-            return memo[cell0]
-        plans: dict = {}
-        stack = [(cell0, False)]
-        guard = 0
-        while stack:
-            guard += 1
-            if guard > 2_000_000:
-                raise MorseError("rewriting iteration cap exceeded (bug)")
-            cell, ready = stack.pop()
-            if cell in memo:
-                continue
-            plan = plans.get(cell)
-            if plan is None:
-                plan = self._plan(cell)
-                plans[cell] = plan
-            kind, deps = plan
-            if kind == "critical":
-                memo[cell] = ((cell, 1),)
-                continue
-            if kind == "collapsible":
-                memo[cell] = ()
-                continue
-            if not ready:
-                stack.append((cell, True))
-                for f, _ in deps:
-                    if f not in memo:
-                        stack.append((f, False))
-            else:
-                memo[cell] = wmul(*[memo[f] if e == 1 else winv(memo[f])
-                                    for f, e in deps])
-        return memo[cell0]
-
-    def rewrite_word(self, w) -> Word:
-        return wmul(*[self.rewrite_cell(g) if e == 1 else winv(self.rewrite_cell(g))
-                      for g, e in w])
-
-
-def rewrite(t, w, ordered: bool = False) -> Word:
-    return Rewriter(t, ordered).rewrite_word(w)
+# words over critical 1-cells; a redundant 1-cell is solved out of the
+# boundary word of its matched square
+WORDS = Algebra(zero=(), unit=lambda cell: ((cell, 1),),
+                combine=_combine_words, relation=C.boundary_word,
+                abelian=False)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +167,10 @@ def raw_presentation(mc: MorseComplex) -> Presentation:
     critical 2-cells.  Ordered flavor (n = 2): the fundamental group of the
     Morse complex with its critical 0-cells identified is P_2 * Z, so one
     generator joining the two 0-cells is killed."""
-    t = mc.tree
-    rw = Rewriter(t, mc.ordered)
+    red = Reducer(mc.tree, mc.ordered, algebra=WORDS)
     gens = list(mc.critical.get(1, ()))
-    relators = []
-    for c2 in mc.critical.get(2, ()):
-        relators.append(rw.rewrite_word(boundary_word(c2, mc.ordered)))
+    relators = [red.reduce(C.boundary_word(c2, mc.ordered))
+                for c2 in mc.critical.get(2, ())]
     names = {c: mc.name_of(c) for c in gens}
     pres = Presentation(gens, relators, names)
     if mc.ordered:

@@ -82,7 +82,6 @@ class OrderedTree:
         tree_pairs = set()
         for v in range(1, nv):
             tree_pairs.add((self.parent[v], v))
-        self.tree_pairs = tree_pairs
         deleted = []
         self._edge_id_of_pair = {}
         for e in graph.edges:
@@ -148,12 +147,6 @@ class OrderedTree:
 
     def graph_valency(self, v: int) -> int:
         return self.graph.valency(self.ids[v])
-
-    def is_tree_pair(self, pair: tuple) -> bool:
-        return pair in self.tree_pairs
-
-    def edge_id(self, pair: tuple) -> str:
-        return self._edge_id_of_pair[pair]
 
     def all_edge_pairs(self):
         return sorted(self._edge_id_of_pair)
@@ -251,19 +244,6 @@ def verify_conditions(t: OrderedTree, planar: bool | None = None) -> ConditionRe
 
 # ---------------------------------------------------------------------------
 # construction
-
-def _bfs_distances(g: Graph, source: str) -> dict:
-    dist = {source: 0}
-    q = deque([source])
-    while q:
-        v = q.popleft()
-        for eid in g.adjacency[v]:
-            w = g.edge(eid).other(v)
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                q.append(w)
-    return dist
-
 
 def _bridges(vertices, adj_pairs):
     """Bridge edge ids via the standard low-link DFS."""
@@ -504,7 +484,8 @@ def _choose_planar(g: Graph, n: int) -> OrderedTree:
                 except TreeError:
                     continue
                 report = verify_conditions(t, planar=True)
-                if report.ok(planar=True) and t.stem_length() >= n - 1:
+                if report.ok(planar=True) and (t.stem_length() >= n - 1
+                                               or len(g.vertices) < n):
                     return t
     raise TreeError("could not satisfy T1-T4; is the graph planar and subdivided?")
 
@@ -512,11 +493,12 @@ def _choose_planar(g: Graph, n: int) -> OrderedTree:
 def _build_planar(g: Graph, n: int, base: str, reverse: bool,
                   number_reverse: bool | None = None) -> OrderedTree:
     rot = {v: list(ns) for v, ns in _planar_rotations(g).items()}
-    # outer face: a deterministic face through the base
-    outer = None
+    # outer face: a deterministic face through the base (none on a point,
+    # which has no edge to delete either)
+    outer = []
     for w in rot[base]:
         face = _trace_face(rot, (base, w), reverse)
-        if outer is None or (len(face), face) > (len(outer), outer):
+        if (len(face), face) > (len(outer), outer):
             outer = face
     outer_set = set(outer)
     alive = {(min(e.u, e.v), max(e.u, e.v)): e.id for e in g.edges}
@@ -593,20 +575,3 @@ def _build_planar(g: Graph, n: int, base: str, reverse: bool,
 def rot_half_edges(rot, v):
     return [(v, w) for w in rot[v]]
 
-
-def meet(t: OrderedTree, v, w):
-    """Public meet on vertex ids or numbers."""
-    v = t.order[v] if isinstance(v, str) else v
-    w = t.order[w] if isinstance(w, str) else w
-    return t.meet(v, w)
-
-
-def branch(t: OrderedTree, v, w):
-    v = t.order[v] if isinstance(v, str) else v
-    w = t.order[w] if isinstance(w, str) else w
-    return t.branch(v, w)
-
-
-def separates(t: OrderedTree, edge, v):
-    v = t.order[v] if isinstance(v, str) else v
-    return t.separates(edge, v)

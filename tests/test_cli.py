@@ -155,6 +155,17 @@ def test_single_vertex_has_no_configurations(capsys, n, flavor):
                for h in rep["results"]["homology"])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_single_vertex_planar_mode_matches_generic(capsys, n):
+    argv = ["homology", "--graph", json.dumps(POINT), "--n", str(n)]
+    status, generic = capture(capsys, argv)
+    assert status == 0
+    status, planar = capture(capsys, argv + ["--mode", "planar"])
+    assert status == 0
+    assert planar["results"]["homology"] == generic["results"]["homology"]
+    assert h_of(planar, 0)["rank"] == (1 if n == 1 else 0)
+
+
 @pytest.mark.parametrize("graph,rank", [("K4", 3), ("K5", 6), ("K(3,4)", 6),
                                         ("K33", 4), ("Theta4", 3),
                                         ("Theta(2)", 1)])

@@ -96,6 +96,23 @@ def test_missing_matched_face_raises(monkeypatch):
         red.reduce_cell(parse_cell("{1,4}")[0])
 
 
+@pytest.mark.parametrize("make,n", [(k33_pinned_tree, 2),
+                                    (theta4_pinned_tree, 3)])
+@pytest.mark.parametrize("flavor", ["unordered", "ordered"])
+def test_each_reduced_cell_is_classified_once(monkeypatch, make, n, flavor):
+    from graphbraids import cells
+    t = make()
+    mc = build_morse_complex(t, n, flavor)
+    calls = []
+    classify = cells.classify
+    monkeypatch.setattr(cells, "classify",
+                        lambda t, cell: calls.append(cell) or classify(t, cell))
+    red = Reducer(t, ordered=flavor == "ordered")
+    for cell in mc.critical[2]:
+        morse_boundary(red, cell)
+    assert len(calls) == len(red.memo) > 0
+
+
 def test_k33_critical_cells_known_values():
     t = k33_pinned_tree()
     mc = build_morse_complex(t, 2, "unordered")

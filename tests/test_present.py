@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphbraids import cells as C
-from graphbraids.cells import parse_cell, format_cell, vertex
+from graphbraids.cells import parse_cell, format_cell, vertex, boundary_word
 from graphbraids.corpus import corpus
 from graphbraids.fixtures import (k33_pinned_tree, theta4_pinned_tree,
-                                  k5_pinned_tree, fig_b3n3_tree)
+                                  k5_pinned_tree, k4_pinned_tree, fig_b3n3_tree)
 from graphbraids.graphs import build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
-from graphbraids.morse import build_morse_complex, cell_sort_key, MorseError
+from graphbraids.morse import (build_morse_complex, cell_sort_key, MorseError,
+                               Reducer)
 from graphbraids.homology import homology, classify_1cells
 from graphbraids.present import (free_reduce, wmul, winv, cyclic_reduce,
-                                 exponent_sums, boundary_word, Rewriter,
-                                 raw_presentation, simplify, commutator_form,
+                                 exponent_sums, WORDS, Word, raw_presentation, simplify, commutator_form,
                                  quadratic_genus, format_word, substitute,
                                  Presentation, _leading_pairs,
                                  _modified_pivotal_key)
@@ -64,29 +64,28 @@ def test_boundary_word_abelianizes_to_minus_boundary():
 
 def test_rewrite_examples():
     t = theta4_pinned_tree()
-    rw = Rewriter(t)
+    rw = Reducer(t, algebra=WORDS)
     # collapsible dies, critical survives
     coll = parse_cell("{0-1,2,3}")[0]
-    assert rw.rewrite_cell(coll) == ()
+    assert rw.reduce_cell(coll) == ()
     crit = parse_cell("{2-4,0,3}")[0]
-    assert rw.rewrite_cell(crit) == ((crit, 1),)
+    assert rw.reduce_cell(crit) == ((crit, 1),)
     # the worked relator of the surface example
     mc = build_morse_complex(t, 3, "unordered")
     c2 = tuple(sorted([(2, 4), (0, 5), vertex(3)]))
-    rel = rw.rewrite_word(boundary_word(c2))
+    rel = rw.reduce(boundary_word(c2))
     names = [(mc.name_of(c), e) for c, e in rel]
     assert names == [("A_2(1,0,1)", 1), ("d_3(2)", 1),
                      ("A_2(1,0,0)", -1), ("d_3(2)", -1)]
 
 
 def test_rewrite_abelianization_matches_reduction():
-    from graphbraids.morse import Reducer
     t = theta4_pinned_tree()
-    rw = Rewriter(t)
+    rw = Reducer(t, algebra=WORDS)
     red = Reducer(t)
     from graphbraids.cells import enumerate_cells, classify
     for cell in enumerate_cells(t, 3, "unordered")[1]:
-        word = rw.rewrite_cell(cell)
+        word = rw.reduce_cell(cell)
         ab = {}
         for c, e in word:
             ab[c] = ab.get(c, 0) + e
@@ -227,8 +226,106 @@ def test_quadratic_genus():
 
 
 # ---------------------------------------------------------------------------
-# reference implementations: each move rewrites every relator, and the
-# commutator search tries every split
+# reference implementations: the rewriting homomorphism is its own memoized
+# walk over the matching (a redundant 1-cell goes through three faces of its
+# square), each move rewrites every relator, and the commutator search tries
+# every split
+
+
+class ReferenceRewriter:
+    """Memoized rewriting of 1-cells into words over critical 1-cells."""
+
+    def __init__(self, tree, ordered: bool = False):
+        self.t = tree
+        self.ordered = ordered
+        self.memo: dict = {}
+
+    def _plan(self, cell):
+        t = self.t
+        cls = C.classify(t, cell)
+        if cls.kind == "critical":
+            return "critical", None
+        if cls.kind == "collapsible":
+            return "collapsible", None
+        if not self.ordered:
+            move = self._shortcut(cell)
+            if move is not None:
+                return "redundant", [(move, 1)]
+        v = cls.witness
+        w = C.matching(t, cell, ordered=self.ordered)
+        e = next(it for it in cell if it[1] != -1)
+        pos_e = list(w).index(e)
+        pos_t = list(w).index((t.parent[v], v))
+
+        def face(pos, repl):
+            out = list(w)
+            out[pos] = C.vertex(repl)
+            if not self.ordered:
+                out.sort()
+            return tuple(out)
+
+        return "redundant", [(face(pos_e, e[1]), 1),
+                             (face(pos_t, t.parent[v]), 1),
+                             (face(pos_e, e[0]), -1)]
+
+    def _shortcut(self, cell):
+        t = self.t
+        occupied = set(C.cell_vertices(cell))
+        ends = set()
+        for a, b in C.cell_edges(cell):
+            ends.add(a)
+            ends.add(b)
+        for v in sorted(C.unblocked_vertices(t, cell)):
+            lo = t.parent[v]
+            if not any(lo < w < v for w in (occupied | ends)):
+                out = [C.vertex(lo) if it == (v, -1) else it for it in cell]
+                out.sort()
+                return tuple(out)
+        return None
+
+    def rewrite_cell(self, cell0) -> Word:
+        memo = self.memo
+        if cell0 in memo:
+            return memo[cell0]
+        plans: dict = {}
+        stack = [(cell0, False)]
+        guard = 0
+        while stack:
+            guard += 1
+            if guard > 2_000_000:
+                raise MorseError("rewriting iteration cap exceeded (bug)")
+            cell, ready = stack.pop()
+            if cell in memo:
+                continue
+            plan = plans.get(cell)
+            if plan is None:
+                plan = self._plan(cell)
+                plans[cell] = plan
+            kind, deps = plan
+            if kind == "critical":
+                memo[cell] = ((cell, 1),)
+                continue
+            if kind == "collapsible":
+                memo[cell] = ()
+                continue
+            if not ready:
+                stack.append((cell, True))
+                for f, _ in deps:
+                    if f not in memo:
+                        stack.append((f, False))
+            else:
+                memo[cell] = wmul(*[memo[f] if e == 1 else winv(memo[f])
+                                    for f, e in deps])
+        return memo[cell0]
+
+    def rewrite_word(self, w) -> Word:
+        return wmul(*[self.rewrite_cell(g) if e == 1 else winv(self.rewrite_cell(g))
+                      for g, e in w])
+
+
+def reference_rewrite(t, w, ordered: bool = False) -> Word:
+    return ReferenceRewriter(t, ordered).rewrite_word(w)
+
 
 
 def reference_substitute(w, gen, repl):
@@ -357,6 +454,44 @@ def test_simplify_matches_reference_on_corpus(seed, n, flavor):
     mc = _generic_complex(corpus(seed, 1)[0], n, flavor)
     try:
         _same_simplification(mc)
+    except MorseError:
+        # a topological segment has no joining generator to kill
+        assert flavor == "ordered"
+
+
+def _same_rewriting(mc):
+    squares = [boundary_word(c2, mc.ordered) for c2 in mc.critical.get(2, ())]
+    want = [reference_rewrite(mc.tree, w, mc.ordered) for w in squares]
+    # the plain shortcut move leaves every word as the full expansion gives it
+    full = Reducer(mc.tree, mc.ordered, use_shortcut=False, algebra=WORDS)
+    assert [full.reduce(w) for w in squares] == want
+    raw = raw_presentation(mc)
+    if raw.killed is not None:
+        want = [free_reduce(tuple(x for x in r if x[0] != raw.killed))
+                for r in want]
+    assert raw.relators == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_morse_complex(k33_pinned_tree(), 2, "unordered"),
+    lambda: build_morse_complex(k33_pinned_tree(), 2, "ordered"),
+    lambda: build_morse_complex(theta4_pinned_tree(), 3, "unordered"),
+    lambda: build_morse_complex(k4_pinned_tree(), 3, "unordered"),
+    lambda: _generic_complex(build_graph("Dumbbell"), 2, "unordered"),
+], ids=["K33-n2", "K33-n2-ordered", "Theta4-n3", "K4-n3", "Dumbbell-n2"])
+def test_raw_presentation_matches_reference_rewriting(make):
+    _same_rewriting(make())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3),
+       st.sampled_from(["unordered", "ordered"]))
+def test_raw_presentation_matches_reference_rewriting_on_corpus(seed, n, flavor):
+    if flavor == "ordered":
+        n = 2  # pure braid presentations are defined for n = 2 only
+    mc = _generic_complex(corpus(seed, 1)[0], n, flavor)
+    try:
+        _same_rewriting(mc)
     except MorseError:
         # a topological segment has no joining generator to kill
         assert flavor == "ordered"

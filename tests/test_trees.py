@@ -2,7 +2,7 @@ import pytest
 
 from graphbraids.graphs import build_graph, subdivide
 from graphbraids.trees import (OrderedTree, TreeError, choose_tree_and_order,
-                               verify_conditions, meet, branch, separates)
+                               verify_conditions)
 from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
                                   theta4_pinned_tree, fig_b3n3_tree, pinned_tree)
 
