@@ -8,7 +8,7 @@ positions.  Closures of distinct items in a cell are disjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from math import comb, factorial
 
@@ -228,6 +228,7 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
 class Classification:
     kind: str  # critical | redundant | collapsible
     witness: object = None
+    unblocked: list = field(default_factory=list)  # unblocked_vertices(cell)
 
 
 def unblocked_vertices(t: OrderedTree, cell):
@@ -259,23 +260,14 @@ def classify(t: OrderedTree, cell) -> Classification:
     if not unb and not orr:
         return Classification("critical")
     if unb and (not orr or min(unb) < min(e[1] for e in orr)):
-        return Classification("redundant", witness=min(unb))
-    return Classification("collapsible", witness=min(orr, key=lambda e: e[1]))
-
-
-def matching(t: OrderedTree, cell, ordered: bool = False):
-    """W: a redundant cell maps to the collapsible cell one dimension up that
-    replaces its smallest unblocked vertex by the tree edge below it;
-    critical and collapsible cells map to None (void)."""
-    cls = classify(t, cell)
-    if cls.kind != "redundant":
-        return None
-    return matched_cell(t, cell, cls.witness, ordered)
+        return Classification("redundant", min(unb), unb)
+    return Classification("collapsible", min(orr, key=lambda e: e[1]), unb)
 
 
 def matched_cell(t: OrderedTree, cell, v: int, ordered: bool = False):
     """W(cell) for a redundant cell whose smallest unblocked vertex is v
-    (the witness of `classify`)."""
+    (the witness of `classify`): the collapsible cell one dimension up that
+    replaces v by the tree edge below it."""
     e = (t.parent[v], v)
     out = [e if it == (v, -1) else it for it in cell]
     if not ordered:

@@ -3,7 +3,9 @@
 A connected graph splits at cut vertices into biconnected pieces; each
 biconnected piece splits along 2-cuts (adding virtual edges) into pieces
 that are topologically triconnected or circles.  The first homology of the
-braid group then reads off the decomposition census.
+braid group then reads off the decomposition census.  The blocks come from
+one pass of `graphs.blocks`, and the cut vertices with their component
+counts mu(x) are read off them.
 """
 
 from __future__ import annotations
@@ -11,107 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .graphs import Graph, GraphError, betti1, subdivide, segments
+from .graphs import (Graph, GraphError, betti1, blocks, cut_vertices,
+                     rotation_system, subdivide, segments)
 from .homology import AbelianGroup
-
-try:
-    import networkx as nx
-except ImportError:
-    nx = None
 
 
 def is_planar(g: Graph) -> bool:
     """Planarity of the underlying simple graph (parallel edges are harmless)."""
-    if nx is None:
-        raise GraphError("planarity test requires networkx")
-    ng = nx.Graph()
-    ng.add_nodes_from(g.vertices)
-    ng.add_edges_from((e.u, e.v) for e in g.edges)
-    return nx.check_planarity(ng)[0]
-
-
-# ---------------------------------------------------------------------------
-# connectivity helpers (brute force is fine at desk scale)
-
-def _components_without(g: Graph, banned: set) -> int:
-    remaining = [v for v in g.vertices if v not in banned]
-    if not remaining:
-        return 0
-    seen: set[str] = set()
-    count = 0
-    for start in remaining:
-        if start in seen:
-            continue
-        count += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for eid in g.adjacency[v]:
-                w = g.edge(eid).other(v)
-                if w not in banned and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return count
-
-
-def cut_vertices(g: Graph):
-    """All 1-cuts with their component count mu(x)."""
-    out = {}
-    for v in g.vertices:
-        if len(g.vertices) == 1:
-            break
-        mu = _components_without(g, {v})
-        if mu >= 2:
-            out[v] = mu
-    return out
-
-
-def biconnected_components(g: Graph):
-    """Edge sets of the blocks (maximal biconnected subgraphs / bridges)."""
-    index = {}
-    low = {}
-    stack_edges = []
-    blocks = []
-    timer = [0]
-
-    def dfs(root):
-        stack = [(root, None, iter(g.adjacency[root]))]
-        index[root] = low[root] = timer[0]
-        timer[0] += 1
-        while stack:
-            v, in_eid, it = stack[-1]
-            advanced = False
-            for eid in it:
-                if eid == in_eid:
-                    continue
-                w = g.edge(eid).other(v)
-                if w not in index:
-                    stack_edges.append(eid)
-                    index[w] = low[w] = timer[0]
-                    timer[0] += 1
-                    stack.append((w, eid, iter(g.adjacency[w])))
-                    advanced = True
-                    break
-                elif index[w] < index[v]:
-                    stack_edges.append(eid)
-                    low[v] = min(low[v], index[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= index[u]:
-                        block = []
-                        while stack_edges:
-                            eid = stack_edges.pop()
-                            block.append(eid)
-                            if eid == in_eid:
-                                break
-                        blocks.append(block)
-
-    dfs(g.vertices[0])
-    return blocks
+    return rotation_system(g) is not None
 
 
 def _subgraph(g: Graph, edge_ids) -> Graph:
@@ -129,8 +38,9 @@ def _subgraph(g: Graph, edge_ids) -> Graph:
 def biconnected_decomposition(g: Graph):
     """Blocks as graphs plus the cut vertices with their mu counts."""
     work = _workable(g)
-    blocks = [_subgraph(work, b) for b in biconnected_components(work)]
-    return blocks, cut_vertices(work)
+    edge_blocks = blocks(work)
+    return ([_subgraph(work, b) for b in edge_blocks],
+            cut_vertices(work, edge_blocks))
 
 
 def _workable(g: Graph) -> Graph:
@@ -266,15 +176,15 @@ def marked_decomposition(block: Graph) -> BlockDecomposition:
 
 def decomposition_tree(g: Graph) -> DecompositionTree:
     work = _workable(g)
-    cuts = cut_vertices(work)
-    blocks, segments_count = [], 0
-    for edge_ids in biconnected_components(work):
-        sub = _subgraph(work, edge_ids)
-        if len(sub.edges) == 1:
+    edge_blocks = blocks(work)
+    decomposed, segments_count = [], 0
+    for edge_ids in edge_blocks:
+        if len(edge_ids) == 1:
             segments_count += 1
             continue
-        blocks.append(marked_decomposition(sub))
-    return DecompositionTree(work, cuts, blocks, segments_count)
+        decomposed.append(marked_decomposition(_subgraph(work, edge_ids)))
+    return DecompositionTree(work, cut_vertices(work, edge_blocks), decomposed,
+                             segments_count)
 
 
 # ---------------------------------------------------------------------------

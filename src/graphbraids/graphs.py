@@ -3,12 +3,19 @@
 Vertices and edges carry opaque string ids.  Multi-edges are allowed, loops
 are not: a loop must be subdivided by the caller before construction.
 Graphs are immutable after construction and safe to share.
+
+`blocks` is the package's one block (biconnected component) routine: the
+bridges, cut vertices and component counts mu(x) used by tree choice and
+by the formula route all come from it.  `rotation_system` is the one
+conversion to networkx, for planarity and planar embeddings.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+import networkx as nx
 
 
 class GraphError(ValueError):
@@ -106,6 +113,81 @@ class Graph:
 def betti1(g: Graph) -> int:
     """First Betti number |E| - |V| + 1 of a connected graph."""
     return len(g.edges) - len(g.vertices) + 1
+
+
+# ---------------------------------------------------------------------------
+# blocks and planarity
+
+def blocks(g: Graph, alive=None) -> list[list[str]]:
+    """Edge-id lists of the blocks (maximal biconnected subgraphs and
+    bridges) of the spanning subgraph on the edge ids ``alive`` (all edges
+    by default), by the low-link DFS of Hopcroft and Tarjan from
+    ``g.vertices[0]``.  A block is listed when the DFS finishes it, its
+    edges in reverse discovery order.  The DFS skips only the edge it came
+    in by, so parallel edges share a block: the bridges are exactly the
+    one-edge blocks.  In a connected graph the blocks through a vertex x
+    number the components of g - x."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack_edges: list[str] = []
+    out: list[list[str]] = []
+    root = g.vertices[0]
+    index[root] = low[root] = 0
+    stack = [(root, None, iter(g.adjacency[root]))]
+    while stack:
+        v, in_eid, it = stack[-1]
+        advanced = False
+        for eid in it:
+            if eid == in_eid or (alive is not None and eid not in alive):
+                continue
+            w = g.edge(eid).other(v)
+            if w not in index:
+                stack_edges.append(eid)
+                index[w] = low[w] = len(index)
+                stack.append((w, eid, iter(g.adjacency[w])))
+                advanced = True
+                break
+            elif index[w] < index[v]:
+                stack_edges.append(eid)
+                low[v] = min(low[v], index[w])
+        if not advanced:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= index[u]:
+                    block = []
+                    while stack_edges:
+                        eid = stack_edges.pop()
+                        block.append(eid)
+                        if eid == in_eid:
+                            break
+                    out.append(block)
+    return out
+
+
+def cut_vertices(g: Graph, edge_blocks) -> dict[str, int]:
+    """All 1-cuts with their component count mu(x), in vertex order: in a
+    connected graph mu(x) is the number of blocks through x, counted here
+    over ``edge_blocks``, the output of ``blocks(g)``."""
+    through: dict[str, int] = {}
+    for block in edge_blocks:
+        for v in {x for eid in block for x in g.edge(eid).endpoints()}:
+            through[v] = through.get(v, 0) + 1
+    return {v: through[v] for v in g.vertices if through.get(v, 0) >= 2}
+
+
+def rotation_system(g: Graph) -> dict[str, list[str]] | None:
+    """The clockwise neighbour order around each vertex in a planar
+    embedding of the underlying simple graph, or None when it is not
+    planar (parallel edges do not affect planarity)."""
+    ng = nx.Graph()
+    ng.add_nodes_from(g.vertices)
+    ng.add_edges_from((e.u, e.v) for e in g.edges)
+    ok, emb = nx.check_planarity(ng)
+    if not ok:
+        return None
+    return {v: list(emb.neighbors_cw_order(v)) for v in g.vertices}
 
 
 # ---------------------------------------------------------------------------

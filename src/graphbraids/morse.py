@@ -91,7 +91,7 @@ class Reducer:
         if cls.kind != "redundant":
             return cls.kind, None
         if self.use_shortcut:
-            move = self._shortcut_move(cell)
+            move = self._shortcut_move(cell, cls.unblocked)
             if move is not None:
                 return "redundant", [(move, 1)]
         matched = C.matched_cell(self.t, cell, cls.witness, self.ordered)
@@ -108,8 +108,9 @@ class Reducer:
             return "redundant", rest
         return "redundant", [(f, -x) for f, x in reversed(rest)]
 
-    def _shortcut_move(self, cell):
-        """One V-move c -> V_e(c) when the special-reduction hypotheses hold."""
+    def _shortcut_move(self, cell, unblocked):
+        """One V-move c -> V_e(c) when the special-reduction hypotheses hold;
+        ``unblocked`` lists the cell's unblocked vertices."""
         t = self.t
         occupied = set(C.cell_vertices(cell))
         ends = set()
@@ -117,7 +118,6 @@ class Reducer:
         for a, b in edges:
             ends.add(a)
             ends.add(b)
-        unblocked = C.unblocked_vertices(t, cell)
         items = occupied | ends
         for v in sorted(unblocked):
             lo = t.parent[v]

@@ -4,6 +4,10 @@ An OrderedTree numbers the vertices 0..|V|-1 by a clockwise traversal of a
 regular neighborhood of an embedded spanning tree.  Every edge is oriented
 with tau(e) < iota(e) under that order, and all navigation (meet, branch
 numbers, separation) is answered from subtree intervals.
+
+Tree choice takes its bridges and cut vertices from `graphs.blocks` and,
+in planar mode, the embedding from `graphs.rotation_system`, computed
+once per choice.
 """
 
 from __future__ import annotations
@@ -11,12 +15,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, is_suitably_subdivided
-
-try:
-    import networkx as nx
-except ImportError:  # planarity-dependent features degrade
-    nx = None
+from .graphs import (Graph, blocks, cut_vertices, is_suitably_subdivided,
+                     rotation_system)
 
 
 class TreeError(ValueError):
@@ -245,64 +245,14 @@ def verify_conditions(t: OrderedTree, planar: bool | None = None) -> ConditionRe
 # ---------------------------------------------------------------------------
 # construction
 
-def _bridges(vertices, adj_pairs):
-    """Bridge edge ids via the standard low-link DFS."""
-    disc, low = {}, {}
-    bridges = set()
-    timer = [0]
-    for root in vertices:
-        if root in disc:
-            continue
-        stack = [(root, None, iter(adj_pairs[root]))]
-        disc[root] = low[root] = timer[0]
-        timer[0] += 1
-        while stack:
-            v, in_eid, it = stack[-1]
-            advanced = False
-            for eid, w in it:
-                if eid == in_eid:
-                    continue
-                if w not in disc:
-                    disc[w] = low[w] = timer[0]
-                    timer[0] += 1
-                    stack.append((w, eid, iter(adj_pairs[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        bridges.add(in_eid)
-        # single pass covers the connected graph
-    return bridges
-
-
-def _is_cut_vertex(g: Graph, v: str) -> bool:
-    rest = [w for w in g.vertices if w != v]
-    if not rest:
-        return False
-    seen = {rest[0]}
-    stack = [rest[0]]
-    while stack:
-        u = stack.pop()
-        for eid in g.adjacency[u]:
-            w = g.edge(eid).other(u)
-            if w != v and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) != len(rest)
-
-
 def _base_candidates(g: Graph):
     tips = sorted(v for v in g.vertices if g.valency(v) == 1)
     if tips:
         return tips
-    ess = sorted(v for v in g.essential_vertices() if not _is_cut_vertex(g, v))
+    cuts = cut_vertices(g, blocks(g))
+    ess = sorted(v for v in g.essential_vertices() if v not in cuts)
     others = sorted(v for v in g.vertices
-                    if g.valency(v) == 2 and not _is_cut_vertex(g, v))
+                    if g.valency(v) == 2 and v not in cuts)
     return ess + others
 
 
@@ -311,18 +261,16 @@ def _greedy_deletions(g: Graph, base: str):
     nearest the base.  Ties prefer an interior far endpoint, then ids."""
     alive = {e.id for e in g.edges}
     deleted = []
-    while True:
-        adj_pairs = {v: [(eid, g.edge(eid).other(v))
-                         for eid in g.adjacency[v] if eid in alive]
-                     for v in g.vertices}
-        if len(alive) == len(g.vertices) - 1:
-            break
-        bridges = _bridges(g.vertices, adj_pairs)
+    while len(alive) > len(g.vertices) - 1:
+        bridges = {b[0] for b in blocks(g, alive) if len(b) == 1}
         dist = {base: 0}
         q = deque([base])
         while q:
             v = q.popleft()
-            for eid, w in adj_pairs[v]:
+            for eid in g.adjacency[v]:
+                if eid not in alive:
+                    continue
+                w = g.edge(eid).other(v)
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     q.append(w)
@@ -332,7 +280,7 @@ def _greedy_deletions(g: Graph, base: str):
                 continue
             e = g.edge(eid)
             du, dv = dist[e.u], dist[e.v]
-            near, far = (e.u, e.v) if du <= dv else (e.v, e.u)
+            far = e.v if du <= dv else e.u
             key = (min(du, dv), 0 if g.valency(far) == 2 else 1,
                    min(e.u, e.v), max(e.u, e.v), eid)
             if best is None or key < best[0]:
@@ -365,8 +313,9 @@ def _dfs_tree_deletions(g: Graph, base: str):
 
 
 def _rooted_children(g: Graph, base: str, deleted_ids, order_hint=None):
-    """Orient the surviving tree away from the base; children sorted by the
-    hint (rotation) or by id."""
+    """Orient the surviving tree away from the base by BFS; the children of
+    v are sorted by ``order_hint(parent of v, v, child)`` (the parent of the
+    base is None), or by id."""
     removed = set(deleted_ids)
     children: dict[str, list[str]] = {v: [] for v in g.vertices}
     parent = {base: None}
@@ -382,7 +331,7 @@ def _rooted_children(g: Graph, base: str, deleted_ids, order_hint=None):
                 parent[w] = v
                 nbrs.append(w)
         if order_hint is not None:
-            nbrs.sort(key=lambda w: order_hint(v, w))
+            nbrs.sort(key=lambda w: order_hint(parent[v], v, w))
         else:
             nbrs.sort()
         children[v] = nbrs
@@ -447,19 +396,6 @@ def choose_tree_and_order(g: Graph, n: int, mode: str = "generic") -> OrderedTre
 # ---------------------------------------------------------------------------
 # planar mode
 
-def _planar_rotations(g: Graph):
-    if nx is None:
-        raise TreeError("planar mode requires networkx")
-    ng = nx.Graph()
-    ng.add_nodes_from(g.vertices)
-    for e in g.edges:
-        ng.add_edge(e.u, e.v)
-    ok, emb = nx.check_planarity(ng)
-    if not ok:
-        raise TreeError("graph is not planar")
-    return {v: list(emb.neighbors_cw_order(v)) for v in g.vertices}
-
-
 def _trace_face(rot: dict, start, reverse: bool):
     """Half-edges of the face containing the half-edge `start`."""
     face = []
@@ -476,23 +412,30 @@ def _trace_face(rot: dict, start, reverse: bool):
 
 
 def _choose_planar(g: Graph, n: int) -> OrderedTree:
-    for reverse in (False, True):
-        for number_reverse in (not reverse, reverse):
-            for base in _base_candidates(g):
-                try:
-                    t = _build_planar(g, n, base, reverse, number_reverse)
-                except TreeError:
-                    continue
-                report = verify_conditions(t, planar=True)
-                if report.ok(planar=True) and (t.stem_length() >= n - 1
-                                               or len(g.vertices) < n):
-                    return t
+    rotations = rotation_system(g)
+    if rotations is not None:
+        bases = _base_candidates(g)
+        for reverse in (False, True):
+            for number_reverse in (not reverse, reverse):
+                for base in bases:
+                    try:
+                        t = _build_planar(g, n, base, rotations, reverse,
+                                          number_reverse)
+                    except TreeError:
+                        continue
+                    report = verify_conditions(t, planar=True)
+                    if report.ok(planar=True) and (t.stem_length() >= n - 1
+                                                   or len(g.vertices) < n):
+                        return t
     raise TreeError("could not satisfy T1-T4; is the graph planar and subdivided?")
 
 
-def _build_planar(g: Graph, n: int, base: str, reverse: bool,
-                  number_reverse: bool | None = None) -> OrderedTree:
-    rot = {v: list(ns) for v, ns in _planar_rotations(g).items()}
+def _build_planar(g: Graph, n: int, base: str, rotations: dict, reverse: bool,
+                  number_reverse: bool) -> OrderedTree:
+    """Delete edges met walking the outer face from the base, then number
+    the surviving tree following the rotation system (counter to it when
+    ``number_reverse``)."""
+    rot = {v: list(ns) for v, ns in rotations.items()}
     # outer face: a deterministic face through the base (none on a point,
     # which has no edge to delete either)
     outer = []
@@ -505,16 +448,10 @@ def _build_planar(g: Graph, n: int, base: str, reverse: bool,
     key = lambda u, v: (min(u, v), max(u, v))
     deleted_ids = []
     while len(alive) > len(g.vertices) - 1:
-        adj_pairs = {v: [(eid, g.edge(eid).other(v))
-                         for eid in g.adjacency[v]
-                         if key(v, g.edge(eid).other(v)) in alive
-                         and alive[key(v, g.edge(eid).other(v))] == eid]
-                     for v in g.vertices}
-        bridges = _bridges(g.vertices, adj_pairs)
-        start = next(he for he in outer if he in outer_set and he[0] == base)
-        walk = _trace_face(rot, start, reverse)
+        bridges = {b[0] for b in blocks(g, set(alive.values())) if len(b) == 1}
+        # outer is the walk around the outer face from a half-edge at the base
         hit = None
-        for he in walk:
+        for he in outer:
             eid = alive.get(key(*he))
             if eid is not None and eid not in bridges:
                 hit = he
@@ -528,50 +465,17 @@ def _build_planar(g: Graph, n: int, base: str, reverse: bool,
         deleted_ids.append(alive.pop(key(a, b)))
         rot[a].remove(b)
         rot[b].remove(a)
-        outer = [he for he in _trace_face(rot, next(h for h in rot_half_edges(rot, base) if h in outer_set), reverse)]
+        start = next((base, w) for w in rot[base] if (base, w) in outer_set)
+        outer = _trace_face(rot, start, reverse)
         outer_set = set(outer)
+
     # rotation-respecting children order: start after the parent, cyclically
-    if number_reverse is None:
-        number_reverse = not reverse
+    def hint(p, v, w):
+        nbrs = rot[v]
+        if p is None:
+            return nbrs.index(w)
+        i, j = nbrs.index(p), nbrs.index(w)
+        return (i - j) % len(nbrs) if number_reverse else (j - i) % len(nbrs)
 
-    def order_hint_factory():
-        parent_of = {}
-
-        def hint(v, w):
-            nbrs = rot[v]
-            if v == base:
-                return nbrs.index(w)
-            p = parent_of.get(v)
-            i = nbrs.index(p)
-            j = nbrs.index(w)
-            return (j - i) % len(nbrs) if not number_reverse else (i - j) % len(nbrs)
-
-        return parent_of, hint
-
-    parent_of, hint = order_hint_factory()
-    removed = set(deleted_ids)
-    children: dict[str, list[str]] = {v: [] for v in g.vertices}
-    seen = {base: None}
-    stack = [base]
-    orderq = deque([base])
-    while orderq:
-        v = orderq.popleft()
-        nbrs = []
-        for eid in g.adjacency[v]:
-            if eid in removed:
-                continue
-            w = g.edge(eid).other(v)
-            if w not in seen:
-                seen[w] = v
-                parent_of[w] = v
-                nbrs.append(w)
-        nbrs.sort(key=lambda w: hint(v, w))
-        children[v] = nbrs
-        orderq.extend(nbrs)
-    t = _apply_t3(g, base, children, n, "planar")
-    return t
-
-
-def rot_half_edges(rot, v):
-    return [(v, w) for w in rot[v]]
-
+    children = _rooted_children(g, base, deleted_ids, hint)
+    return _apply_t3(g, base, children, n, "planar")

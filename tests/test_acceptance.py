@@ -218,8 +218,10 @@ def test_criterion_11_property_suite():
                 assert not h[1].torsion, (i, n, flavor)
             h_by[(n, flavor)] = h[1]
         # biconnected graphs: H1(B_n) independent of n; so is the block shape
-        from graphbraids.decompose import cut_vertices, _workable
-        if not cut_vertices(_workable(g)) and len(g.vertices) > 1:
+        from graphbraids.decompose import _workable
+        from graphbraids.graphs import blocks, cut_vertices
+        work = _workable(g)
+        if not cut_vertices(work, blocks(work)) and len(g.vertices) > 1:
             n_biconnected += 1
             assert h_by[(2, "unordered")] == h_by[(3, "unordered")], i
         # subdivision invariance of the Morse route on a sample

@@ -9,7 +9,7 @@ from graphbraids.decompose import (N_cut, invariant_bundle, h1_formula,
                                    biconnected_decomposition,
                                    marked_decomposition, decomposition_tree,
                                    classify_beta1_characterizations, _workable,
-                                   _subgraph, biconnected_components)
+                                   _subgraph)
 
 
 def test_n_cut_examples():

@@ -1,8 +1,14 @@
-import pytest
+import random
 
+import networkx as nx
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from graphbraids.corpus import random_topological_graph
+from graphbraids.decompose import _workable
 from graphbraids.graphs import (Graph, GraphError, build_graph, subdivide,
                                 betti1, segments, is_suitably_subdivided,
-                                graph_to_json)
+                                graph_to_json, blocks, cut_vertices)
 
 
 def test_builtin_counts():
@@ -91,3 +97,81 @@ def test_segments_circle_and_wedge():
 def test_unknown_name():
     with pytest.raises(GraphError):
         build_graph("NoSuchGraph")
+
+
+# ---------------------------------------------------------------------------
+# blocks, bridges and cut vertices against networkx and a brute-force count
+
+def _components_without(g: Graph, banned: set) -> int:
+    """Components of g with the vertices ``banned`` removed, by search."""
+    remaining = [v for v in g.vertices if v not in banned]
+    if not remaining:
+        return 0
+    seen: set[str] = set()
+    count = 0
+    for start in remaining:
+        if start in seen:
+            continue
+        count += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            for eid in g.adjacency[v]:
+                w = g.edge(eid).other(v)
+                if w not in banned and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def _ends(g: Graph, eids):
+    return frozenset(frozenset(g.edge(eid).endpoints()) for eid in eids)
+
+
+def _check_blocks(g: Graph, alive=None):
+    eids = [e.id for e in g.edges if alive is None or e.id in alive]
+    found = blocks(g, alive)
+    assert sorted(eid for b in found for eid in b) == sorted(eids)
+    multi = nx.MultiGraph()
+    multi.add_nodes_from(g.vertices)
+    multi.add_edges_from(g.edge(eid).endpoints() for eid in eids)
+    bridges = [b[0] for b in found if len(b) == 1]
+    assert _ends(g, bridges) == {frozenset(p) for p in nx.bridges(multi)}
+    assert len(bridges) == len(_ends(g, bridges))
+    if len(_ends(g, eids)) == len(eids):  # simple
+        assert {_ends(g, b) for b in found} == {
+            frozenset(frozenset(p) for p in b)
+            for b in nx.biconnected_component_edges(nx.Graph(multi))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 8), st.integers(0, 6))
+def test_blocks_agree_with_networkx_and_component_counts(seed, nv, extra):
+    g = random_topological_graph(random.Random(seed), nv, extra)
+    for h in (g, _workable(g)):
+        _check_blocks(h)
+        assert cut_vertices(h, blocks(h)) == {
+            v: mu for v in h.vertices
+            if (mu := _components_without(h, {v})) >= 2}
+    # a connected spanning subgraph: drop edges while the rest stays connected
+    rng = random.Random(seed)
+    alive = {e.id for e in g.edges}
+    for e in rng.sample(g.edges, len(g.edges) // 2):
+        rest = nx.MultiGraph()
+        rest.add_nodes_from(g.vertices)
+        rest.add_edges_from(g.edge(eid).endpoints() for eid in alive - {e.id})
+        if nx.is_connected(rest):
+            alive.discard(e.id)
+    _check_blocks(g, alive)
+
+
+def test_blocks_explicit_cases():
+    theta = build_graph("Theta(3)")
+    assert [sorted(b) for b in blocks(theta)] == [["p0", "p1", "p2"]]
+    assert cut_vertices(theta, blocks(theta)) == {}
+    assert blocks(Graph(["x"], [])) == []
+    dumbbell = build_graph("Dumbbell")
+    assert cut_vertices(dumbbell, blocks(dumbbell)) == {"l0": 2, "r0": 2}
+    assert sorted(map(sorted, blocks(dumbbell))) == [
+        ["la", "lb", "lc"], ["mid"], ["ra", "rb", "rc"]]

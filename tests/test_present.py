@@ -19,6 +19,7 @@ from graphbraids.present import (free_reduce, wmul, winv, cyclic_reduce,
                                  quadratic_genus, format_word, substitute,
                                  Presentation, _leading_pairs,
                                  _modified_pivotal_key)
+from reference import matching
 
 
 def w(*letters):
@@ -252,7 +253,7 @@ class ReferenceRewriter:
             if move is not None:
                 return "redundant", [(move, 1)]
         v = cls.witness
-        w = C.matching(t, cell, ordered=self.ordered)
+        w = matching(t, cell, ordered=self.ordered)
         e = next(it for it in cell if it[1] != -1)
         pos_e = list(w).index(e)
         pos_t = list(w).index((t.parent[v], v))

