@@ -10,18 +10,23 @@ is zero, and a redundant cell c is solved out of the boundary of W(c): the
 cubical boundary for chains, the square's boundary word for words.  Each
 cell is classified once per plan.
 
+D_n is the n!-sheeted cover of UD_n and its matching is the lift of the one
+on UD_n, so the ordered reduction commutes with relabelling the points: a
+cell's value is its sorted representative's value with every critical cell
+relabelled the same way.  The ordered reducer reduces representatives only.
+
 Two shortcut moves replace c by c with one unblocked vertex v moved to its
-parent, unordered flavor only (the ordered analogue fails for n >= 3, so
-ordered cells are always expanded through the full square):
+parent:
 
 * the plain move, when no vertex or edge end of c lies strictly between
-  parent[v] and v, is a special reduction; it holds in both algebras, and
-  the words it gives are the words of the full expansion;
+  parent[v] and v, is a special reduction; it holds in both flavors and
+  both algebras, and the words it gives are the words of the full
+  expansion;
 * the strengthened 1-cell move also lets blocked vertices, and an end of
   c's edge that the move's target does not separate, sit in that gap.  It
-  holds for chains only: in the free group the full expansion can give the
-  target's word conjugated by another 1-cell, which abelianizing erases.
-  Only an abelian algebra takes it.
+  holds for unordered chains only: in the free group the full expansion
+  can give the target's word conjugated by another 1-cell, which
+  abelianizing erases, and on D_n it changes ordered Morse boundaries.
 """
 
 from __future__ import annotations
@@ -49,12 +54,15 @@ class Algebra:
     (face, coefficient) whose sum (or product) is zero (or 1); a redundant
     cell is solved out of the relation of its matched cell, and
     ``combine(terms)`` turns the solution, as (value, coefficient) pairs of
-    the other faces, into the cell's value, one call per cell.  Only an
-    ``abelian`` algebra may take the strengthened 1-cell move."""
+    the other faces, into the cell's value, one call per cell.
+    ``relabel(value, sigma)`` applies ``C.phi_inverse(., sigma)`` to every
+    critical cell in a value.  Only an ``abelian`` algebra may take the
+    strengthened 1-cell move."""
     zero: object
     unit: Callable
     combine: Callable
     relation: Callable
+    relabel: Callable
     abelian: bool
 
 
@@ -69,31 +77,48 @@ def _combine_chains(terms) -> dict:
 # Z-chains {critical cell: nonzero coefficient} over the cubical boundary
 CHAINS = Algebra(zero={}, unit=lambda cell: {cell: 1}, combine=_combine_chains,
                  relation=lambda cell, ordered: C.boundary(cell, ordered),
+                 relabel=lambda chain, sigma: {C.phi_inverse(cell, sigma): x
+                                               for cell, x in chain.items()},
                  abelian=True)
 
 
 class Reducer:
     """Memoized reduction onto the critical cells of one flavor, with values
-    in ``algebra`` (Z-chains by default)."""
+    in ``algebra`` (Z-chains by default).
+
+    Ordered, ``memo`` holds one entry per S_n-orbit, keyed on the sorted
+    representative ``C.phi(cell)[0]``: every step of the reduction acts on
+    the items position by position, with signs read from the items, so the
+    value of ``phi_inverse(rep, sigma)`` is rep's value relabelled by
+    sigma."""
 
     def __init__(self, tree: OrderedTree, ordered: bool = False,
                  use_shortcut: bool = True, algebra: Algebra = CHAINS):
         self.t = tree
         self.ordered = ordered
-        self.use_shortcut = use_shortcut and not ordered
+        self.use_shortcut = use_shortcut
         self.algebra = algebra
         self.memo: dict = {}
 
+    def _canonical(self, cell):
+        """(rep, sigma) with cell = phi_inverse(rep, sigma) and rep the
+        orbit's sorted representative; sigma is None for the identity."""
+        rep, sigma = C.phi(cell)
+        return (cell, None) if rep == cell else (rep, sigma)
+
     def _plan(self, cell):
-        """("critical" | "collapsible", None), or ("redundant", [(face,
-        coefficient)]) with the cell's value the combination of the faces'."""
+        """("critical" | "collapsible", None), or ("redundant", [(rep, sigma,
+        coefficient)]) with the cell's value the combination of the faces'
+        values, each face canonicalised once (sigma is None unordered)."""
         cls = C.classify(self.t, cell)
         if cls.kind != "redundant":
             return cls.kind, None
         if self.use_shortcut:
             move = self._shortcut_move(cell, cls.unblocked)
             if move is not None:
-                return "redundant", [(move, 1)]
+                if not self.ordered:
+                    return "redundant", [(move, None, 1)]
+                return "redundant", self._deps([(move, 1)])
         matched = C.matched_cell(self.t, cell, cls.witness, self.ordered)
         rel = self.algebra.relation(matched, self.ordered)
         hits = [i for i, (f, _) in enumerate(rel) if f == cell]
@@ -105,8 +130,15 @@ class Reducer:
         i = hits[0]
         e, rest = rel[i][1], rel[i + 1:] + rel[:i]
         if e == -1:
-            return "redundant", rest
-        return "redundant", [(f, -x) for f, x in reversed(rest)]
+            return "redundant", self._deps(rest)
+        return "redundant", self._deps([(f, -x) for f, x in reversed(rest)])
+
+    def _deps(self, terms):
+        """The faces of a plan as (rep, sigma, coefficient)."""
+        if not self.ordered:
+            return [(f, None, x) for f, x in terms]
+        canonical = self._canonical
+        return [canonical(f) + (x,) for f, x in terms]
 
     def _shortcut_move(self, cell, unblocked):
         """One V-move c -> V_e(c) when the special-reduction hypotheses hold;
@@ -123,8 +155,8 @@ class Reducer:
             lo = t.parent[v]
             if not any(lo < w < v for w in items):
                 return self._apply_move(cell, v, lo)
-            if (self.algebra.abelian and len(edges) == 1
-                    and C.cell_dim(cell) == 1):
+            if (self.algebra.abelian and not self.ordered
+                    and len(edges) == 1 and C.cell_dim(cell) == 1):
                 # strengthened 1-cell form: blocked vertices in the gap are
                 # fine, and an end of the edge in the gap is fine when the
                 # edge is not separated by the move's target
@@ -146,11 +178,21 @@ class Reducer:
         out.sort()
         return tuple(out)
 
-    def reduce_cell(self, cell0):
+    def reduce_cell(self, cell):
+        sigma = None
+        if self.ordered:
+            cell, sigma = self._canonical(cell)
+        value = self.memo.get(cell)
+        if value is None:
+            value = self._walk(cell)
+        return value if sigma is None else self.algebra.relabel(value, sigma)
+
+    def _walk(self, cell0):
+        """Reduce the representative cell0 and every representative it
+        depends on into ``memo``."""
         memo = self.memo
-        if cell0 in memo:
-            return memo[cell0]
         alg = self.algebra
+        relabel = alg.relabel
         plans: dict = {}
         stack = [(cell0, False)]
         in_progress = set()
@@ -178,16 +220,19 @@ class Reducer:
                     raise MorseError("cyclic reduction dependency (bug)")
                 in_progress.add(cell)
                 stack.append((cell, True))
-                for f, _ in deps:
+                for f, _, _ in deps:
                     if f not in memo:
                         stack.append((f, False))
             else:
-                if len(deps) == 1 and deps[0][1] == 1:
+                if len(deps) == 1 and deps[0][2] == 1:
                     # a shortcut move: values are kept reduced, so the
                     # moved cell's value is this cell's as it stands
-                    memo[cell] = memo[deps[0][0]]
+                    f, s, _ = deps[0]
+                    memo[cell] = memo[f] if s is None else relabel(memo[f], s)
                 else:
-                    memo[cell] = alg.combine([(memo[f], x) for f, x in deps])
+                    memo[cell] = alg.combine([
+                        (memo[f] if s is None else relabel(memo[f], s), x)
+                        for f, s, x in deps])
                 in_progress.discard(cell)
         return memo[cell0]
 
@@ -638,11 +683,8 @@ class MorseComplex:
                     raise MorseError(f"d o d != 0 in degree {d}")
 
     def name_of(self, cell) -> str:
-        nm = self.names.get(cell)
-        if self.ordered:
-            sc, sg = C.phi(cell)
-            return format_name(self.tree, nm, cell, ordered=True)
-        return format_name(self.tree, nm, cell)
+        return format_name(self.tree, self.names.get(cell), cell,
+                           ordered=self.ordered)
 
 
 def tree_satisfies_t123(t: OrderedTree) -> bool:

@@ -6,7 +6,8 @@ That homomorphism is the Morse reduction of `morse.Reducer` computed in the
 free group instead of in Z: `WORDS` is its coefficient algebra, solving a
 redundant 1-cell out of the boundary word of its matched square.  Words do
 not commute, so the reducer takes only the plain shortcut move for them,
-never the strengthened 1-cell move that Z-chains allow (see `morse`).
+never the strengthened 1-cell move that unordered Z-chains allow (see
+`morse`).
 Tietze elimination then removes pivotal generators in decreasing order and
 contracts separating generators along the labeled graph of their relations.
 Every relator is kept freely reduced, and an index from each generator to
@@ -116,6 +117,8 @@ def _combine_words(terms) -> Word:
 # boundary word of its matched square
 WORDS = Algebra(zero=(), unit=lambda cell: ((cell, 1),),
                 combine=_combine_words, relation=C.boundary_word,
+                relabel=lambda w, sigma: tuple((C.phi_inverse(g, sigma), e)
+                                               for g, e in w),
                 abelian=False)
 
 

@@ -2,7 +2,7 @@ import importlib
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphbraids.cells import parse_cell
 from graphbraids.corpus import corpus
@@ -69,8 +69,6 @@ def test_homology_matches_kernel_reference(flavor):
 @given(st.integers(0, 10_000), st.integers(1, 4),
        st.sampled_from(["unordered", "ordered"]))
 def test_homology_euler_characteristic_matches_gal_series(seed, n, flavor):
-    # ordered n = 4 takes seconds per corpus graph, unordered hundredths
-    assume(n < 4 or flavor == "unordered")
     mc = _corpus_complex(seed, n, flavor)
     h = homology(mc)
     assert sum((-1) ** d * g.rank for d, g in h.items()) == \

@@ -1,14 +1,20 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from graphbraids import cells as C
 from graphbraids.cells import parse_cell, format_cell, phi, vertex
+from graphbraids.corpus import corpus
 from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
-                                  theta4_pinned_tree, fig_b3n3_tree)
+                                  theta4_pinned_tree, fig_b3n3_tree,
+                                  pinned_tree)
 from graphbraids.graphs import build_graph, subdivide
+from graphbraids.homology import homology
 from graphbraids.trees import choose_tree_and_order
 from graphbraids.morse import (Reducer, morse_boundary, build_morse_complex,
                                fast_morse_boundary, name_critical_cell,
                                materialize_name, format_name, bare_fill,
                                MorseError, cell_sort_key)
+from reference import ReferenceReducer
 
 
 def chain_by_name(mc, chain):
@@ -276,3 +282,62 @@ def test_reversed_order_is_descending():
     mc = build_morse_complex(t, 4, "unordered")
     keys = [cell_sort_key(t, c) for c in mc.critical[1]]
     assert keys == sorted(keys, reverse=True)
+
+
+# ---------------------------------------------------------------------------
+# the ordered reduction: D_n -> UD_n is an n!-sheeted covering, and the
+# ordered reducer keeps one memo entry per orbit of relabellings
+
+def _tree(g, n):
+    gs, _ = subdivide(g, n, "strict" if n == 2 else "auto")
+    return choose_tree_and_order(gs, n)
+
+
+def _push_forward(chain):
+    """Sum the coefficients of an ordered chain over each unordered cell."""
+    out: dict = {}
+    for c, x in chain.items():
+        sc = phi(c)[0]
+        out[sc] = out.get(sc, 0) + x
+    return {c: x for c, x in out.items() if x}
+
+
+def _check_covering(t, n):
+    """The ordered Morse boundary pushes forward to the unordered one on
+    every critical cell, and rank H_d(B_n) <= rank H_d(P_n) by transfer."""
+    ordered, unordered = Reducer(t, ordered=True), Reducer(t)
+    for cs in C.critical_cells(t, n, "ordered").values():
+        for c in cs:
+            assert _push_forward(morse_boundary(ordered, c)) == \
+                morse_boundary(unordered, phi(c)[0])
+    h_p = homology(build_morse_complex(t, n, "ordered"))
+    h_b = homology(build_morse_complex(t, n, "unordered"))
+    assert h_b.keys() == h_p.keys()
+    assert all(h_b[d].rank <= h_p[d].rank for d in h_b)
+
+
+@pytest.mark.parametrize("name,n", [("K33", 2), ("K33", 3), ("K33", 4),
+                                    ("Theta4", 3)])
+def test_ordered_boundary_covers_unordered(name, n):
+    t = pinned_tree(name, n) or _tree(build_graph(name), n)
+    _check_covering(t, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 4))
+def test_ordered_boundary_covers_unordered_on_corpus(seed, n):
+    g = corpus(seed, 1)[0]
+    assume(n < 4 or len(g.edges) <= 8)
+    _check_covering(_tree(g, n), n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3))
+def test_ordered_boundary_matches_reference_walk_on_corpus(seed, n):
+    t = _tree(corpus(seed, 1)[0], n)
+    red, ref = Reducer(t, ordered=True), ReferenceReducer(t, ordered=True)
+    for cs in C.critical_cells(t, n, "ordered").values():
+        for c in cs:
+            assert morse_boundary(red, c) == ref.morse_boundary(c)
+    # one memo entry per orbit, under its sorted representative
+    assert all(phi(k)[0] == k for k in red.memo)
