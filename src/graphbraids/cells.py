@@ -224,44 +224,61 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
 # ---------------------------------------------------------------------------
 # classification and the Morse matching
 
-@dataclass
+@dataclass(slots=True)
 class Classification:
     kind: str  # critical | redundant | collapsible
     witness: object = None
-    unblocked: list = field(default_factory=list)  # unblocked_vertices(cell)
-
-
-def unblocked_vertices(t: OrderedTree, cell):
-    vs = cell_vertices(cell)
-    vset = set(vs)
-    for e in cell_edges(cell):
-        vset.add(e[0])
-        vset.add(e[1])
-    return [v for v in vs if v != 0 and t.parent[v] not in vset]
-
-
-def order_respecting_edges(t: OrderedTree, cell):
-    vs = cell_vertices(cell)
-    out = []
-    for e in cell_edges(cell):
-        if e in t.deleted_set:
-            continue
-        tau, iota = e
-        if not any(t.parent[u] == tau and u < iota for u in vs):
-            out.append(e)
-    return out
+    unblocked: list = field(default_factory=list)  # unblocked cell vertices
+    # cell vertices and edge ends; at most 2n of them, so a list is scanned
+    # as fast as a set is hashed
+    occupied: list = field(default_factory=list)
+    edges: list = field(default_factory=list)  # the cell's edges, in order
 
 
 def classify(t: OrderedTree, cell) -> Classification:
     """Critical / redundant / collapsible per the matching on UD_n; ordered
-    cells classify exactly like their unordered projections."""
-    unb = unblocked_vertices(t, cell)
-    orr = order_respecting_edges(t, cell)
-    if not unb and not orr:
-        return Classification("critical")
-    if unb and (not orr or min(unb) < min(e[1] for e in orr)):
-        return Classification("redundant", min(unb), unb)
-    return Classification("collapsible", min(orr, key=lambda e: e[1]), unb)
+    cells classify exactly like their unordered projections.
+
+    A vertex v != 0 is unblocked when parent[v] is free, and a tree edge
+    (tau, iota) is order respecting when no cell vertex u has parent[u] ==
+    tau and u < iota.  A cell without either is critical; otherwise it is
+    redundant, witnessed by its smallest unblocked vertex, when that lies
+    below the terminal vertex of every order-respecting edge, and else
+    collapsible, witnessed by the order-respecting edge with the smallest
+    terminal vertex.  One pass over the items collects the vertices, the
+    edges and the occupied vertices."""
+    parent = t.parent
+    verts = []
+    edges = []
+    occupied = []
+    for it in cell:
+        a, b = it
+        occupied.append(a)
+        if b == -1:
+            verts.append(a)
+        else:
+            edges.append(it)
+            occupied.append(b)
+    unb = [v for v in verts if v and parent[v] not in occupied]
+    # only an order-respecting edge below every unblocked vertex matters
+    bound = min(unb) if unb else t.nv
+    best = None
+    deleted = t.deleted_set
+    for e in edges:
+        tau, iota = e
+        if iota >= bound or e in deleted:
+            continue
+        for u in verts:
+            if u < iota and parent[u] == tau:
+                break
+        else:
+            best = e
+            bound = iota
+    if best is not None:
+        return Classification("collapsible", best, unb, occupied, edges)
+    if unb:
+        return Classification("redundant", min(unb), unb, occupied, edges)
+    return Classification("critical", None, unb, occupied, edges)
 
 
 def matched_cell(t: OrderedTree, cell, v: int, ordered: bool = False):

@@ -115,9 +115,54 @@ def cmd_formula(args):
     return _report(args, "formula", results, t0=t0), 0
 
 
+def _covering_failure(pn, bn, h_p, h_b):
+    """How D_n -> UD_n, an n!-sheeted covering whose gradient lifts the one
+    on UD_n, fails to show in the Morse complexes pn (ordered) and bn
+    (unordered) and their homologies, or None: every ordered critical
+    cell's Morse boundary, summed over phi(.)[0], must be the unordered
+    boundary of phi(c)[0], and rank H_d(B_n) <= rank H_d(P_n) by transfer."""
+    for d in sorted(pn.boundaries):
+        lower = bn.index[d - 1]
+        for c, row in zip(pn.critical[d], pn.boundaries[d]):
+            pushed = [0] * len(lower)
+            for cc, x in zip(pn.critical[d - 1], row):
+                if x:
+                    pushed[lower[C.phi(cc)[0]]] += x
+            if pushed != bn.boundaries[d][bn.index[d][C.phi(c)[0]]]:
+                return (f"the boundary of {C.format_cell(c, True)} does not "
+                        f"cover the unordered one")
+    for d in sorted(h_b.keys() | h_p.keys()):
+        if d not in h_b or d not in h_p:
+            return f"degree {d} is in one flavor only"
+        if h_b[d].rank > h_p[d].rank:
+            return (f"rank H_{d}(B_n) = {h_b[d].rank} exceeds "
+                    f"rank H_{d}(P_n) = {h_p[d].rank}")
+    return None
+
+
+def _check_covering(args, tree, prov, t0):
+    """graphbraids check for ordered n >= 3, where no formula exists."""
+    pn = build_morse_complex(tree, args.n, "ordered", path=args.method,
+                             cap=args.cap)
+    bn = build_morse_complex(tree, args.n, "unordered", cap=args.cap)
+    h_p, h_b = homology(pn), homology(bn)
+    failure = _covering_failure(pn, bn, h_p, h_b)
+    results = {"tree": prov,
+               "critical_cells": {d: len(cs) for d, cs in pn.critical.items()},
+               "ordered_homology": [{"degree": d, **g.to_json()}
+                                    for d, g in sorted(h_p.items())],
+               "unordered_homology": [{"degree": d, **g.to_json()}
+                                      for d, g in sorted(h_b.items())]}
+    verdict = "match" if failure is None else f"mismatch({failure})"
+    return (_report(args, "check", results, verdict=verdict, t0=t0),
+            0 if failure is None else 1)
+
+
 def cmd_check(args):
     t0 = time.perf_counter()
     tree, prov = _prepare_tree(args)
+    if args.flavor == "ordered" and args.n >= 3:
+        return _check_covering(args, tree, prov, t0)
     mc = build_morse_complex(tree, args.n, args.flavor, path=args.method,
                              cap=args.cap)
     h = homology(mc)[1]

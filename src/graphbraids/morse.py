@@ -114,7 +114,7 @@ class Reducer:
         if cls.kind != "redundant":
             return cls.kind, None
         if self.use_shortcut:
-            move = self._shortcut_move(cell, cls.unblocked)
+            move = self._shortcut_move(cell, cls)
             if move is not None:
                 if not self.ordered:
                     return "redundant", [(move, None, 1)]
@@ -140,34 +140,32 @@ class Reducer:
         canonical = self._canonical
         return [canonical(f) + (x,) for f, x in terms]
 
-    def _shortcut_move(self, cell, unblocked):
-        """One V-move c -> V_e(c) when the special-reduction hypotheses hold;
-        ``unblocked`` lists the cell's unblocked vertices."""
-        t = self.t
-        occupied = set(C.cell_vertices(cell))
-        ends = set()
-        edges = C.cell_edges(cell)
-        for a, b in edges:
-            ends.add(a)
-            ends.add(b)
-        items = occupied | ends
+    def _shortcut_move(self, cell, cls):
+        """One V-move c -> V_e(c) when the special-reduction hypotheses hold,
+        read off the cell's classification ``cls``."""
+        parent = self.t.parent
+        unblocked, occupied, edges = cls.unblocked, cls.occupied, cls.edges
+        strengthen = (self.algebra.abelian and not self.ordered
+                      and len(edges) == 1)
         for v in sorted(unblocked):
-            lo = t.parent[v]
-            if not any(lo < w < v for w in items):
+            lo = parent[v]
+            for w in occupied:
+                if lo < w < v:
+                    break
+            else:
                 return self._apply_move(cell, v, lo)
-            if (self.algebra.abelian and not self.ordered
-                    and len(edges) == 1 and C.cell_dim(cell) == 1):
+            if strengthen:
                 # strengthened 1-cell form: blocked vertices in the gap are
                 # fine, and an end of the edge in the gap is fine when the
                 # edge is not separated by the move's target
-                p = edges[0]
-                vs_in_gap = [w for w in occupied if lo < w < v]
-                if any(w in unblocked for w in vs_in_gap):
-                    continue
-                ends_in_gap = [w for w in p if lo < w < v]
-                if ends_in_gap and t.separates(p, lo):
-                    continue
-                return self._apply_move(cell, v, lo)
+                for w in unblocked:
+                    if lo < w < v:
+                        break
+                else:
+                    p = edges[0]
+                    ends_in_gap = lo < p[0] < v or lo < p[1] < v
+                    if not ends_in_gap or not self.t.separates(p, lo):
+                        return self._apply_move(cell, v, lo)
         return None
 
     def _apply_move(self, cell, v, target):
@@ -715,20 +713,28 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
     names: dict = {}
     for d, crit in sorted(C.critical_cells(t, n, flavor, cap=cap).items()):
         if ordered:
-            def key(cell):
-                sc, sg = C.phi(cell)
-                return cell_sort_key(t, sc, sg)
-        else:
-            def key(cell):
-                return cell_sort_key(t, cell)
-        crit.sort(key=key, reverse=True)
-        critical[d] = crit
-        for c in crit:
-            if ordered:
+            # the name's terms and the key's unordered part are the same on
+            # the whole orbit: compute them once per sorted representative
+            # and attach each labelling's sigma
+            keys: dict = {}
+            orbit: dict = {}
+            for c in crit:
                 sc, sg = C.phi(c)
-                names[c] = name_critical_cell(t, sc, sg)
-            else:
+                base = orbit.get(sc)
+                if base is None:
+                    base = orbit[sc] = (name_critical_cell(t, sc),
+                                        cell_sort_key(t, sc)[:-1])
+                name, key = base
+                if name is not None:
+                    name = CriticalName(name.terms, name.s0, sg, name.canonical)
+                names[c] = name
+                keys[c] = key + (tuple(-x for x in sg),)
+            crit.sort(key=keys.__getitem__, reverse=True)
+        else:
+            crit.sort(key=lambda cell: cell_sort_key(t, cell), reverse=True)
+            for c in crit:
                 names[c] = name_critical_cell(t, c)
+        critical[d] = crit
     index = {d: {c: i for i, c in enumerate(cs)} for d, cs in critical.items()}
     red = Reducer(t, ordered)
     boundaries: dict[int, list] = {}

@@ -128,7 +128,7 @@ class OrderedTree:
         for k, c in enumerate(self.children[v], start=1):
             if self.is_ancestor(c, w):
                 return k
-        raise AssertionError("unreachable")
+        raise TreeError(f"no child of {v} is an ancestor of {w}")
 
     def separates(self, edge: tuple, v: int) -> bool:
         """True iff the endpoints of edge lie in distinct components of T - v."""

@@ -1,7 +1,42 @@
 """Reference code the tests share; the package itself does not need it."""
 
-from graphbraids.cells import boundary, classify, matched_cell
+from graphbraids.cells import (Classification, boundary, cell_edges,
+                               cell_vertices, classify, matched_cell)
 from graphbraids.trees import OrderedTree
+
+
+def unblocked_vertices(t: OrderedTree, cell):
+    vs = cell_vertices(cell)
+    vset = set(vs)
+    for e in cell_edges(cell):
+        vset.add(e[0])
+        vset.add(e[1])
+    return [v for v in vs if v != 0 and t.parent[v] not in vset]
+
+
+def order_respecting_edges(t: OrderedTree, cell):
+    vs = cell_vertices(cell)
+    out = []
+    for e in cell_edges(cell):
+        if e in t.deleted_set:
+            continue
+        tau, iota = e
+        if not any(t.parent[u] == tau and u < iota for u in vs):
+            out.append(e)
+    return out
+
+
+def reference_classify(t: OrderedTree, cell) -> Classification:
+    """The classification read off the two lists: redundant when the
+    smallest unblocked vertex lies below every order-respecting edge's
+    terminal vertex, collapsible when an order-respecting edge is left."""
+    unb = unblocked_vertices(t, cell)
+    orr = order_respecting_edges(t, cell)
+    if not unb and not orr:
+        return Classification("critical")
+    if unb and (not orr or min(unb) < min(e[1] for e in orr)):
+        return Classification("redundant", min(unb), unb)
+    return Classification("collapsible", min(orr, key=lambda e: e[1]), unb)
 
 
 def matching(t: OrderedTree, cell, ordered: bool = False):

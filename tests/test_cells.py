@@ -14,7 +14,7 @@ from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
                                   theta4_pinned_tree, fig_b3n3_tree)
 from graphbraids.graphs import subdivide
 from graphbraids.trees import choose_tree_and_order
-from reference import matching
+from reference import matching, reference_classify
 
 
 def test_cell_counts_k33():
@@ -86,6 +86,24 @@ def test_classification_examples():
     assert classify(t, parse_cell("{0-1,4}")[0]).kind == "collapsible"
     assert classify(t, parse_cell("{0,1}")[0]).kind == "critical"
     assert classify(t, parse_cell("{2-4,3}")[0]).kind == "critical"
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3),
+       st.sampled_from(["unordered", "ordered"]))
+def test_classify_matches_reference_on_corpus(seed, n, flavor):
+    g = corpus(seed, 1)[0]
+    gs, _ = subdivide(g, n, "strict" if n == 2 else "auto")
+    t = choose_tree_and_order(gs, n)
+    for cs in enumerate_cells(t, n, flavor).values():
+        for cell in cs:
+            got, want = classify(t, cell), reference_classify(t, cell)
+            assert (got.kind, got.witness, got.unblocked) == \
+                (want.kind, want.witness, want.unblocked)
+            if got.kind == "redundant":
+                assert sorted(got.occupied) == sorted(
+                    x for it in cell for x in C.closure_vertices(it))
+                assert got.edges == C.cell_edges(cell)
 
 
 def test_matching_examples():

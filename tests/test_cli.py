@@ -189,3 +189,30 @@ def test_graph_file_input(tmp_path, capsys):
                                        ["e3", "c", "a"]]}))
     status, rep = capture(capsys, ["check", "--graph", str(p), "--n", "2"])
     assert status == 0 and rep["verdict"] == "match"
+
+
+def test_check_ordered_n3_covers_unordered(capsys):
+    status, rep = capture(capsys, ["check", "--graph", "K33", "--n", "3",
+                                   "--flavor", "ordered"])
+    assert status == 0 and rep["verdict"] == "match"
+    assert rep["results"]["critical_cells"] == {"0": 6, "1": 78, "2": 114,
+                                                "3": 12}
+    ranks = [h["rank"] for h in rep["results"]["ordered_homology"]]
+    assert ranks == [1, 12, 41, 0]
+
+
+def test_check_ordered_n3_reports_a_broken_boundary(capsys, monkeypatch):
+    from graphbraids import cli
+    build = cli.build_morse_complex
+
+    def broken(t, n, flavor, **kw):
+        mc = build(t, n, flavor, **kw)
+        if flavor == "ordered":
+            mc.boundaries[2][0] = [-x for x in mc.boundaries[2][0]]
+        return mc
+
+    monkeypatch.setattr(cli, "build_morse_complex", broken)
+    status, rep = capture(capsys, ["check", "--graph", "K33", "--n", "3",
+                                   "--flavor", "ordered"])
+    assert status == 1
+    assert rep["verdict"].startswith("mismatch(the boundary of (")

@@ -341,3 +341,27 @@ def test_ordered_boundary_matches_reference_walk_on_corpus(seed, n):
             assert morse_boundary(red, c) == ref.morse_boundary(c)
     # one memo entry per orbit, under its sorted representative
     assert all(phi(k)[0] == k for k in red.memo)
+
+
+# ---------------------------------------------------------------------------
+# names and basis order: built once per orbit, equal to the per-labelling ones
+
+def _check_orbit_names(t, n):
+    mc = build_morse_complex(t, n, "ordered")
+    for d, cs in C.critical_cells(t, n, "ordered").items():
+        for c in cs:
+            assert mc.names[c] == name_critical_cell(t, *phi(c))
+        cs.sort(key=lambda c: cell_sort_key(t, *phi(c)), reverse=True)
+        assert mc.critical[d] == cs
+
+
+@pytest.mark.parametrize("name,n", [("K33", 2), ("K33", 3), ("K33", 4),
+                                    ("Theta4", 3)])
+def test_ordered_names_per_orbit(name, n):
+    _check_orbit_names(pinned_tree(name, n) or _tree(build_graph(name), n), n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3))
+def test_ordered_names_per_orbit_on_corpus(seed, n):
+    _check_orbit_names(_tree(corpus(seed, 1)[0], n), n)

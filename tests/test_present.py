@@ -19,7 +19,7 @@ from graphbraids.present import (free_reduce, wmul, winv, cyclic_reduce,
                                  quadratic_genus, format_word, substitute,
                                  Presentation, _leading_pairs,
                                  _modified_pivotal_key)
-from reference import matching
+from reference import matching, unblocked_vertices
 
 
 def w(*letters):
@@ -276,7 +276,7 @@ class ReferenceRewriter:
         for a, b in C.cell_edges(cell):
             ends.add(a)
             ends.add(b)
-        for v in sorted(C.unblocked_vertices(t, cell)):
+        for v in sorted(unblocked_vertices(t, cell)):
             lo = t.parent[v]
             if not any(lo < w < v for w in (occupied | ends)):
                 out = [C.vertex(lo) if it == (v, -1) else it for it in cell]
