@@ -232,7 +232,8 @@ def cmd_tree(args):
 def cmd_present(args):
     t0 = time.perf_counter()
     tree, prov = _prepare_tree(args)
-    mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
+    mc = build_morse_complex(tree, args.n, args.flavor, path=args.method,
+                             cap=args.cap)
     pres = raw_presentation(mc)
     if not args.raw:
         pres = simplify(pres, mc)

@@ -4,11 +4,20 @@ critical cell names, and the closed boundary formulas.
 `Reducer` is the one reduction engine.  It follows the matching W cellwise
 with memoization and writes every cell in a coefficient `Algebra`: Z-chains
 (`CHAINS`, the default) give Morse boundaries, and free-group words over
-critical 1-cells (`present.WORDS`) give the rewriting homomorphism that
+critical 1-cells (`WORDS`) give the rewriting homomorphism that
 presentations are read from.  A critical cell is itself, a collapsible cell
 is zero, and a redundant cell c is solved out of the boundary of W(c): the
 cubical boundary for chains, the square's boundary word for words.  Each
 cell is classified once per plan.
+
+`build_morse_complex` walks each critical 2-cell once.  Where a
+presentation can be read (unordered, or ordered at n = 2) it rewrites the
+2-cell's boundary word with `WORDS` and keeps the word as a relator.  The
+word's abelianization is minus the cubical boundary, and rewriting
+abelianizes to the Z-chain reduction, so the d2 row is minus the relator's
+exponent sums.  Ordered n >= 3 reduces 2-cells as Z-chains, and the
+"fast" path reads d2 from the closed formulas.  Degrees 1 and >= 3 are
+always Z-chains.
 
 D_n is the n!-sheeted cover of UD_n and its matching is the lift of the one
 on UD_n, so the ordered reduction commutes with relabelling the points: a
@@ -80,6 +89,49 @@ CHAINS = Algebra(zero={}, unit=lambda cell: {cell: 1}, combine=_combine_chains,
                  relabel=lambda chain, sigma: {C.phi_inverse(cell, sigma): x
                                                for cell, x in chain.items()},
                  abelian=True)
+
+
+# words in a free group; letters are (generator, +-1)
+
+Word = tuple
+
+
+def free_reduce(w) -> Word:
+    out = []
+    for g, e in w:
+        if out and out[-1][0] == g and out[-1][1] == -e:
+            out.pop()
+        else:
+            out.append((g, e))
+    return tuple(out)
+
+
+def wmul(*ws) -> Word:
+    out = []
+    for w in ws:
+        for g, e in w:
+            if out and out[-1][0] == g and out[-1][1] == -e:
+                out.pop()
+            else:
+                out.append((g, e))
+    return tuple(out)
+
+
+def winv(w) -> Word:
+    return tuple((g, -e) for g, e in reversed(w))
+
+
+def _combine_words(terms) -> Word:
+    return wmul(*[w if e == 1 else winv(w) for w, e in terms])
+
+
+# words over critical 1-cells; a redundant 1-cell is solved out of the
+# boundary word of its matched square
+WORDS = Algebra(zero=(), unit=lambda cell: ((cell, 1),),
+                combine=_combine_words, relation=C.boundary_word,
+                relabel=lambda w, sigma: tuple((C.phi_inverse(g, sigma), e)
+                                               for g, e in w),
+                abelian=False)
 
 
 class Reducer:
@@ -659,6 +711,9 @@ class MorseComplex:
     boundaries: dict        # dim -> matrix rows=dim cells, cols=(dim-1) cells
     names: dict             # cell -> CriticalName
     provenance: str = "generic"
+    # the rewritten boundary words of the critical 2-cells, in critical[2]
+    # order; None where no presentation is read (path "fast", ordered n != 2)
+    relators: list | None = None
 
     @property
     def ordered(self) -> bool:
@@ -699,7 +754,11 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
 
     path "fast" evaluates the closed formulas for the degree-2 boundary,
     "generic" iterates the reduction, "both" runs the two and insists they
-    agree cellwise.
+    agree cellwise.  On "generic" and "both", unordered or at n = 2, the
+    reduction of degree 2 is the rewriting of each critical 2-cell's
+    boundary word: the words are kept as ``relators`` and the d2 row is
+    minus their exponent sums.  Elsewhere d2 comes from Z-chains (or the
+    formulas) and ``relators`` is None.
     """
     if flavor not in ("unordered", "ordered"):
         raise MorseError(f"unknown flavor {flavor!r}")
@@ -737,6 +796,11 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
         critical[d] = crit
     index = {d: {c: i for i, c in enumerate(cs)} for d, cs in critical.items()}
     red = Reducer(t, ordered)
+    # where a presentation can be read, degree 2 is walked once, in words:
+    # the relators are kept and d2 is read off them
+    words = (Reducer(t, ordered, algebra=WORDS)
+             if path != "fast" and (not ordered or n == 2) else None)
+    relators = [] if words is not None else None
     boundaries: dict[int, list] = {}
     for d in sorted(critical):
         if d == 0 or not critical[d]:
@@ -744,23 +808,34 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
         rows = []
         lower = index.get(d - 1, {})
         for cell in critical[d]:
-            if d == 2 and path == "fast":
-                chain = _fast_for(t, cell, ordered)
+            if d == 2 and words is not None:
+                word = words.reduce(C.boundary_word(cell, ordered))
+                relators.append(word)
+                row = [0] * len(lower)
+                for g, e in word:
+                    row[lower[g]] -= e
+            elif d == 2 and path == "fast":
+                row = _row(_fast_for(t, cell, ordered), lower)
             else:
-                chain = morse_boundary(red, cell)
-                if d == 2 and path == "both":
-                    fast = _fast_for(t, cell, ordered)
-                    if fast != chain:
-                        raise MorseError(
-                            f"fast/generic disagree on {C.format_cell(cell, ordered)}: "
-                            f"{fast} vs {chain}")
-            row = [0] * len(lower)
-            for cc, x in chain.items():
-                row[lower[cc]] = x
+                row = _row(morse_boundary(red, cell), lower)
+            if d == 2 and path == "both":
+                fast = _fast_for(t, cell, ordered)
+                if _row(fast, lower) != row:
+                    chain = {c: x for c, x in zip(critical[1], row) if x}
+                    raise MorseError(
+                        f"fast/generic disagree on {C.format_cell(cell, ordered)}: "
+                        f"{fast} vs {chain}")
             rows.append(row)
         boundaries[d] = rows
     return MorseComplex(t, n, flavor, critical, index, boundaries, names,
-                        provenance=path)
+                        provenance=path, relators=relators)
+
+
+def _row(chain: dict, lower: dict) -> list:
+    row = [0] * len(lower)
+    for cc, x in chain.items():
+        row[lower[cc]] = x
+    return row
 
 
 def _fast_for(t: OrderedTree, cell, ordered: bool) -> dict:

@@ -3,15 +3,21 @@
 Generators are critical 1-cells; relators are boundary words of critical
 2-cells pushed through the rewriting homomorphism onto critical 1-cells.
 That homomorphism is the Morse reduction of `morse.Reducer` computed in the
-free group instead of in Z: `WORDS` is its coefficient algebra, solving a
-redundant 1-cell out of the boundary word of its matched square.  Words do
-not commute, so the reducer takes only the plain shortcut move for them,
-never the strengthened 1-cell move that unordered Z-chains allow (see
-`morse`).
+free group instead of in Z: `morse.WORDS` is its coefficient algebra,
+solving a redundant 1-cell out of the boundary word of its matched square.
+Words do not commute, so the reducer takes only the plain shortcut move for
+them, never the strengthened 1-cell move that unordered Z-chains allow.
+`morse.build_morse_complex` does this rewriting once per critical 2-cell,
+reads d2 off it, and keeps the words as `MorseComplex.relators`;
+`raw_presentation` takes them from there.
+
 Tietze elimination then removes pivotal generators in decreasing order and
 contracts separating generators along the labeled graph of their relations.
-Every relator is kept freely reduced, and an index from each generator to
-the relators that contain it lets a move rewrite only those relators.
+It runs on signed-integer letters: generator i of the presentation (from 1)
+is the letter i and its inverse -i, and words are turned back into
+(cell, +-1) letters at the end and for each audit.  Every relator is kept
+freely reduced, and an index from each generator to the relators that
+contain it lets a move rewrite only those relators.
 `commutator_form` recognises relators of the form [u, v] for display.
 """
 
@@ -20,39 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cells as C
-from .morse import Algebra, MorseComplex, MorseError, Reducer, cell_sort_key
+# the word algebra lives in morse and stays importable from here
+from .morse import (WORDS, MorseComplex, MorseError, Word, cell_sort_key,  # noqa: F401
+                    free_reduce, winv, wmul)
 from .homology import AbelianGroup, classify_1cells
-
-
-# ---------------------------------------------------------------------------
-# words in a free group; letters are (generator, +-1)
-
-Word = tuple
-
-
-def free_reduce(w) -> Word:
-    out = []
-    for g, e in w:
-        if out and out[-1][0] == g and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((g, e))
-    return tuple(out)
-
-
-def wmul(*ws) -> Word:
-    out = []
-    for w in ws:
-        for g, e in w:
-            if out and out[-1][0] == g and out[-1][1] == -e:
-                out.pop()
-            else:
-                out.append((g, e))
-    return tuple(out)
-
-
-def winv(w) -> Word:
-    return tuple((g, -e) for g, e in reversed(w))
 
 
 def cyclic_reduce(w) -> Word:
@@ -71,23 +48,28 @@ def exponent_sums(w) -> dict:
     return out
 
 
-def substitute(w, gen, repl, inv=None) -> Word:
-    """w with every letter gen^e replaced by repl^e, freely reduced while it
-    is spliced.  This is the stack of `free_reduce` run over the spliced
-    word in one pass: the runs of w between the letters of gen, and repl,
-    are each freely reduced, so only the first letters of a run can cancel
-    against the stack and the rest of the run is appended as it is.  `inv`,
-    repl's inverse, may be passed when many words take the same repl."""
+# ---------------------------------------------------------------------------
+# words on signed-integer letters: i and -i are generator i and its inverse
+
+def substitute(w, gen, repl, inv=None) -> tuple:
+    """w with every letter gen^e (gen > 0) replaced by repl^e, freely
+    reduced while it is spliced.  This is the stack of a free reduction run
+    over the spliced word in one pass: the runs of w between the letters of
+    gen, and repl, are each freely reduced, so only the first letters of a
+    run can cancel against the stack and the rest of the run is appended as
+    it is.  `inv`, repl's inverse, may be passed when many words take the
+    same repl."""
     out: list = []
     start = 0
-    for i, (g, e) in enumerate(w):
-        if g == gen:
+    neg = -gen
+    for i, x in enumerate(w):
+        if x == gen or x == neg:
             _splice(out, w[start:i])
-            if e == 1:
+            if x == gen:
                 _splice(out, repl)
             else:
                 if inv is None:
-                    inv = winv(repl)
+                    inv = _inverse(repl)
                 _splice(out, inv)
             start = i + 1
     _splice(out, w[start:] if start else w)
@@ -97,29 +79,14 @@ def substitute(w, gen, repl, inv=None) -> Word:
 def _splice(out: list, run) -> None:
     """Push the freely reduced word `run` onto the reduced stack `out`."""
     k = 0
-    while out and k < len(run):
-        top, (g, e) = out[-1], run[k]
-        if top[0] != g or top[1] != -e:
-            break
+    while out and k < len(run) and out[-1] == -run[k]:
         out.pop()
         k += 1
     out.extend(run[k:] if k else run)
 
 
-# ---------------------------------------------------------------------------
-# the rewriting homomorphism: the Morse reduction in the free group
-
-def _combine_words(terms) -> Word:
-    return wmul(*[w if e == 1 else winv(w) for w, e in terms])
-
-
-# words over critical 1-cells; a redundant 1-cell is solved out of the
-# boundary word of its matched square
-WORDS = Algebra(zero=(), unit=lambda cell: ((cell, 1),),
-                combine=_combine_words, relation=C.boundary_word,
-                relabel=lambda w, sigma: tuple((C.phi_inverse(g, sigma), e)
-                                               for g, e in w),
-                abelian=False)
+def _inverse(w) -> tuple:
+    return tuple(-x for x in reversed(w))
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +134,19 @@ def format_word(w, names: dict) -> str:
 
 def raw_presentation(mc: MorseComplex) -> Presentation:
     """Generators = critical 1-cells; relators = rewritten boundary words of
-    critical 2-cells.  Ordered flavor (n = 2): the fundamental group of the
-    Morse complex with its critical 0-cells identified is P_2 * Z, so one
-    generator joining the two 0-cells is killed."""
-    red = Reducer(mc.tree, mc.ordered, algebra=WORDS)
+    critical 2-cells, as the build left them in ``mc.relators``.  Ordered
+    flavor (n = 2): the fundamental group of the Morse complex with its
+    critical 0-cells identified is P_2 * Z, so one generator joining the
+    two 0-cells is killed."""
+    if mc.ordered and mc.n != 2:
+        raise MorseError("presentations of pure braid groups need n = 2")
+    if mc.relators is None:
+        raise MorseError("a complex built on path 'fast' has no relator "
+                         "words; build it on path 'generic' or 'both'")
     gens = list(mc.critical.get(1, ()))
-    relators = [red.reduce(C.boundary_word(c2, mc.ordered))
-                for c2 in mc.critical.get(2, ())]
     names = {c: mc.name_of(c) for c in gens}
-    pres = Presentation(gens, relators, names)
+    pres = Presentation(gens, list(mc.relators), names)
     if mc.ordered:
-        if mc.n != 2:
-            raise MorseError("presentations of pure braid groups need n = 2")
         join = None
         rows = mc.boundaries.get(1, [])
         for cell, row in zip(reversed(mc.critical[1]), reversed(rows)):
@@ -229,7 +197,8 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
     is also the index of their critical 2-cell), with an index from each
     generator to the ids of the relators that contain it.  A move rewrites
     only those relators: every other one is already freely reduced, so
-    substituting into it would return it unchanged.
+    substituting into it would return it unchanged.  The moves run on
+    signed-integer letters (see the module docstring).
 
     `audit`, when given, is called with the presentation after every Tietze
     move (used by tests to confirm the abelianization never changes)."""
@@ -237,9 +206,19 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
                        list(pres.history), pres.killed)
     tags = classify_1cells(mc)
     pairs = _leading_pairs(mc)
-    rels = dict(enumerate(pres.relators))
+    # letter i is generator i (from 1) and -i its inverse; letter[x] turns
+    # x back into a (cell, +-1) letter
+    number = {g: i for i, g in enumerate(pres.generators, 1)}
+    letter = ([None] + [(g, 1) for g in pres.generators]
+              + [(g, -1) for g in reversed(pres.generators)])
+
+    def decode(r):
+        return tuple(map(letter.__getitem__, r))
+
+    rels = {i: tuple(number[g] * e for g, e in r)
+            for i, r in enumerate(pres.relators)}
     rel_of_cell2 = {c2: i for i, c2 in enumerate(mc.critical.get(2, ()))}
-    gens_of = {i: {g for g, _ in r} for i, r in rels.items()}
+    gens_of = {i: set(map(abs, r)) for i, r in rels.items()}
     index: dict = {}
     for i, gens in gens_of.items():
         for g in gens:
@@ -247,31 +226,34 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
 
     def eliminate(gen, rid, why):
         rel = rels[rid]
-        hits = [i for i, (g, _) in enumerate(rel) if g == gen]
+        hits = [i for i, x in enumerate(rel) if x == gen or x == -gen]
         if len(hits) != 1:
             return
         i = hits[0]
-        u, e, v = rel[:i], rel[i][1], rel[i + 1:]
-        repl = wmul(winv(u), winv(v))
-        inv = winv(repl)
-        if e == -1:
+        u, x, v = rel[:i], rel[i], rel[i + 1:]
+        repl = list(_inverse(u))
+        _splice(repl, _inverse(v))
+        repl = tuple(repl)
+        inv = _inverse(repl)
+        if x < 0:
             repl, inv = inv, repl
         del rels[rid]
         for g in gens_of.pop(rid):
             index[g].discard(rid)
         for j in index.pop(gen):
             new = rels[j] = substitute(rels[j], gen, repl, inv)
-            old_gens, new_gens = gens_of[j], {g for g, _ in new}
+            old_gens, new_gens = gens_of[j], set(map(abs, new))
             old_gens.discard(gen)
             for g in old_gens - new_gens:
                 index[g].discard(j)
             for g in new_gens - old_gens:
                 index.setdefault(g, set()).add(j)
             gens_of[j] = new_gens
-        out.generators.remove(gen)
-        out.history.append(f"eliminate {out.names.get(gen, gen)} ({why})")
+        cell = letter[gen][0]
+        out.generators.remove(cell)
+        out.history.append(f"eliminate {out.names.get(cell, cell)} ({why})")
         if audit is not None:
-            out.relators = list(rels.values())
+            out.relators = [decode(r) for r in rels.values()]
             audit(out)
 
     pivotal = [g for g in out.generators
@@ -280,21 +262,21 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
     for g in pivotal:
         rid = rel_of_cell2[pairs[g]]
         if rid in rels:
-            eliminate(g, rid, "pivotal")
+            eliminate(number[g], rid, "pivotal")
 
     # separating contraction: repeatedly remove the smallest separating
     # generator that some relator uses exactly once, taking the shortest
     # such relator (the earliest among equals)
-    separating = sorted(
+    separating = [number[g] for g in sorted(
         (g for g in out.generators if tags.get(g) == "separating"),
         key=lambda g: cell_sort_key(mc.tree, C.phi(g)[0] if mc.ordered else g,
-                                    C.phi(g)[1] if mc.ordered else None))
+                                    C.phi(g)[1] if mc.ordered else None))]
     while True:
         for g in separating:
             best = None
             for rid in index.get(g, ()):
                 r = rels[rid]
-                if sum(1 for x, _ in r if x == g) == 1 and (
+                if r.count(g) + r.count(-g) == 1 and (
                         best is None or (len(r), rid) < best):
                     best = (len(r), rid)
             if best is not None:
@@ -304,7 +286,7 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
         else:
             break
 
-    out.relators = [r for r in rels.values() if r]
+    out.relators = [decode(r) for r in rels.values() if r]
     return out
 
 

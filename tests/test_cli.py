@@ -64,6 +64,37 @@ def test_present_command(capsys):
     assert len(rep["results"]["relators"]) == 1
 
 
+def test_present_method_both_checks_the_formulas(capsys):
+    status, rep = capture(capsys, ["present", "--graph", "Theta4", "--n", "3",
+                                   "--method", "both"])
+    assert status == 0 and rep["inputs"]["method"] == "both"
+    _, plain = capture(capsys, ["present", "--graph", "Theta4", "--n", "3"])
+    for key in ("generators", "relators", "history", "abelianization"):
+        assert rep["results"][key] == plain["results"][key]
+
+
+def test_present_method_both_reports_a_formula_mismatch(capsys, monkeypatch):
+    from graphbraids import morse
+    formula = morse.fast_morse_boundary
+    monkeypatch.setattr(morse, "fast_morse_boundary",
+                        lambda t, c: {k: -x for k, x in formula(t, c).items()})
+    assert run(["present", "--graph", "Theta4", "--n", "3",
+                "--method", "both"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fast/generic disagree") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["present", "--graph", "Theta4", "--n", "3", "--method", "fast"],
+    ["present", "--graph", "K33", "--n", "3", "--flavor", "ordered"],
+], ids=["method-fast", "ordered-n3"])
+def test_present_refusals_are_one_line(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_ordered_homology(capsys):
     status, rep = capture(capsys, ["homology", "--graph", "K33", "--n", "2",
                                    "--flavor", "ordered"])

@@ -12,7 +12,7 @@ from graphbraids.fixtures import (k33_pinned_tree, theta4_pinned_tree,
 from graphbraids.graphs import build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
 from graphbraids.morse import (build_morse_complex, cell_sort_key, MorseError,
-                               Reducer)
+                               Reducer, morse_boundary)
 from graphbraids.homology import homology, classify_1cells
 from graphbraids.present import (free_reduce, wmul, winv, cyclic_reduce,
                                  exponent_sums, WORDS, Word, raw_presentation, simplify, commutator_form,
@@ -34,7 +34,8 @@ def test_word_ops():
     assert winv(w(a, b)) == w(bi, ai)
     assert cyclic_reduce(w(a, b, ai)) == w(b)
     assert exponent_sums(w(a, b, a, bi)) == {"a": 2}
-    assert substitute(w(a, b), "b", w(ai,)) == ()
+    # substitute runs on signed-integer letters: a = 1, b = 2
+    assert substitute((1, 2), 2, (-1,)) == ()
 
 
 def test_boundary_word_theta4():
@@ -498,6 +499,60 @@ def test_raw_presentation_matches_reference_rewriting_on_corpus(seed, n, flavor)
         assert flavor == "ordered"
 
 
+def _same_d2_three_ways(mc):
+    """For every critical 2-cell: the build's d2 row, a fresh chain
+    reduction of its cubical boundary, and minus the exponent sums of its
+    relator word are one row."""
+    lower = mc.index.get(1, {})
+    cells2 = mc.critical.get(2, [])
+    assert len(mc.relators) == len(cells2)
+    chains = Reducer(mc.tree, mc.ordered)
+    for c2, built, word in zip(cells2, mc.boundaries.get(2, []), mc.relators):
+        fresh = [0] * len(lower)
+        for c, x in morse_boundary(chains, c2).items():
+            fresh[lower[c]] = x
+        sums = [0] * len(lower)
+        for c, x in exponent_sums(word).items():
+            sums[lower[c]] = -x
+        assert built == fresh == sums
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_morse_complex(k33_pinned_tree(), 2, "unordered"),
+    lambda: build_morse_complex(k33_pinned_tree(), 2, "ordered"),
+    lambda: build_morse_complex(theta4_pinned_tree(), 3, "unordered"),
+    lambda: build_morse_complex(k5_pinned_tree(), 4, "unordered"),
+    lambda: _generic_complex(build_graph(K2221), 3, "unordered"),
+], ids=["K33-n2", "K33-n2-ordered", "Theta4-n3", "K5-n4", "K2221-n3"])
+def test_d2_from_words_matches_chain_reduction(make):
+    _same_d2_three_ways(make())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3),
+       st.sampled_from(["unordered", "ordered"]))
+def test_d2_from_words_matches_chain_reduction_on_corpus(seed, n, flavor):
+    if flavor == "ordered":
+        n = 2  # relator words are kept for ordered n = 2 only
+    _same_d2_three_ways(_generic_complex(corpus(seed, 1)[0], n, flavor))
+
+
+def test_relators_only_where_a_presentation_is_read():
+    k33 = choose_tree_and_order(subdivide(build_graph("K33"), 2, "strict")[0], 2)
+    for t, n, flavor, path in ((k33_pinned_tree(), 3, "ordered", "generic"),
+                               (k33, 2, "ordered", "fast"),
+                               (theta4_pinned_tree(), 3, "unordered", "fast")):
+        mc = build_morse_complex(t, n, flavor, path=path)
+        assert mc.relators is None
+        with pytest.raises(MorseError):
+            raw_presentation(mc)
+    t = theta4_pinned_tree()
+    both = build_morse_complex(t, 3, "unordered", path="both")
+    generic = build_morse_complex(t, 3, "unordered")
+    assert both.relators == generic.relators
+    assert both.boundaries == generic.boundaries
+
+
 def test_simplify_audits_every_move_without_touching_its_input():
     mc = build_morse_complex(theta4_pinned_tree(), 3, "unordered")
     raw = raw_presentation(mc)
@@ -513,6 +568,16 @@ def test_simplify_audits_every_move_without_touching_its_input():
 
 
 letters = st.tuples(st.sampled_from("abc"), st.sampled_from([1, -1]))
+NUMBER = {"a": 1, "b": 2, "c": 3}
+LETTER = [None, ("a", 1), ("b", 1), ("c", 1), ("c", -1), ("b", -1), ("a", -1)]
+
+
+def encode(w):
+    return tuple(NUMBER[g] * e for g, e in w)
+
+
+def decode(w):
+    return tuple(LETTER[x] for x in w)
 
 
 @settings(max_examples=200, deadline=None)
@@ -521,9 +586,28 @@ letters = st.tuples(st.sampled_from("abc"), st.sampled_from([1, -1]))
 def test_substitute_matches_reference(w, gen, repl):
     w = free_reduce(tuple(w))
     repl = free_reduce(tuple(x for x in repl if x[0] != gen))
-    assert substitute(w, gen, repl) == reference_substitute(w, gen, repl)
-    assert substitute(w, gen, repl, winv(repl)) == \
-        reference_substitute(w, gen, repl)
+    want = reference_substitute(w, gen, repl)
+    got = substitute(encode(w), NUMBER[gen], encode(repl))
+    assert decode(got) == want
+    got = substitute(encode(w), NUMBER[gen], encode(repl), encode(winv(repl)))
+    assert decode(got) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(letters, max_size=12),
+       st.lists(st.tuples(st.sampled_from("abc"), st.lists(letters, max_size=5),
+                          st.booleans()), max_size=4))
+def test_substitute_chain_matches_reference(w, moves):
+    # moves applied one after another, as Tietze elimination does: each
+    # output is the next input, so it must stay freely reduced
+    want = free_reduce(tuple(w))
+    got = encode(want)
+    for gen, repl, pass_inv in moves:
+        repl = free_reduce(tuple(x for x in repl if x[0] != gen))
+        want = reference_substitute(want, gen, repl)
+        inv = encode(winv(repl)) if pass_inv else None
+        got = substitute(got, NUMBER[gen], encode(repl), inv)
+        assert decode(got) == want
 
 
 @settings(max_examples=300, deadline=None)
