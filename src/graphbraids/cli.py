@@ -13,7 +13,7 @@ from .graphs import build_graph, subdivide, betti1, GraphError
 from .trees import choose_tree_and_order, verify_conditions, TreeError
 from .fixtures import pinned_tree
 from .morse import build_morse_complex, MorseError
-from .homology import homology, classify_1cells, undetermined_block
+from .homology import homology, classify_1cells
 from .decompose import (h1_formula, beta2_formula, invariant_bundle,
                         decomposition_tree, is_planar,
                         classify_beta1_characterizations)

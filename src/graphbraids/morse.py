@@ -10,32 +10,22 @@ is zero, and a redundant cell c is solved out of the boundary of W(c): the
 cubical boundary for chains, the square's boundary word for words.  Each
 cell is classified once per plan.
 
-`build_morse_complex` walks each critical 2-cell once.  Where a
-presentation can be read (unordered, or ordered at n = 2) it rewrites the
-2-cell's boundary word with `WORDS` and keeps the word as a relator.  The
-word's abelianization is minus the cubical boundary, and rewriting
-abelianizes to the Z-chain reduction, so the d2 row is minus the relator's
-exponent sums.  Ordered n >= 3 reduces 2-cells as Z-chains, and the
-"fast" path reads d2 from the closed formulas.  Degrees 1 and >= 3 are
-always Z-chains.
+`build_morse_complex` walks each critical 2-cell once, in both flavors and
+at every n: it rewrites the 2-cell's boundary word with `WORDS` and keeps
+the word as a relator.  The word's abelianization is minus the cubical
+boundary, and rewriting abelianizes to the Z-chain reduction, so the d2
+row is minus the relator's exponent sums.  Only the "fast" path reads d2
+from the closed formulas instead.  Degrees 1 and >= 3 are Z-chains.
 
 D_n is the n!-sheeted cover of UD_n and its matching is the lift of the one
 on UD_n, so the ordered reduction commutes with relabelling the points: a
 cell's value is its sorted representative's value with every critical cell
 relabelled the same way.  The ordered reducer reduces representatives only.
 
-Two shortcut moves replace c by c with one unblocked vertex v moved to its
-parent:
-
-* the plain move, when no vertex or edge end of c lies strictly between
-  parent[v] and v, is a special reduction; it holds in both flavors and
-  both algebras, and the words it gives are the words of the full
-  expansion;
-* the strengthened 1-cell move also lets blocked vertices, and an end of
-  c's edge that the move's target does not separate, sit in that gap.  It
-  holds for unordered chains only: in the free group the full expansion
-  can give the target's word conjugated by another 1-cell, which
-  abelianizing erases, and on D_n it changes ordered Morse boundaries.
+The one shortcut move replaces c by c with one unblocked vertex v moved to
+its parent, when no vertex or edge end of c lies strictly between parent[v]
+and v.  It is a special reduction in both flavors and both algebras, and
+the words it gives are the words of the full expansion.
 """
 
 from __future__ import annotations
@@ -65,14 +55,12 @@ class Algebra:
     ``combine(terms)`` turns the solution, as (value, coefficient) pairs of
     the other faces, into the cell's value, one call per cell.
     ``relabel(value, sigma)`` applies ``C.phi_inverse(., sigma)`` to every
-    critical cell in a value.  Only an ``abelian`` algebra may take the
-    strengthened 1-cell move."""
+    critical cell in a value."""
     zero: object
     unit: Callable
     combine: Callable
     relation: Callable
     relabel: Callable
-    abelian: bool
 
 
 def _combine_chains(terms) -> dict:
@@ -87,23 +75,12 @@ def _combine_chains(terms) -> dict:
 CHAINS = Algebra(zero={}, unit=lambda cell: {cell: 1}, combine=_combine_chains,
                  relation=lambda cell, ordered: C.boundary(cell, ordered),
                  relabel=lambda chain, sigma: {C.phi_inverse(cell, sigma): x
-                                               for cell, x in chain.items()},
-                 abelian=True)
+                                               for cell, x in chain.items()})
 
 
 # words in a free group; letters are (generator, +-1)
 
 Word = tuple
-
-
-def free_reduce(w) -> Word:
-    out = []
-    for g, e in w:
-        if out and out[-1][0] == g and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((g, e))
-    return tuple(out)
 
 
 def wmul(*ws) -> Word:
@@ -115,6 +92,10 @@ def wmul(*ws) -> Word:
             else:
                 out.append((g, e))
     return tuple(out)
+
+
+# the product of one word is that word freely reduced
+free_reduce = wmul
 
 
 def winv(w) -> Word:
@@ -130,8 +111,7 @@ def _combine_words(terms) -> Word:
 WORDS = Algebra(zero=(), unit=lambda cell: ((cell, 1),),
                 combine=_combine_words, relation=C.boundary_word,
                 relabel=lambda w, sigma: tuple((C.phi_inverse(g, sigma), e)
-                                               for g, e in w),
-                abelian=False)
+                                               for g, e in w))
 
 
 class Reducer:
@@ -145,10 +125,9 @@ class Reducer:
     sigma."""
 
     def __init__(self, tree: OrderedTree, ordered: bool = False,
-                 use_shortcut: bool = True, algebra: Algebra = CHAINS):
+                 algebra: Algebra = CHAINS):
         self.t = tree
         self.ordered = ordered
-        self.use_shortcut = use_shortcut
         self.algebra = algebra
         self.memo: dict = {}
 
@@ -165,12 +144,11 @@ class Reducer:
         cls = C.classify(self.t, cell)
         if cls.kind != "redundant":
             return cls.kind, None
-        if self.use_shortcut:
-            move = self._shortcut_move(cell, cls)
-            if move is not None:
-                if not self.ordered:
-                    return "redundant", [(move, None, 1)]
-                return "redundant", self._deps([(move, 1)])
+        move = self._shortcut_move(cell, cls)
+        if move is not None:
+            if not self.ordered:
+                return "redundant", [(move, None, 1)]
+            return "redundant", self._deps([(move, 1)])
         matched = C.matched_cell(self.t, cell, cls.witness, self.ordered)
         rel = self.algebra.relation(matched, self.ordered)
         hits = [i for i, (f, _) in enumerate(rel) if f == cell]
@@ -196,37 +174,19 @@ class Reducer:
         """One V-move c -> V_e(c) when the special-reduction hypotheses hold,
         read off the cell's classification ``cls``."""
         parent = self.t.parent
-        unblocked, occupied, edges = cls.unblocked, cls.occupied, cls.edges
-        strengthen = (self.algebra.abelian and not self.ordered
-                      and len(edges) == 1)
-        for v in sorted(unblocked):
+        occupied = cls.occupied
+        for v in sorted(cls.unblocked):
             lo = parent[v]
             for w in occupied:
                 if lo < w < v:
                     break
             else:
-                return self._apply_move(cell, v, lo)
-            if strengthen:
-                # strengthened 1-cell form: blocked vertices in the gap are
-                # fine, and an end of the edge in the gap is fine when the
-                # edge is not separated by the move's target
-                for w in unblocked:
-                    if lo < w < v:
-                        break
-                else:
-                    p = edges[0]
-                    ends_in_gap = lo < p[0] < v or lo < p[1] < v
-                    if not ends_in_gap or not self.t.separates(p, lo):
-                        return self._apply_move(cell, v, lo)
+                rep = C.vertex(lo)
+                out = [rep if it == (v, -1) else it for it in cell]
+                if not self.ordered:
+                    out.sort()
+                return tuple(out)
         return None
-
-    def _apply_move(self, cell, v, target):
-        rep = C.vertex(target)
-        if self.ordered:
-            return tuple(rep if it == (v, -1) else it for it in cell)
-        out = [rep if it == (v, -1) else it for it in cell]
-        out.sort()
-        return tuple(out)
 
     def reduce_cell(self, cell):
         sigma = None
@@ -710,9 +670,8 @@ class MorseComplex:
     index: dict             # dim -> {cell: row index}
     boundaries: dict        # dim -> matrix rows=dim cells, cols=(dim-1) cells
     names: dict             # cell -> CriticalName
-    provenance: str = "generic"
     # the rewritten boundary words of the critical 2-cells, in critical[2]
-    # order; None where no presentation is read (path "fast", ordered n != 2)
+    # order; None on path "fast"
     relators: list | None = None
 
     @property
@@ -754,11 +713,10 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
 
     path "fast" evaluates the closed formulas for the degree-2 boundary,
     "generic" iterates the reduction, "both" runs the two and insists they
-    agree cellwise.  On "generic" and "both", unordered or at n = 2, the
-    reduction of degree 2 is the rewriting of each critical 2-cell's
-    boundary word: the words are kept as ``relators`` and the d2 row is
-    minus their exponent sums.  Elsewhere d2 comes from Z-chains (or the
-    formulas) and ``relators`` is None.
+    agree cellwise.  On "generic" and "both" the reduction of degree 2 is
+    the rewriting of each critical 2-cell's boundary word: the words are
+    kept as ``relators`` and the d2 row is minus their exponent sums.  On
+    "fast" ``relators`` is None.
     """
     if flavor not in ("unordered", "ordered"):
         raise MorseError(f"unknown flavor {flavor!r}")
@@ -766,7 +724,7 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
     if path in ("fast", "both"):
         if ordered and n >= 3:
             raise MorseError("no closed boundary formulas for ordered n >= 3")
-        if not ordered and not tree_satisfies_t123(t):
+        if not tree_satisfies_t123(t):
             raise MorseError("fast path needs a tree satisfying T1-T3")
     critical: dict[int, list] = {}
     names: dict = {}
@@ -796,10 +754,9 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
         critical[d] = crit
     index = {d: {c: i for i, c in enumerate(cs)} for d, cs in critical.items()}
     red = Reducer(t, ordered)
-    # where a presentation can be read, degree 2 is walked once, in words:
-    # the relators are kept and d2 is read off them
-    words = (Reducer(t, ordered, algebra=WORDS)
-             if path != "fast" and (not ordered or n == 2) else None)
+    # degree 2 is walked once, in words: the relators are kept and d2 is
+    # read off them
+    words = Reducer(t, ordered, algebra=WORDS) if path != "fast" else None
     relators = [] if words is not None else None
     boundaries: dict[int, list] = {}
     for d in sorted(critical):
@@ -808,14 +765,14 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
         rows = []
         lower = index.get(d - 1, {})
         for cell in critical[d]:
-            if d == 2 and words is not None:
+            if d == 2 and words is None:
+                row = _row(_fast_for(t, cell, ordered), lower)
+            elif d == 2:
                 word = words.reduce(C.boundary_word(cell, ordered))
                 relators.append(word)
                 row = [0] * len(lower)
                 for g, e in word:
                     row[lower[g]] -= e
-            elif d == 2 and path == "fast":
-                row = _row(_fast_for(t, cell, ordered), lower)
             else:
                 row = _row(morse_boundary(red, cell), lower)
             if d == 2 and path == "both":
@@ -828,7 +785,7 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
             rows.append(row)
         boundaries[d] = rows
     return MorseComplex(t, n, flavor, critical, index, boundaries, names,
-                        provenance=path, relators=relators)
+                        relators=relators)
 
 
 def _row(chain: dict, lower: dict) -> list:

@@ -5,11 +5,10 @@ Generators are critical 1-cells; relators are boundary words of critical
 That homomorphism is the Morse reduction of `morse.Reducer` computed in the
 free group instead of in Z: `morse.WORDS` is its coefficient algebra,
 solving a redundant 1-cell out of the boundary word of its matched square.
-Words do not commute, so the reducer takes only the plain shortcut move for
-them, never the strengthened 1-cell move that unordered Z-chains allow.
 `morse.build_morse_complex` does this rewriting once per critical 2-cell,
-reads d2 off it, and keeps the words as `MorseComplex.relators`;
-`raw_presentation` takes them from there.
+in both flavors and at every n, reads d2 off it, and keeps the words as
+`MorseComplex.relators`; `raw_presentation` takes them from there (for the
+ordered flavor, at n = 2 only).
 
 Tietze elimination then removes pivotal generators in decreasing order and
 contracts separating generators along the labeled graph of their relations.

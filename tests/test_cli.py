@@ -247,3 +247,13 @@ def test_check_ordered_n3_reports_a_broken_boundary(capsys, monkeypatch):
                                    "--flavor", "ordered"])
     assert status == 1
     assert rep["verdict"].startswith("mismatch(the boundary of (")
+
+
+@pytest.mark.parametrize("method", ["fast", "both"])
+def test_ordered_formulas_refuse_a_tree_failing_t1_to_t3(capsys, method):
+    # the pinned K33 n=2 tree fails T1 and T2, as the unordered guard knows
+    assert run(["homology", "--graph", "K33", "--n", "2", "--flavor", "ordered",
+                "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fast path needs a tree satisfying T1-T3\n"

@@ -41,12 +41,19 @@ def test_reduce_examples_k33():
 
 def test_reduce_shortcut_equals_naive():
     t = k33_pinned_tree()
-    cells2 = [parse_cell(s)[0] for s in
-              ("{0-3,1-5}", "{0-4,1-5}", "{0-4,3-5}")]
-    for c in cells2:
-        a = morse_boundary(Reducer(t, use_shortcut=True), c)
-        b = morse_boundary(Reducer(t, use_shortcut=False), c)
-        assert a == b
+    red, naive = Reducer(t), ReferenceReducer(t)
+    moves = []
+    shortcut = red._shortcut_move
+
+    def counted(cell, cls):
+        moves.append(shortcut(cell, cls))
+        return moves[-1]
+
+    red._shortcut_move = counted
+    for s in ("{0-3,1-5}", "{0-4,1-5}", "{0-4,3-5}"):
+        c = parse_cell(s)[0]
+        assert morse_boundary(red, c) == naive.morse_boundary(c)
+    assert any(m is not None for m in moves)  # the shortcut move was taken
 
 
 def test_morse_boundary_k33():
@@ -97,9 +104,14 @@ def test_corrupt_boundary_raises():
 def test_missing_matched_face_raises(monkeypatch):
     from graphbraids import cells
     monkeypatch.setattr(cells, "boundary", lambda cell, ordered=False: [])
-    red = Reducer(k33_pinned_tree(), use_shortcut=False)
+    t = k33_pinned_tree()
+    red = Reducer(t)
+    # the end 3 of edge 0-3 sits between vertex 4 and its parent 2, so no
+    # shortcut move applies and the matched cell's boundary is read
+    cell = parse_cell("{0-3,4}")[0]
+    assert red._shortcut_move(cell, cells.classify(t, cell)) is None
     with pytest.raises(MorseError, match="matched face"):
-        red.reduce_cell(parse_cell("{1,4}")[0])
+        red.reduce_cell(cell)
 
 
 @pytest.mark.parametrize("make,n", [(k33_pinned_tree, 2),

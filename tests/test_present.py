@@ -12,14 +12,14 @@ from graphbraids.fixtures import (k33_pinned_tree, theta4_pinned_tree,
 from graphbraids.graphs import build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
 from graphbraids.morse import (build_morse_complex, cell_sort_key, MorseError,
-                               Reducer, morse_boundary)
+                               Reducer)
 from graphbraids.homology import homology, classify_1cells
 from graphbraids.present import (free_reduce, wmul, winv, cyclic_reduce,
                                  exponent_sums, WORDS, Word, raw_presentation, simplify, commutator_form,
                                  quadratic_genus, format_word, substitute,
                                  Presentation, _leading_pairs,
                                  _modified_pivotal_key)
-from reference import matching, unblocked_vertices
+from reference import ReferenceReducer, matching, unblocked_vertices
 
 
 def w(*letters):
@@ -235,11 +235,14 @@ def test_quadratic_genus():
 
 
 class ReferenceRewriter:
-    """Memoized rewriting of 1-cells into words over critical 1-cells."""
+    """Memoized rewriting of 1-cells into words over critical 1-cells, one
+    memo entry per cell.  Unordered, it takes the plain shortcut move unless
+    ``shortcut`` is False; ordered, it always expands the full square."""
 
-    def __init__(self, tree, ordered: bool = False):
+    def __init__(self, tree, ordered: bool = False, shortcut: bool = True):
         self.t = tree
         self.ordered = ordered
+        self.shortcut = shortcut
         self.memo: dict = {}
 
     def _plan(self, cell):
@@ -249,7 +252,7 @@ class ReferenceRewriter:
             return "critical", None
         if cls.kind == "collapsible":
             return "collapsible", None
-        if not self.ordered:
+        if self.shortcut and not self.ordered:
             move = self._shortcut(cell)
             if move is not None:
                 return "redundant", [(move, 1)]
@@ -465,8 +468,8 @@ def _same_rewriting(mc):
     squares = [boundary_word(c2, mc.ordered) for c2 in mc.critical.get(2, ())]
     want = [reference_rewrite(mc.tree, w, mc.ordered) for w in squares]
     # the plain shortcut move leaves every word as the full expansion gives it
-    full = Reducer(mc.tree, mc.ordered, use_shortcut=False, algebra=WORDS)
-    assert [full.reduce(w) for w in squares] == want
+    full = ReferenceRewriter(mc.tree, mc.ordered, shortcut=False)
+    assert [full.rewrite_word(w) for w in squares] == want
     raw = raw_presentation(mc)
     if raw.killed is not None:
         want = [free_reduce(tuple(x for x in r if x[0] != raw.killed))
@@ -500,16 +503,16 @@ def test_raw_presentation_matches_reference_rewriting_on_corpus(seed, n, flavor)
 
 
 def _same_d2_three_ways(mc):
-    """For every critical 2-cell: the build's d2 row, a fresh chain
-    reduction of its cubical boundary, and minus the exponent sums of its
-    relator word are one row."""
+    """For every critical 2-cell: the build's d2 row, the reference chain
+    reduction of its cubical boundary (no shortcut moves), and minus the
+    exponent sums of its relator word are one row."""
     lower = mc.index.get(1, {})
     cells2 = mc.critical.get(2, [])
     assert len(mc.relators) == len(cells2)
-    chains = Reducer(mc.tree, mc.ordered)
+    chains = ReferenceReducer(mc.tree, mc.ordered)
     for c2, built, word in zip(cells2, mc.boundaries.get(2, []), mc.relators):
         fresh = [0] * len(lower)
-        for c, x in morse_boundary(chains, c2).items():
+        for c, x in chains.morse_boundary(c2).items():
             fresh[lower[c]] = x
         sums = [0] * len(lower)
         for c, x in exponent_sums(word).items():
@@ -523,7 +526,10 @@ def _same_d2_three_ways(mc):
     lambda: build_morse_complex(theta4_pinned_tree(), 3, "unordered"),
     lambda: build_morse_complex(k5_pinned_tree(), 4, "unordered"),
     lambda: _generic_complex(build_graph(K2221), 3, "unordered"),
-], ids=["K33-n2", "K33-n2-ordered", "Theta4-n3", "K5-n4", "K2221-n3"])
+    lambda: build_morse_complex(k33_pinned_tree(), 3, "ordered"),
+    lambda: build_morse_complex(theta4_pinned_tree(), 3, "ordered"),
+], ids=["K33-n2", "K33-n2-ordered", "Theta4-n3", "K5-n4", "K2221-n3",
+        "K33-n3-ordered", "Theta4-n3-ordered"])
 def test_d2_from_words_matches_chain_reduction(make):
     _same_d2_three_ways(make())
 
@@ -532,20 +538,21 @@ def test_d2_from_words_matches_chain_reduction(make):
 @given(st.integers(0, 10_000), st.integers(1, 3),
        st.sampled_from(["unordered", "ordered"]))
 def test_d2_from_words_matches_chain_reduction_on_corpus(seed, n, flavor):
-    if flavor == "ordered":
-        n = 2  # relator words are kept for ordered n = 2 only
     _same_d2_three_ways(_generic_complex(corpus(seed, 1)[0], n, flavor))
 
 
 def test_relators_only_where_a_presentation_is_read():
     k33 = choose_tree_and_order(subdivide(build_graph("K33"), 2, "strict")[0], 2)
-    for t, n, flavor, path in ((k33_pinned_tree(), 3, "ordered", "generic"),
-                               (k33, 2, "ordered", "fast"),
-                               (theta4_pinned_tree(), 3, "unordered", "fast")):
-        mc = build_morse_complex(t, n, flavor, path=path)
+    for t, n, flavor in ((k33, 2, "ordered"), (theta4_pinned_tree(), 3, "unordered")):
+        mc = build_morse_complex(t, n, flavor, path="fast")
         assert mc.relators is None
-        with pytest.raises(MorseError):
+        with pytest.raises(MorseError, match="path 'fast'"):
             raw_presentation(mc)
+    # ordered n = 3 keeps its relator words, but P_3 has no presentation here
+    mc = build_morse_complex(k33_pinned_tree(), 3, "ordered")
+    assert len(mc.relators) == len(mc.critical[2]) > 0
+    with pytest.raises(MorseError, match="need n = 2"):
+        raw_presentation(mc)
     t = theta4_pinned_tree()
     both = build_morse_complex(t, 3, "unordered", path="both")
     generic = build_morse_complex(t, 3, "unordered")
