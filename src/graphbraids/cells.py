@@ -19,10 +19,6 @@ class CellError(ValueError):
     pass
 
 
-def is_vertex(item) -> bool:
-    return item[1] == -1
-
-
 def vertex(v: int):
     return (v, -1)
 
@@ -145,18 +141,19 @@ def complex_dimension(t: OrderedTree, n: int) -> int:
 
 def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
                    cap: int = 10_000_000):
-    """The critical cells of UD_n (or D_n) grouped by dimension, each list
-    in the order ``enumerate_cells`` gives; every dimension of the complex
-    is a key, even one without critical cells.
+    """The critical cells of UD_n grouped by dimension, each list sorted;
+    every dimension of the complex is a key, even one without critical
+    cells.  The critical cells of D_n are the n! labellings
+    ``phi_inverse(c, sigma)`` of these, so with flavor "ordered" the same
+    unordered cells are returned, each standing for its orbit.
 
     A cell is critical when every vertex is blocked and no edge is order
     respecting, so its edges are deleted edges or tree edges (tau, iota)
     with iota not the first child of tau, and such a tree edge needs a
     cell vertex u with parent[u] == tau and u < iota.  Vertices are added
     in increasing order, each one 0 or with its parent already occupied.
-    Ordered critical cells are the permutations of the unordered ones.
     Refuses once more than ``cap`` cells (ordered cells counted one by
-    one) have been generated."""
+    one, n! per orbit) have been generated."""
     if flavor not in ("unordered", "ordered"):
         raise CellError(f"unknown flavor {flavor!r}")
     per_cell = factorial(n) if flavor == "ordered" else 1
@@ -215,9 +212,6 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
     add_edges(0, n)
     for cs in by_dim.values():
         cs.sort()
-    if flavor == "ordered":
-        by_dim = {d: [p for c in cs for p in permutations(c)]
-                  for d, cs in by_dim.items()}
     return by_dim
 
 

@@ -249,12 +249,11 @@ def cmd_beta2(args):
     results = {"beta2_B2": beta2_formula(g, "B2"),
                "beta2_P2": beta2_formula(g, "P2")}
     if args.direct:
-        from .homology import homology as _hom
         gs, _ = subdivide(g, 2, "strict")
         t = choose_tree_and_order(gs, 2)
-        results["beta2_B2_direct"] = _hom(
+        results["beta2_B2_direct"] = homology(
             build_morse_complex(t, 2, "unordered"))[2].rank
-        results["beta2_P2_direct"] = _hom(
+        results["beta2_P2_direct"] = homology(
             build_morse_complex(t, 2, "ordered"))[2].rank
     return _report(args, "beta2", results, t0=t0), 0
 

@@ -99,9 +99,6 @@ class Graph:
     def valency(self, v: str) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: str):
-        return [self._edge_by_id[eid].other(v) for eid in self.adjacency[v]]
-
     def essential_vertices(self):
         """Vertices of valency != 2 (branch points and tips)."""
         return [v for v in self.vertices if self.valency(v) != 2]
@@ -431,6 +428,12 @@ BUILTIN_GRAPHS = {
 }
 
 
+# parametrized families: (prefix, usage, {argument count: constructor})
+FAMILIES = (("K(", "K(m) or K(m,n) with integers m, n",
+             {1: complete_graph, 2: complete_bipartite}),
+            ("Theta(", "Theta(m) with an integer m", {1: theta_graph}))
+
+
 def build_graph(spec) -> Graph:
     """Build a validated Graph from a name, parametrized family, JSON
     document, edge list, or edge-list text."""
@@ -440,12 +443,15 @@ def build_graph(spec) -> Graph:
         name = spec.strip()
         if name in BUILTIN_GRAPHS:
             return BUILTIN_GRAPHS[name]()
-        for prefix, fn in (("K(", None), ("Theta(", theta_graph)):
+        for prefix, usage, makers in FAMILIES:
             if name.startswith(prefix) and name.endswith(")"):
-                args = [int(a) for a in name[len(prefix):-1].split(",")]
-                if fn is theta_graph:
-                    return theta_graph(*args)
-                return complete_graph(*args) if len(args) == 1 else complete_bipartite(*args)
+                try:
+                    args = [int(a) for a in name[len(prefix):-1].split(",")]
+                except ValueError:
+                    args = []
+                if len(args) not in makers:
+                    raise GraphError(f"bad graph family {name!r}: expected {usage}")
+                return makers[len(args)](*args)
         if name.startswith("{"):
             try:
                 doc = json.loads(name)
@@ -459,7 +465,13 @@ def build_graph(spec) -> Graph:
     if isinstance(spec, dict):
         if "vertices" not in spec or "edges" not in spec:
             raise GraphError("JSON graph needs 'vertices' and 'edges'")
-        return Graph(spec["vertices"], [tuple(e) for e in spec["edges"]])
+        vertices, edges = spec["vertices"], spec["edges"]
+        if not isinstance(vertices, (list, tuple)) or not isinstance(edges, (list, tuple)):
+            raise GraphError("JSON graph 'vertices' and 'edges' must be lists")
+        for e in edges:
+            if not isinstance(e, (list, tuple)) or len(e) not in (2, 3):
+                raise GraphError(f"JSON edge {e!r} is neither [u, v] nor [id, u, v]")
+        return Graph(vertices, [tuple(e) for e in edges])
     if isinstance(spec, (list, tuple)):
         vs = []
         seen = set()

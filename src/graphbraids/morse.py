@@ -21,6 +21,10 @@ D_n is the n!-sheeted cover of UD_n and its matching is the lift of the one
 on UD_n, so the ordered reduction commutes with relabelling the points: a
 cell's value is its sorted representative's value with every critical cell
 relabelled the same way.  The ordered reducer reduces representatives only.
+For the same reason the ordered basis is the unordered one expanded orbit by
+orbit: each critical cell c, in the unordered order, is followed by its n!
+labellings ``phi_inverse(c, sigma)`` with sigma in lexicographic order, and
+each labelling is named as c with sigma attached.
 
 The one shortcut move replaces c by c with one unblocked vertex v moved to
 its parent, when no vertex or edge end of c lies strictly between parent[v]
@@ -30,7 +34,8 @@ the words it gives are the words of the full expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import permutations
 from typing import Callable
 
 from . import cells as C
@@ -286,46 +291,52 @@ def _prefix_length(t: OrderedTree, vset) -> int:
     return s
 
 
-def name_critical_cell(t: OrderedTree, cell, sigma=None):
-    """Structured name of a critical cell, or None when the cell does not fit
-    the standard forms (possible on trees violating T1/T2)."""
-    verts = set(C.cell_vertices(cell))
-    edges = C.cell_edges(cell)
+def _cell_shape(t: OrderedTree, cell):
+    """(s0, rest, edges, owner) of a sorted cell: the length of its 0_s
+    prefix, its other vertices in increasing order, its edges by decreasing
+    tau, and owner[v], the edge of the cell that the vertex v of rest hangs
+    from through cell vertices (None when it hangs from none).  Parents
+    precede children in the vertex numbering, so a vertex inherits its
+    parent's owner."""
+    verts = set()
+    edges = []
+    for it in cell:
+        if it[1] == -1:
+            verts.add(it[0])
+        else:
+            edges.append(it)
     s0 = _prefix_length(t, verts)
-    rest = sorted(verts - set(range(s0)))
     end_owner = {}
     for e in edges:
-        end_owner[e[0]] = e
-        end_owner[e[1]] = e
-    assign: dict[tuple, list[int]] = {e: [] for e in edges}
+        end_owner[e[0]] = end_owner[e[1]] = e
+    parent = t.parent
+    rest = []
+    owner: dict = {}
+    for it in cell:
+        v = it[0]
+        if it[1] == -1 and v >= s0:
+            rest.append(v)
+            p = parent[v]
+            owner[v] = owner[p] if p in owner else end_owner.get(p)
+    edges.reverse()
+    return s0, rest, edges, owner
+
+
+def name_critical_cell(t: OrderedTree, cell, sigma=None):
+    """Structured name of a sorted critical cell, or None when the cell does
+    not fit the standard forms (possible on trees violating T1/T2)."""
+    s0, rest, edges, owner = _cell_shape(t, cell)
+    vecs = {e: [0] * t.branch_count(e[0]) for e in edges}
     for v in rest:
-        r = v
-        while t.parent[r] in verts:
-            r = t.parent[r]
-        p = t.parent[r]
-        e = end_owner.get(p)
-        if e is None:
-            return None
-        k = t.branch(e[0], v) if t.is_ancestor(e[0], v) and e[0] != v else 0
+        e = owner[v]
+        k = t.branch(e[0], v) if e is not None else 0
         if k == 0:
             return None
-        assign[e].append(k)
-    terms = []
-    for e in edges:
-        mu = t.branch_count(e[0])
-        vec = [0] * mu
-        for k in assign[e]:
-            if k > mu:
-                return None
-            vec[k - 1] += 1
-        kind = "deleted" if e in t.deleted_set else "tree"
-        terms.append(Term(kind, e, tuple(vec)))
-    terms.sort(key=lambda tm: -tm.tau)
-    name = CriticalName(tuple(terms), s0, sigma)
-    back = materialize_name(t, name)
-    if back is None or back != tuple(sorted(cell)):
-        name = CriticalName(tuple(terms), s0, sigma, canonical=False)
-    return name
+        vecs[e][k - 1] += 1
+    terms = tuple(Term("deleted" if e in t.deleted_set else "tree", e,
+                       tuple(vecs[e])) for e in edges)
+    back = materialize_name(t, CriticalName(terms, s0))
+    return CriticalName(terms, s0, sigma, canonical=back == tuple(cell))
 
 
 def _branch_chain(t: OrderedTree, a: int, k: int, skip_first: bool, count: int):
@@ -352,7 +363,7 @@ def materialize_name(t: OrderedTree, name: CriticalName):
     for tm in name.terms:
         items.append(tm.edge)
         a = tm.tau
-        own_branch = t.branch(a, tm.edge[1]) if t.is_ancestor(a, tm.edge[1]) and a != tm.edge[1] else 0
+        own_branch = t.branch(a, tm.edge[1])
         for i, cnt in enumerate(tm.vec, start=1):
             if not cnt:
                 continue
@@ -403,60 +414,36 @@ def _vec_profile(t: OrderedTree, tau: int, vlist):
     mu = t.branch_count(tau)
     vec = [0] * (mu + 1)
     for v in vlist:
-        k = t.branch(tau, v) if t.is_ancestor(tau, v) and tau != v else 0
-        vec[k] += 1
-    return (vec[0],) + tuple(vec[1:])
+        vec[t.branch(tau, v)] += 1
+    return tuple(vec)
 
 
 def cell_sort_key(t: OrderedTree, cell, sigma=None):
-    """Basis order: 1-cells by (size, edge, vector) and 2-cells by the
-    6-tuple; vertex tuples and the permutation break remaining ties."""
-    verts = set(C.cell_vertices(cell))
-    s0 = _prefix_length(t, verts)
-    rest = sorted(verts - set(range(s0)))
-    edges = sorted(C.cell_edges(cell), key=lambda e: e[0], reverse=True)
+    """Basis order of a sorted cell: 1-cells by (size, edge, vector) and
+    2-cells by the 6-tuple; vertex tuples and the permutation break
+    remaining ties."""
+    _, rest, edges, owner = _cell_shape(t, cell)
     sig = tuple(-x for x in sigma) if sigma is not None else ()
     dim = len(edges)
     if dim == 0:
         return (0, (), (), (), 0, (), (), tuple(rest), sig)
-    owner = _owner_map(t, cell)
+    e = edges[0]
+    mine = [v for v in rest if owner[v] == e]
     if dim == 1:
-        e = edges[0]
-        mine = [v for v in rest if owner.get(v) == e]
         prof = _vec_profile(t, e[0], mine)
         return (len(rest), edge_sort_key(t, e), prof, (), 0, (), (),
                 tuple(rest), sig)
-    e, ep = edges[0], edges[1]
-    mine = [v for v in rest if owner.get(v) == e]
-    other = [v for v in rest if owner.get(v) == ep]
-    g = t.branch(e[0], ep[1]) if t.is_ancestor(e[0], ep[1]) and e[0] != ep[1] else 0
+    ep = edges[1]
+    other = [v for v in rest if owner[v] == ep]
+    g = t.branch(e[0], ep[1])
     prof = list(_vec_profile(t, e[0], mine))
-    prof[g if g <= t.branch_count(e[0]) else 0] += 1
+    prof[g] += 1
     if dim > 2:
         return (len(mine), tuple(edge_sort_key(t, x) for x in edges),
                 tuple(prof), (), 0, (), (), tuple(rest), sig)
     return (len(mine), edge_sort_key(t, e), tuple(prof), (g,),
             0, edge_sort_key(t, ep), _vec_profile(t, ep[0], other),
             tuple(rest), sig)
-
-
-def _owner_map(t: OrderedTree, cell):
-    """Which edge of the cell blocks each non-prefix vertex."""
-    verts = set(C.cell_vertices(cell))
-    end_owner = {}
-    for e in C.cell_edges(cell):
-        end_owner[e[0]] = e
-        end_owner[e[1]] = e
-    owner = {}
-    s0 = _prefix_length(t, verts)
-    for v in verts:
-        if v < s0:
-            continue
-        r = v
-        while t.parent[r] in verts and t.parent[r] >= s0:
-            r = t.parent[r]
-        owner[v] = end_owner.get(t.parent[r])
-    return owner
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +698,12 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
     boundary matrices over the reversed bases.  ``cap`` bounds the number
     of critical cells.
 
+    The unordered critical cells are named and sorted once, in both
+    flavors.  The ordered basis replaces each of them, in place, by its n!
+    labellings ``C.phi_inverse(c, sigma)`` with sigma in lexicographic
+    order, so every orbit is contiguous, and names each labelling as c with
+    sigma attached.
+
     path "fast" evaluates the closed formulas for the degree-2 boundary,
     "generic" iterates the reduction, "both" runs the two and insists they
     agree cellwise.  On "generic" and "both" the reduction of degree 2 is
@@ -728,30 +721,22 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
             raise MorseError("fast path needs a tree satisfying T1-T3")
     critical: dict[int, list] = {}
     names: dict = {}
+    sigmas = list(permutations(range(1, n + 1))) if ordered else ()
     for d, crit in sorted(C.critical_cells(t, n, flavor, cap=cap).items()):
-        if ordered:
-            # the name's terms and the key's unordered part are the same on
-            # the whole orbit: compute them once per sorted representative
-            # and attach each labelling's sigma
-            keys: dict = {}
-            orbit: dict = {}
-            for c in crit:
-                sc, sg = C.phi(c)
-                base = orbit.get(sc)
-                if base is None:
-                    base = orbit[sc] = (name_critical_cell(t, sc),
-                                        cell_sort_key(t, sc)[:-1])
-                name, key = base
-                if name is not None:
-                    name = CriticalName(name.terms, name.s0, sg, name.canonical)
+        crit.sort(key=lambda cell: cell_sort_key(t, cell), reverse=True)
+        critical[d] = basis = []
+        for c in crit:
+            name = name_critical_cell(t, c)
+            if not ordered:
+                basis.append(c)
                 names[c] = name
-                keys[c] = key + (tuple(-x for x in sg),)
-            crit.sort(key=keys.__getitem__, reverse=True)
-        else:
-            crit.sort(key=lambda cell: cell_sort_key(t, cell), reverse=True)
-            for c in crit:
-                names[c] = name_critical_cell(t, c)
-        critical[d] = crit
+                continue
+            # the orbit of c: one labelling per sigma, in lexicographic
+            # order, named as c with sigma attached
+            for s in sigmas:
+                cell = C.phi_inverse(c, s)
+                basis.append(cell)
+                names[cell] = name and replace(name, sigma=s)
     index = {d: {c: i for i, c in enumerate(cs)} for d, cs in critical.items()}
     red = Reducer(t, ordered)
     # degree 2 is walked once, in words: the relators are kept and d2 is

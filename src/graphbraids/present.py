@@ -134,9 +134,10 @@ def format_word(w, names: dict) -> str:
 def raw_presentation(mc: MorseComplex) -> Presentation:
     """Generators = critical 1-cells; relators = rewritten boundary words of
     critical 2-cells, as the build left them in ``mc.relators``.  Ordered
-    flavor (n = 2): the fundamental group of the Morse complex with its
-    critical 0-cells identified is P_2 * Z, so one generator joining the
-    two 0-cells is killed."""
+    flavor (n = 2): when the complex has two critical 0-cells, the
+    fundamental group of the Morse complex with them identified is P_2 * Z,
+    so one generator joining the two 0-cells is killed.  (D_2 of a single
+    vertex is empty and has no critical cells at all.)"""
     if mc.ordered and mc.n != 2:
         raise MorseError("presentations of pure braid groups need n = 2")
     if mc.relators is None:
@@ -145,7 +146,7 @@ def raw_presentation(mc: MorseComplex) -> Presentation:
     gens = list(mc.critical.get(1, ()))
     names = {c: mc.name_of(c) for c in gens}
     pres = Presentation(gens, list(mc.relators), names)
-    if mc.ordered:
+    if mc.ordered and len(mc.critical.get(0, ())) == 2:
         join = None
         rows = mc.boundaries.get(1, [])
         for cell, row in zip(reversed(mc.critical[1]), reversed(rows)):
@@ -216,7 +217,6 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
 
     rels = {i: tuple(number[g] * e for g, e in r)
             for i, r in enumerate(pres.relators)}
-    rel_of_cell2 = {c2: i for i, c2 in enumerate(mc.critical.get(2, ()))}
     gens_of = {i: set(map(abs, r)) for i, r in rels.items()}
     index: dict = {}
     for i, gens in gens_of.items():
@@ -259,17 +259,17 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
                if tags.get(g) == "pivotal" and g in pairs]
     pivotal.sort(key=lambda g: _modified_pivotal_key(mc, g), reverse=True)
     for g in pivotal:
-        rid = rel_of_cell2[pairs[g]]
+        rid = mc.index[2][pairs[g]]
         if rid in rels:
             eliminate(number[g], rid, "pivotal")
 
     # separating contraction: repeatedly remove the smallest separating
-    # generator that some relator uses exactly once, taking the shortest
-    # such relator (the earliest among equals)
+    # generator (the basis is in decreasing order) that some relator uses
+    # exactly once, taking the shortest such relator (the earliest among
+    # equals)
     separating = [number[g] for g in sorted(
         (g for g in out.generators if tags.get(g) == "separating"),
-        key=lambda g: cell_sort_key(mc.tree, C.phi(g)[0] if mc.ordered else g,
-                                    C.phi(g)[1] if mc.ordered else None))]
+        key=lambda g: -mc.index[1][g])]
     while True:
         for g in separating:
             best = None

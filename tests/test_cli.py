@@ -148,6 +148,30 @@ def test_json_graph_missing_keys(capsys, doc):
     assert err == "error: JSON graph needs 'vertices' and 'edges'\n"
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("K(a)", "bad graph family 'K(a)'"),
+    ("K(3,4,5,6)", "bad graph family 'K(3,4,5,6)'"),
+    ("Theta(2,3)", "bad graph family 'Theta(2,3)'"),
+    ('{"vertices": ["a", "b"], "edges": [["a"]]}',
+     "JSON edge ['a'] is neither [u, v] nor [id, u, v]"),
+    ('{"vertices": ["a", "b"], "edges": [["e", "a", "b", "c"]]}',
+     "JSON edge ['e', 'a', 'b', 'c'] is neither [u, v] nor [id, u, v]"),
+    ('{"vertices": ["a", "b"], "edges": ["ab"]}',
+     "JSON edge 'ab' is neither [u, v] nor [id, u, v]"),
+    ('{"vertices": "ab", "edges": []}',
+     "JSON graph 'vertices' and 'edges' must be lists"),
+    ('{"vertices": ["a"], "edges": 5}',
+     "JSON graph 'vertices' and 'edges' must be lists"),
+], ids=["K-letter", "K-four-args", "Theta-two-args", "edge-short",
+        "edge-long", "edge-string", "vertices-string", "edges-number"])
+def test_malformed_graph_specs_are_one_line(capsys, spec, message):
+    assert run(["homology", "--graph", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
 POINT = {"vertices": ["a"], "edges": []}
 SEGMENT = {"vertices": ["a", "b"], "edges": [["e", "a", "b"]]}
 CIRCLE = {"vertices": ["a", "b", "c"],
@@ -184,6 +208,17 @@ def test_single_vertex_has_no_configurations(capsys, n, flavor):
     assert status == 0
     assert all((h["rank"], h["torsion"]) == (0, [])
                for h in rep["results"]["homology"])
+
+
+@pytest.mark.parametrize("flavor", ["unordered", "ordered"])
+def test_single_vertex_presentation_is_empty(capsys, flavor):
+    # two points on one vertex: no configurations, so no generators
+    status, rep = capture(capsys, ["present", "--graph", json.dumps(POINT),
+                                   "--n", "2", "--flavor", flavor])
+    assert status == 0
+    res = rep["results"]
+    assert (res["generators"], res["relators"], res["history"]) == ([], [], [])
+    assert res["abelianization"] == {"rank": 0, "torsion": []}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from itertools import permutations
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -314,11 +317,17 @@ def _push_forward(chain):
     return {c: x for c, x in out.items() if x}
 
 
+def _ordered_critical(t, n):
+    """The ordered critical cells: each unordered one's n! labellings."""
+    return {d: [p for c in cs for p in permutations(c)]
+            for d, cs in C.critical_cells(t, n, "ordered").items()}
+
+
 def _check_covering(t, n):
     """The ordered Morse boundary pushes forward to the unordered one on
     every critical cell, and rank H_d(B_n) <= rank H_d(P_n) by transfer."""
     ordered, unordered = Reducer(t, ordered=True), Reducer(t)
-    for cs in C.critical_cells(t, n, "ordered").values():
+    for cs in _ordered_critical(t, n).values():
         for c in cs:
             assert _push_forward(morse_boundary(ordered, c)) == \
                 morse_boundary(unordered, phi(c)[0])
@@ -348,7 +357,7 @@ def test_ordered_boundary_covers_unordered_on_corpus(seed, n):
 def test_ordered_boundary_matches_reference_walk_on_corpus(seed, n):
     t = _tree(corpus(seed, 1)[0], n)
     red, ref = Reducer(t, ordered=True), ReferenceReducer(t, ordered=True)
-    for cs in C.critical_cells(t, n, "ordered").values():
+    for cs in _ordered_critical(t, n).values():
         for c in cs:
             assert morse_boundary(red, c) == ref.morse_boundary(c)
     # one memo entry per orbit, under its sorted representative
@@ -360,7 +369,7 @@ def test_ordered_boundary_matches_reference_walk_on_corpus(seed, n):
 
 def _check_orbit_names(t, n):
     mc = build_morse_complex(t, n, "ordered")
-    for d, cs in C.critical_cells(t, n, "ordered").items():
+    for d, cs in _ordered_critical(t, n).items():
         for c in cs:
             assert mc.names[c] == name_critical_cell(t, *phi(c))
         cs.sort(key=lambda c: cell_sort_key(t, *phi(c)), reverse=True)
@@ -377,3 +386,34 @@ def test_ordered_names_per_orbit(name, n):
 @given(st.integers(0, 10_000), st.integers(1, 3))
 def test_ordered_names_per_orbit_on_corpus(seed, n):
     _check_orbit_names(_tree(corpus(seed, 1)[0], n), n)
+
+
+# ---------------------------------------------------------------------------
+# the ordered basis is the unordered one expanded orbit by orbit
+
+def _check_ordered_basis_expands_unordered(t, n):
+    po = build_morse_complex(t, n, "ordered")
+    bo = build_morse_complex(t, n, "unordered")
+    sigmas = list(permutations(range(1, n + 1)))
+    assert po.critical.keys() == bo.critical.keys()
+    for d, cs in bo.critical.items():
+        assert po.critical[d] == [C.phi_inverse(c, s) for c in cs
+                                  for s in sigmas]
+        for c in cs:
+            name = bo.names[c]
+            for s in sigmas:
+                got = po.names[C.phi_inverse(c, s)]
+                assert got == (name and replace(name, sigma=s))
+
+
+@pytest.mark.parametrize("name,n", [("K33", 2), ("K33", 3), ("K33", 4),
+                                    ("Theta4", 3)])
+def test_ordered_basis_expands_unordered(name, n):
+    t = pinned_tree(name, n) or _tree(build_graph(name), n)
+    _check_ordered_basis_expands_unordered(t, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3))
+def test_ordered_basis_expands_unordered_on_corpus(seed, n):
+    _check_ordered_basis_expands_unordered(_tree(corpus(seed, 1)[0], n), n)
