@@ -24,7 +24,13 @@ relabelled the same way.  The ordered reducer reduces representatives only.
 For the same reason the ordered basis is the unordered one expanded orbit by
 orbit: each critical cell c, in the unordered order, is followed by its n!
 labellings ``phi_inverse(c, sigma)`` with sigma in lexicographic order, and
-each labelling is named as c with sigma attached.
+each labelling is named as c with sigma attached.  So the labelling
+``phi_inverse(c, tau)`` sits at row orbit(c) * n! + rank(tau), and the build
+reduces each orbit once, at c itself (the identity labelling): relabelling
+by sigma moves the term at column orbit(c') * n! + rank(tau) to column
+orbit(c') * n! + rank(sigma o tau), (sigma o tau)[i] = sigma[tau[i] - 1],
+read off one n! x n! table of product ranks.  Every labelling's boundary
+row and relator come from its orbit's by this index arithmetic.
 
 The one shortcut move replaces c by c with one unblocked vertex v moved to
 its parent, when no vertex or edge end of c lies strictly between parent[v]
@@ -702,7 +708,11 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
     flavors.  The ordered basis replaces each of them, in place, by its n!
     labellings ``C.phi_inverse(c, sigma)`` with sigma in lexicographic
     order, so every orbit is contiguous, and names each labelling as c with
-    sigma attached.
+    sigma attached.  Each orbit's boundary is reduced (or rewritten) once,
+    at c; the row and relator of the labelling sigma are c's with every
+    column moved within its orbit to rank(sigma o tau) (see the module
+    docstring).  Labellings that collide, or a column moved outside the
+    lower basis, raise `MorseError`.
 
     path "fast" evaluates the closed formulas for the degree-2 boundary,
     "generic" iterates the reduction, "both" runs the two and insists they
@@ -720,8 +730,10 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
         if not tree_satisfies_t123(t):
             raise MorseError("fast path needs a tree satisfying T1-T3")
     critical: dict[int, list] = {}
+    index: dict[int, dict] = {}
     names: dict = {}
-    sigmas = list(permutations(range(1, n + 1))) if ordered else ()
+    sigmas = list(permutations(range(1, n + 1))) if ordered else [None]
+    m = len(sigmas)
     for d, crit in sorted(C.critical_cells(t, n, flavor, cap=cap).items()):
         crit.sort(key=lambda cell: cell_sort_key(t, cell), reverse=True)
         critical[d] = basis = []
@@ -737,7 +749,15 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
                 cell = C.phi_inverse(c, s)
                 basis.append(cell)
                 names[cell] = name and replace(name, sigma=s)
-    index = {d: {c: i for i, c in enumerate(cs)} for d, cs in critical.items()}
+        index[d] = {c: i for i, c in enumerate(basis)}
+        if len(index[d]) != len(crit) * m:
+            i = next(i for i, c in enumerate(basis) if index[d][c] != i)
+            raise MorseError(f"the labellings of {C.format_cell(crit[i // m])} "
+                             f"are not distinct: {len(crit)} critical "
+                             f"{d}-cells x {m} give {len(index[d])} cells")
+    # products[s][u] = rank(sigma_s o sigma_u): relabelling by sigma_s takes
+    # the labelling (orbit i, sigma_u) to (orbit i, sigma_s o sigma_u)
+    products = _product_table(sigmas) if ordered else [[0]]
     red = Reducer(t, ordered)
     # degree 2 is walked once, in words: the relators are kept and d2 is
     # read off them
@@ -749,28 +769,56 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
             continue
         rows = []
         lower = index.get(d - 1, {})
-        for cell in critical[d]:
+        faces = critical.get(d - 1, [])
+        width = len(lower)
+        basis = critical[d]
+        # one reduction per orbit, of its sorted representative (the
+        # identity labelling), read as (orbit offset, rank of the labelling,
+        # coefficient) per term; relabelling by sigma_s moves only the rank
+        for i in range(0, len(basis), m):
+            word = None
             if d == 2 and words is None:
-                row = _row(_fast_for(t, cell, ordered), lower)
+                chain = _fast_for(t, basis[i], ordered).items()
             elif d == 2:
-                word = words.reduce(C.boundary_word(cell, ordered))
-                relators.append(word)
-                row = [0] * len(lower)
-                for g, e in word:
-                    row[lower[g]] -= e
+                word = words.reduce(C.boundary_word(basis[i], ordered))
+                # d2 is minus the relator's exponent sums
+                chain = [(g, -e) for g, e in word]
             else:
-                row = _row(morse_boundary(red, cell), lower)
-            if d == 2 and path == "both":
-                fast = _fast_for(t, cell, ordered)
-                if _row(fast, lower) != row:
-                    chain = {c: x for c, x in zip(critical[1], row) if x}
+                chain = morse_boundary(red, basis[i]).items()
+            terms = [(j - j % m, j % m, x)
+                     for j, x in ((lower[c], x) for c, x in chain)]
+            for s, prod in enumerate(products):
+                cell = basis[i + s]
+                moved = [(base + prod[u], x) for base, u, x in terms]
+                row = [0] * width
+                try:
+                    for j, x in moved:
+                        row[j] += x
+                except IndexError:
                     raise MorseError(
-                        f"fast/generic disagree on {C.format_cell(cell, ordered)}: "
-                        f"{fast} vs {chain}")
-            rows.append(row)
+                        f"a column derived for {C.format_cell(cell, ordered)} "
+                        f"falls outside the critical {d - 1}-cells") from None
+                if word is not None:
+                    relators.append(tuple((faces[j], -x) for j, x in moved))
+                if d == 2 and path == "both":
+                    fast = _fast_for(t, cell, ordered)
+                    if _row(fast, lower) != row:
+                        chain = {c: x for c, x in zip(faces, row) if x}
+                        raise MorseError(
+                            f"fast/generic disagree on {C.format_cell(cell, ordered)}: "
+                            f"{fast} vs {chain}")
+                rows.append(row)
         boundaries[d] = rows
     return MorseComplex(t, n, flavor, critical, index, boundaries, names,
                         relators=relators)
+
+
+def _product_table(sigmas) -> list:
+    """The ranks of the products sigma o tau, (sigma o tau)[i] =
+    sigma[tau[i] - 1], over ``sigmas`` in order."""
+    rank = {s: r for r, s in enumerate(sigmas)}
+    return [[rank[tuple(s[i - 1] for i in tau)] for tau in sigmas]
+            for s in sigmas]
 
 
 def _row(chain: dict, lower: dict) -> list:

@@ -23,6 +23,7 @@ contain it lets a move rewrite only those relators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from . import cells as C
 # the word algebra lives in morse and stays importable from here
@@ -177,14 +178,17 @@ def _leading_pairs(mc: MorseComplex):
     return {mc.critical[1][lead]: cells2[i] for lead, i in groups.items()}
 
 
-def _modified_pivotal_key(mc: MorseComplex, cell):
+def _modified_pivotal_key(mc: MorseComplex, cell, sigmas):
     """Order used only when eliminating pivotal generators: deleted edges
-    outrank tree edges at equal terminal vertex."""
+    outrank tree edges at equal terminal vertex.  The generator is the
+    labelling sigmas[i % n!] of the orbit starting at row i - i % n!
+    (``sigmas`` lists S_n in lexicographic order; unordered it is [None])."""
     t = mc.tree
-    sc = C.phi(cell)[0] if mc.ordered else cell
-    edges = C.cell_edges(sc)
-    e = edges[0]
-    base = cell_sort_key(t, sc, C.phi(cell)[1] if mc.ordered else None)
+    m = len(sigmas)
+    i = mc.index[1][cell]
+    rep = mc.critical[1][i - i % m]
+    e = C.cell_edges(rep)[0]
+    base = cell_sort_key(t, rep, sigmas[i % m])
     mod_edge = (e[0], 1 if e in t.deleted_set else 0, e[1])
     return (base[0], mod_edge) + tuple(base[2:])
 
@@ -257,7 +261,10 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
 
     pivotal = [g for g in out.generators
                if tags.get(g) == "pivotal" and g in pairs]
-    pivotal.sort(key=lambda g: _modified_pivotal_key(mc, g), reverse=True)
+    sigmas = (list(permutations(range(1, mc.n + 1))) if mc.ordered
+              else [None])
+    pivotal.sort(key=lambda g: _modified_pivotal_key(mc, g, sigmas),
+                 reverse=True)
     for g in pivotal:
         rid = mc.index[2][pairs[g]]
         if rid in rels:

@@ -1,7 +1,12 @@
 """Reference code the tests share; the package itself does not need it."""
 
+from itertools import permutations
+
+from graphbraids import cells as C
 from graphbraids.cells import (Classification, boundary, cell_edges,
                                cell_vertices, classify, matched_cell)
+from graphbraids.morse import (WORDS, Reducer, cell_sort_key, morse_boundary,
+                               name_critical_cell)
 from graphbraids.trees import OrderedTree
 
 
@@ -92,3 +97,39 @@ class ReferenceReducer:
             for c, y in self.reduce_cell(f).items():
                 acc[c] = acc.get(c, 0) + x * y
         return {c: y for c, y in acc.items() if y}
+
+
+def per_labelling_complex(t: OrderedTree, n: int):
+    """(critical, names, boundaries, relators) of the ordered Morse complex
+    the long way, labelling by labelling: the basis lists every permutation
+    of each unordered critical cell, sorted and named through ``phi``; each
+    basis cell's boundary word is rewritten (degree 2) or its boundary
+    reduced (other degrees) on its own, and the row is read off the
+    result."""
+    critical, names = {}, {}
+    for d, cs in C.critical_cells(t, n, "ordered").items():
+        cs = [p for c in cs for p in permutations(c)]
+        split = {c: C.phi(c) for c in cs}
+        cs.sort(key=lambda c: cell_sort_key(t, *split[c]), reverse=True)
+        critical[d] = cs
+        names.update((c, name_critical_cell(t, *split[c])) for c in cs)
+    red = Reducer(t, ordered=True)
+    words = Reducer(t, ordered=True, algebra=WORDS)
+    boundaries, relators = {}, []
+    for d in sorted(critical):
+        if d == 0 or not critical[d]:
+            continue
+        lower = {c: i for i, c in enumerate(critical.get(d - 1, ()))}
+        rows = boundaries[d] = []
+        for cell in critical[d]:
+            row = [0] * len(lower)
+            if d == 2:
+                word = words.reduce(C.boundary_word(cell, ordered=True))
+                relators.append(word)
+                for g, e in word:
+                    row[lower[g]] -= e
+            else:
+                for c, x in morse_boundary(red, cell).items():
+                    row[lower[c]] = x
+            rows.append(row)
+    return critical, names, boundaries, relators

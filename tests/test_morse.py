@@ -17,7 +17,7 @@ from graphbraids.morse import (Reducer, morse_boundary, build_morse_complex,
                                fast_morse_boundary, name_critical_cell,
                                materialize_name, format_name, bare_fill,
                                MorseError, cell_sort_key)
-from reference import ReferenceReducer
+from reference import ReferenceReducer, per_labelling_complex
 
 
 def chain_by_name(mc, chain):
@@ -417,3 +417,79 @@ def test_ordered_basis_expands_unordered(name, n):
 @given(st.integers(0, 10_000), st.integers(1, 3))
 def test_ordered_basis_expands_unordered_on_corpus(seed, n):
     _check_ordered_basis_expands_unordered(_tree(corpus(seed, 1)[0], n), n)
+
+
+# ---------------------------------------------------------------------------
+# one reduction per orbit: every labelling's row and relator are its orbit
+# representative's, relabelled by index arithmetic
+
+def _check_per_labelling(t, n):
+    mc = build_morse_complex(t, n, "ordered")
+    critical, names, boundaries, relators = per_labelling_complex(t, n)
+    assert mc.critical == critical
+    assert mc.names == names
+    assert mc.boundaries == boundaries
+    assert mc.relators == relators
+
+
+@pytest.mark.parametrize("name,n", [("K33", 2), ("K33", 3), ("K33", 4),
+                                    ("K(3,4)", 2), ("K(3,4)", 3),
+                                    ("Theta4", 3)])
+def test_ordered_build_matches_per_labelling_walk(name, n):
+    _check_per_labelling(pinned_tree(name, n) or _tree(build_graph(name), n),
+                         n)
+
+
+POINT = {"vertices": ["a"], "edges": []}
+SEGMENT = {"vertices": ["a", "b"], "edges": [["e", "a", "b"]]}
+CIRCLE = {"vertices": ["a", "b", "c"],
+          "edges": [["x", "a", "b"], ["y", "b", "c"], ["z", "c", "a"]]}
+
+
+@pytest.mark.parametrize("graph,n", [
+    ("K33", 1), (POINT, 1), (POINT, 2), (POINT, 3), (SEGMENT, 1),
+    (SEGMENT, 2), (SEGMENT, 3), (CIRCLE, 1), (CIRCLE, 2), (CIRCLE, 3)],
+    ids=["K33-n1", "point-n1", "point-n2", "point-n3", "segment-n1",
+         "segment-n2", "segment-n3", "circle-n1", "circle-n2", "circle-n3"])
+def test_ordered_build_matches_per_labelling_walk_degenerate(graph, n):
+    _check_per_labelling(_tree(build_graph(graph), n), n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3))
+def test_ordered_build_matches_per_labelling_walk_on_corpus(seed, n):
+    _check_per_labelling(_tree(corpus(seed, 1)[0], n), n)
+
+
+def test_both_checks_every_labelling(monkeypatch):
+    from graphbraids import morse
+    t = _tree(build_graph("K33"), 2)
+    mc = build_morse_complex(t, 2, "ordered", path="both")
+    target = mc.critical[2][-1]
+    assert phi(target)[1] != (1, 2)  # not the orbit's representative
+    fast_for = morse._fast_for
+
+    def corrupted(t, cell, ordered):
+        out = dict(fast_for(t, cell, ordered))
+        if cell == target:
+            g = mc.critical[1][0]
+            out[g] = out.get(g, 0) + 1
+        return out
+
+    monkeypatch.setattr(morse, "_fast_for", corrupted)
+    with pytest.raises(MorseError, match="fast/generic disagree"):
+        build_morse_complex(t, 2, "ordered", path="both")
+
+
+def test_derived_column_outside_basis_raises(monkeypatch):
+    from graphbraids import morse
+    monkeypatch.setattr(morse, "_product_table",
+                        lambda sigmas: [[10 ** 9] * len(sigmas)] * len(sigmas))
+    with pytest.raises(MorseError, match="falls outside the critical 0-cells"):
+        build_morse_complex(k33_pinned_tree(), 2, "ordered")
+
+
+def test_colliding_labellings_raise(monkeypatch):
+    monkeypatch.setattr(C, "phi_inverse", lambda cell, sigma: tuple(cell))
+    with pytest.raises(MorseError, match="are not distinct"):
+        build_morse_complex(k33_pinned_tree(), 2, "ordered")

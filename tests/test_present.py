@@ -17,8 +17,7 @@ from graphbraids.homology import homology, classify_1cells
 from graphbraids.present import (free_reduce, wmul, winv, cyclic_reduce,
                                  exponent_sums, WORDS, Word, raw_presentation, simplify, commutator_form,
                                  quadratic_genus, format_word, substitute,
-                                 Presentation, _leading_pairs,
-                                 _modified_pivotal_key)
+                                 Presentation, _leading_pairs)
 from reference import ReferenceReducer, matching, unblocked_vertices
 
 
@@ -343,6 +342,17 @@ def reference_substitute(w, gen, repl):
     return free_reduce(tuple(out))
 
 
+def reference_modified_pivotal_key(mc, cell):
+    """The pivotal elimination order read off the cell itself through phi:
+    deleted edges outrank tree edges at equal terminal vertex."""
+    t = mc.tree
+    sc, sigma = C.phi(cell) if mc.ordered else (cell, None)
+    e = C.cell_edges(sc)[0]
+    base = cell_sort_key(t, sc, sigma)
+    mod_edge = (e[0], 1 if e in t.deleted_set else 0, e[1])
+    return (base[0], mod_edge) + tuple(base[2:])
+
+
 def reference_simplify(pres, mc, audit=None):
     pres = Presentation(list(pres.generators), list(pres.relators),
                         dict(pres.names), list(pres.history), pres.killed)
@@ -371,7 +381,8 @@ def reference_simplify(pres, mc, audit=None):
 
     pivotal = [g for g in pres.generators
                if tags.get(g) == "pivotal" and g in pairs]
-    pivotal.sort(key=lambda g: _modified_pivotal_key(mc, g), reverse=True)
+    pivotal.sort(key=lambda g: reference_modified_pivotal_key(mc, g),
+                 reverse=True)
     for g in pivotal:
         try:
             rel_idx = cell2_for_relator.index(pairs[g])
