@@ -123,11 +123,13 @@ def _covering_failure(pn, bn, h_p, h_b):
     boundary of phi(c)[0], and rank H_d(B_n) <= rank H_d(P_n) by transfer."""
     for d in sorted(pn.boundaries):
         lower = bn.index[d - 1]
+        faces = pn.critical[d - 1]
         for c, row in zip(pn.critical[d], pn.boundaries[d]):
-            pushed = [0] * len(lower)
-            for cc, x in zip(pn.critical[d - 1], row):
-                if x:
-                    pushed[lower[C.phi(cc)[0]]] += x
+            pushed: dict = {}
+            for j, x in row.items():
+                k = lower[C.phi(faces[j])[0]]
+                pushed[k] = pushed.get(k, 0) + x
+            pushed = {k: x for k, x in pushed.items() if x}
             if pushed != bn.boundaries[d][bn.index[d][C.phi(c)[0]]]:
                 return (f"the boundary of {C.format_cell(c, True)} does not "
                         f"cover the unordered one")
@@ -209,7 +211,7 @@ def cmd_cells(args):
         chains = {}
         for c2, row in zip(mc.critical[2], mc.boundaries[2]):
             terms = [f"{'+' if x > 0 else '-'}{abs(x) if abs(x) != 1 else ''}"
-                     f"{mc.name_of(c)}" for c, x in zip(lower, row) if x]
+                     f"{mc.name_of(lower[j])}" for j, x in sorted(row.items())]
             chains[mc.name_of(c2)] = " ".join(terms) if terms else "0"
         results["boundaries"] = chains
     return _report(args, "cells", results, t0=t0), 0

@@ -2,17 +2,22 @@
 
 H_d = ker d_d / im d_(d+1) computed exactly.  Since ker d_d is a direct
 summand of the chain group, H_d is Z^(c_d - rank d_d - rank d_(d+1)) plus
-the torsion of d_(d+1): one Smith form per boundary matrix, without
-transforms, gives both.
+the torsion of d_(d+1), so ranks and invariant factors are all it needs.
+They come from one pass down the degrees over the sparse boundary rows:
+``unit_pivots`` takes the +-1 pivots of each d_d, and the dense Smith form
+of the core left over gives the rest of the rank and the torsion.  The rows
+of d_d whose cells were pivot columns of d_(d+1) are dropped first (after
+Kaczynski, Mrozek and Slusarek's coupled reduction of a chain complex).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-# perfbench/tracer.py wraps all three names here, so the unused two stay
+# perfbench/tracer.py wraps smith_normal_form, kernel_basis and
+# kernel_coordinates here, so the two unused ones stay
 from .intlinalg import (smith_normal_form, kernel_basis, kernel_coordinates,
-                        rank as matrix_rank)
+                        densify, unit_pivots)
 from .morse import MorseComplex, MorseError, wedge_cell, bare_fill
 from . import cells as C
 
@@ -44,28 +49,42 @@ class AbelianGroup:
 
 
 def homology(mc: MorseComplex) -> dict[int, AbelianGroup]:
-    """Integral homology of the Morse complex; degrees 0..2 always present."""
-    snf = {d: smith_normal_form(b)
-           for d, b in mc.boundaries.items() if b and b[0]}
+    """Integral homology of the Morse complex; degrees 0..2 always present.
+
+    The degrees go from the top down.  A pivot row of d_(d+1) lies in its
+    row space and d_d o d_(d+1) = 0, so the row of d_d at the pivot's column
+    is an integer combination of the rows at the other columns of the pivot
+    row; over all pivots, taken from the last made, the rows at pivot
+    columns are combinations of the rest.  Dropping them leaves the row
+    lattice of d_d, hence its rank and invariant factors, unchanged.  Then
+    rank d_d is the pivots plus the rank of the core, and the torsion of d_d
+    is the core's; each core goes through ``smith_normal_form`` as a dense
+    matrix, one call per nonempty boundary."""
+    ranks: dict[int, int] = {}
+    torsion: dict[int, tuple] = {}
+    drop: dict[int, dict] = {}  # degree -> the rows to leave out of d_d
+    for d in sorted(mc.boundaries, reverse=True):
+        rows = mc.boundaries[d]
+        if not rows:
+            continue
+        dropped = drop.get(d, {})
+        if any(not 0 <= i < len(rows) for i in dropped):
+            raise MorseError(f"a pivot column of d_{d + 1} is not a row of "
+                             f"d_{d}")
+        pivots, core = unit_pivots([r for i, r in enumerate(rows)
+                                    if i not in dropped])
+        snf = smith_normal_form(densify(core))
+        ranks[d] = len(pivots) + snf.rank
+        torsion[d] = tuple(x for x in snf.diag if x > 1)
+        drop[d - 1] = pivots
     out: dict[int, AbelianGroup] = {}
     for d in sorted(set(mc.critical) | {0, 1, 2}):
-        lower, upper = snf.get(d), snf.get(d + 1)
-        free = (len(mc.critical.get(d, ())) - (lower.rank if lower else 0)
-                - (upper.rank if upper else 0))
-        torsion = tuple(x for x in upper.diag if x > 1) if upper else ()
-        out[d] = AbelianGroup(free, torsion)
+        free = (len(mc.critical.get(d, ())) - ranks.get(d, 0)
+                - ranks.get(d + 1, 0))
+        if free < 0:
+            raise MorseError(f"rank H_{d} comes out negative: {free}")
+        out[d] = AbelianGroup(free, torsion.get(d + 1, ()))
     return out
-
-
-def relative_h1_rank(mc: MorseComplex) -> int:
-    """rank H_1(M, M^0): generators all critical 1-cells, relations im d_2.
-
-    For ordered n = 2 this is rank H_1(P_2) + 1, the relative trick used to
-    present H_1 without a kernel computation.
-    """
-    n1 = len(mc.critical.get(1, ()))
-    rows = mc.boundaries.get(2, [])
-    return n1 - (matrix_rank(rows) if rows else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ arbitrary precision.  Row convention throughout: a chain is a row vector and
 a boundary matrix has one row per generator of the source.
 
 Invariant factors alone (``smith_normal_form`` without transforms, ``rank``)
-come from sparse elimination of the +-1 pivots followed by a dense Smith
-form of the small core left over; Morse boundary matrices are almost all
-+-1.  The unimodular transforms, and the kernel helpers built on them, use
-the dense form throughout.
+come from ``unit_pivots``, which takes the +-1 pivots on sparse rows
+{column: coefficient} in one pass, followed by a dense Smith form of the
+small core left over; Morse boundary matrices are almost all +-1, and
+``homology`` calls ``unit_pivots`` on the sparse rows the build writes.  The
+unimodular transforms, and the kernel helpers built on them, use the dense
+form throughout.
 """
 
 from __future__ import annotations
@@ -27,22 +29,6 @@ def identity(n: int):
         m[i][i] = 1
     return m
 
-
-def mat_mul(a, b):
-    if not a:
-        return []
-    n, k = len(a), len(a[0])
-    cols = len(b[0]) if b else 0
-    out = zeros(n, cols)
-    for i in range(n):
-        ai, oi = a[i], out[i]
-        for t in range(k):
-            x = ai[t]
-            if x:
-                bt = b[t]
-                for j in range(cols):
-                    oi[j] += x * bt[j]
-    return out
 
 def copy_matrix(m):
     return [row[:] for row in m]
@@ -70,107 +56,98 @@ class SmithForm:
 def smith_normal_form(a, transforms: bool = False) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    Without transforms, the +-1 entries are eliminated first on sparse rows
-    (``_eliminate_units``), each one an invariant factor 1, and only the
-    core left over goes through the dense loop.  With transforms, the whole
+    Without transforms, the +-1 pivots are taken first on sparse rows
+    (``unit_pivots``), each one an invariant factor 1, and only the core
+    left over goes through the dense loop.  With transforms, the whole
     matrix goes through the dense loop, which records U, Uinv and V.  The
     returned diagonal is the divisibility chain d1 | d2 | ... with positive
     entries.
     """
     if transforms:
         return _dense_smith_form(copy_matrix(a), transforms=True)
-    units, core = _eliminate_units(a)
-    diag = [1] * units + _dense_smith_form(core).diag
+    pivots, core = unit_pivots([{j: x for j, x in enumerate(r) if x}
+                                for r in a])
+    diag = [1] * len(pivots) + _dense_smith_form(densify(core)).diag
     return SmithForm(diag, len(a), len(a[0]) if a else 0)
 
 
-def _eliminate_units(a):
-    """Eliminate +-1 pivots on sparse rows; return their number and the
-    dense core left over, without its zero rows and columns.
+def densify(rows):
+    """Sparse rows as a dense matrix over the columns they use, in order."""
+    cols = sorted({j for r in rows for j in r})
+    return [[r.get(j, 0) for j in cols] for r in rows]
 
-    Each step takes the unit entry of least Markowitz cost
-    (row nnz - 1) * (column nnz - 1), the most fill-in it can cause, clears
-    its column by row operations and drops its row and column.  A unit
-    pivot splits off as a direct summand Z/1, so the invariant factors of
-    the matrix are the eliminated units followed by those of the core.
 
-    Unit entries wait in a heap keyed by (cost, row, column), each with a
-    cost no higher than its current one.  A step changes costs only in the
-    rows it touches and in the pivot row's columns; an entry there whose
-    cost fell is pushed again.  A popped entry whose cost has risen goes
-    back with its current cost, so the first one popped at its current cost
-    is a least-cost unit.
+def unit_pivots(rows):
+    """Take +-1 pivots from sparse rows {column: nonzero}; return
+    ({pivot column: reduced pivot row}, core rows).
+
+    The rows are taken from the last to the first.  Each is cleared of the
+    pivot columns found so far, in the order the pivots were made: a pivot
+    row is already clear of every earlier pivot's column, so one ascending
+    sweep over a heap of pivot ranks clears the row.  If a +-1 entry is
+    left, the one in the lowest column becomes the row's pivot; otherwise
+    the row waits.  At the end the waiting rows are cleared against all the
+    pivots; one that gained a +-1 entry becomes a pivot too, and the rest
+    are cleared again until no pivot is added.  The nonzero rows left are
+    the core, in input order, with no pivot column and no +-1 entry.
+
+    These are unimodular row operations, and the pivot rows restricted to
+    the pivot columns form a triangular matrix with +-1 on its diagonal, so
+    the invariant factors of the rows are one 1 per pivot followed by those
+    of the core.  Morse boundaries list their cells largest basis key
+    first, so the rows are taken in increasing basis order.
     """
-    rows = {}
-    col_rows: dict = {}
-    for i, r in enumerate(a):
-        sparse = {j: x for j, x in enumerate(r) if x}
-        if sparse:
-            rows[i] = sparse
-            for j in sparse:
-                col_rows.setdefault(j, set()).add(i)
-    heap: list = []
-    queued: dict = {}  # (row, column) -> its least cost in the heap
+    pivots: dict = {}   # pivot column -> its reduced row
+    rank: dict = {}     # pivot column -> the order it was made in
+    order: list = []    # pivot columns by rank
 
-    def offer(i, j):
-        x = rows[i][j]
-        if x == 1 or x == -1:
-            c = (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
-            if c < queued.get((i, j), c + 1):
-                queued[i, j] = c
-                heapq.heappush(heap, (c, i, j))
-
-    for i, r in rows.items():
-        for j in r:
-            offer(i, j)
-    units = 0
-    while heap and rows:
-        c, pi, pj = heapq.heappop(heap)
-        r = rows.get(pi)
-        if r is None or queued.get((pi, pj)) != c:
-            continue  # its row is gone, or a lower cost supersedes it
-        x = r.get(pj)
-        if x != 1 and x != -1:
-            del queued[pi, pj]
-            continue
-        now = (len(r) - 1) * (len(col_rows[pj]) - 1)
-        if now != c:
-            queued[pi, pj] = now
-            heapq.heappush(heap, (now, pi, pj))
-            continue
-        pivot_row = rows.pop(pi)
-        for j in pivot_row:
-            col_rows[j].discard(pi)
-        p = pivot_row[pj]
-        touched = col_rows.pop(pj)
-        for i in touched:
-            r = rows[i]
-            q = r.pop(pj) * p  # row[i] -= q * pivot_row clears column pj
-            for j, x in pivot_row.items():
-                if j == pj:
-                    continue
-                v = r.get(j, 0) - q * x
+    def clear(row):
+        heap = [rank[j] for j in row if j in rank]
+        if not heap:
+            return
+        heapq.heapify(heap)
+        while heap:
+            pj = order[heapq.heappop(heap)]
+            q = row.get(pj)
+            if q is None:
+                continue  # a duplicate rank, or cancelled by fill-in
+            p = pivots[pj]
+            q *= p[pj]  # row -= q * p clears column pj, as p[pj] is +-1
+            for j, x in p.items():
+                v = row.get(j, 0) - q * x
                 if v:
-                    if j not in r:
-                        col_rows[j].add(i)
-                    r[j] = v
-                elif j in r:
-                    del r[j]
-                    col_rows[j].discard(i)
-            if not r:
-                del rows[i]
-        units += 1
-        for i in touched:
-            if i in rows:
-                for j in rows[i]:
-                    offer(i, j)
-        for j in pivot_row:
-            if j != pj:
-                for i in col_rows[j]:
-                    offer(i, j)
-    core_cols = sorted(j for j, rs in col_rows.items() if rs)
-    core = [[r.get(j, 0) for j in core_cols] for r in rows.values()]
-    return units, core
+                    if j not in row and j in rank:
+                        heapq.heappush(heap, rank[j])
+                    row[j] = v
+                else:
+                    del row[j]
+
+    def take(row) -> bool:
+        """Make the cleared row a pivot if a +-1 entry is left in it."""
+        units = [j for j, x in row.items() if x == 1 or x == -1]
+        if not units:
+            return False
+        pj = min(units)
+        rank[pj] = len(order)
+        order.append(pj)
+        pivots[pj] = row
+        return True
+
+    core = []
+    for r in reversed(rows):
+        row = dict(r)
+        clear(row)
+        if not take(row):
+            core.append(row)
+    core.reverse()
+    while True:
+        made, waiting, core = len(order), core, []
+        for row in waiting:
+            clear(row)
+            if row and not take(row):
+                core.append(row)
+        if len(order) == made:
+            return pivots, core
 
 
 def _dense_smith_form(m, transforms: bool = False) -> SmithForm:
@@ -304,70 +281,3 @@ def kernel_coordinates(snf: SmithForm, x):
         if coords[i] != 0:
             raise ValueError("vector is not in the kernel")
     return coords[snf.rank:]
-
-
-def naive_invariant_factors(a):
-    """Independent oracle: repeated gcd elimination without pivot strategy.
-
-    Exhaustively reduces with the smallest pivot by Euclidean steps; used in
-    tests to cross-check smith_normal_form.
-    """
-    m = copy_matrix(a)
-    factors = []
-    while m and m[0]:
-        entries = [(abs(m[i][j]), i, j)
-                   for i in range(len(m)) for j in range(len(m[0])) if m[i][j]]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        m[0], m[pi] = m[pi], m[0]
-        for r in m:
-            r[0], r[pj] = r[pj], r[0]
-        again = False
-        for i in range(1, len(m)):
-            if m[i][0] % m[0][0]:
-                q = m[i][0] // m[0][0]
-                m[i] = [x - q * y for x, y in zip(m[i], m[0])]
-                again = True
-        for j in range(1, len(m[0])):
-            if m[0][j] % m[0][0]:
-                q = m[0][j] // m[0][0]
-                for r in m:
-                    r[j] -= q * r[0]
-                again = True
-        if again:
-            continue
-        for i in range(1, len(m)):
-            if m[i][0]:
-                q = m[i][0] // m[0][0]
-                m[i] = [x - q * y for x, y in zip(m[i], m[0])]
-        for j in range(1, len(m[0])):
-            if m[0][j]:
-                q = m[0][j] // m[0][0]
-                for r in m:
-                    r[j] -= q * r[0]
-        bad = any(m[i][j] % m[0][0]
-                  for i in range(1, len(m)) for j in range(1, len(m[0])))
-        if bad:
-            for i in range(1, len(m)):
-                if any(m[i][j] % m[0][0] for j in range(1, len(m[0]))):
-                    m[0] = [x + y for x, y in zip(m[0], m[i])]
-                    break
-            continue
-        factors.append(abs(m[0][0]))
-        m = [row[1:] for row in m[1:]]
-    out = []
-    for d in sorted(factors):
-        out.append(d)
-    # fix divisibility chain by pairwise gcd/lcm sweeps
-    import math
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 1):
-            g = math.gcd(out[i], out[i + 1])
-            l = out[i] * out[i + 1] // g if g else 0
-            if (out[i], out[i + 1]) != (g, l):
-                out[i], out[i + 1] = g, l
-                changed = True
-    return [d for d in out if d]

@@ -661,7 +661,9 @@ class MorseComplex:
     flavor: str
     critical: dict          # dim -> list of cells, largest basis key first
     index: dict             # dim -> {cell: row index}
-    boundaries: dict        # dim -> matrix rows=dim cells, cols=(dim-1) cells
+    # dim -> one sparse row {column: nonzero coefficient} per cell of
+    # critical[dim], in that order; a column is a row index of dim - 1
+    boundaries: dict
     names: dict             # cell -> CriticalName
     # the rewritten boundary words of the critical 2-cells, in critical[2]
     # order; None on path "fast"
@@ -679,12 +681,16 @@ class MorseComplex:
         return C.euler_characteristic(self.tree, self.n, self.flavor)
 
     def validate_chain_complex(self):
-        from .intlinalg import mat_mul
-        dims = sorted(self.boundaries)
-        for d in dims:
-            if d - 1 in self.boundaries:
-                prod = mat_mul(self.boundaries[d], self.boundaries[d - 1])
-                if any(any(row) for row in prod):
+        for d in sorted(self.boundaries):
+            lower = self.boundaries.get(d - 1)
+            if lower is None:
+                continue
+            for row in self.boundaries[d]:
+                acc: dict = {}
+                for j, x in row.items():
+                    for k, y in lower[j].items():
+                        acc[k] = acc.get(k, 0) + x * y
+                if any(acc.values()):
                     raise MorseError(f"d o d != 0 in degree {d}")
 
     def name_of(self, cell) -> str:
@@ -701,8 +707,8 @@ def tree_satisfies_t123(t: OrderedTree) -> bool:
 def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
                         path: str = "generic", cap: int = 10_000_000) -> MorseComplex:
     """Generate the critical cells and reduce to the Morse complex with
-    boundary matrices over the reversed bases.  ``cap`` bounds the number
-    of critical cells.
+    boundary matrices over the reversed bases, as sparse rows {column:
+    nonzero coefficient}.  ``cap`` bounds the number of critical cells.
 
     The unordered critical cells are named and sorted once, in both
     flavors.  The ordered basis replaces each of them, in place, by its n!
@@ -790,20 +796,24 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
             for s, prod in enumerate(products):
                 cell = basis[i + s]
                 moved = [(base + prod[u], x) for base, u, x in terms]
-                row = [0] * width
-                try:
-                    for j, x in moved:
-                        row[j] += x
-                except IndexError:
-                    raise MorseError(
-                        f"a column derived for {C.format_cell(cell, ordered)} "
-                        f"falls outside the critical {d - 1}-cells") from None
+                row: dict = {}
+                for j, x in moved:
+                    if j >= width:
+                        raise MorseError(
+                            f"a column derived for "
+                            f"{C.format_cell(cell, ordered)} falls outside "
+                            f"the critical {d - 1}-cells")
+                    v = row.get(j, 0) + x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
                 if word is not None:
                     relators.append(tuple((faces[j], -x) for j, x in moved))
                 if d == 2 and path == "both":
                     fast = _fast_for(t, cell, ordered)
-                    if _row(fast, lower) != row:
-                        chain = {c: x for c, x in zip(faces, row) if x}
+                    if {lower[c]: x for c, x in fast.items()} != row:
+                        chain = {faces[j]: row[j] for j in sorted(row)}
                         raise MorseError(
                             f"fast/generic disagree on {C.format_cell(cell, ordered)}: "
                             f"{fast} vs {chain}")
@@ -819,13 +829,6 @@ def _product_table(sigmas) -> list:
     rank = {s: r for r, s in enumerate(sigmas)}
     return [[rank[tuple(s[i - 1] for i in tau)] for tau in sigmas]
             for s in sigmas]
-
-
-def _row(chain: dict, lower: dict) -> list:
-    row = [0] * len(lower)
-    for cc, x in chain.items():
-        row[lower[cc]] = x
-    return row
 
 
 def _fast_for(t: OrderedTree, cell, ordered: bool) -> dict:

@@ -151,7 +151,7 @@ def raw_presentation(mc: MorseComplex) -> Presentation:
         join = None
         rows = mc.boundaries.get(1, [])
         for cell, row in zip(reversed(mc.critical[1]), reversed(rows)):
-            if any(row):
+            if row:
                 join = cell
                 break
         if join is None:
@@ -171,10 +171,8 @@ def _leading_pairs(mc: MorseComplex):
     cells2 = mc.critical.get(2, ())
     groups: dict[int, int] = {}
     for i, row in enumerate(rows):
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        groups[lead] = i  # rows are in decreasing order; the last wins
+        if row:
+            groups[min(row)] = i  # rows are in decreasing order; the last wins
     return {mc.critical[1][lead]: cells2[i] for lead, i in groups.items()}
 
 

@@ -1,10 +1,13 @@
 """Reference code the tests share; the package itself does not need it."""
 
+import math
 from itertools import permutations
 
 from graphbraids import cells as C
 from graphbraids.cells import (Classification, boundary, cell_edges,
                                cell_vertices, classify, matched_cell)
+from graphbraids.homology import AbelianGroup
+from graphbraids.intlinalg import copy_matrix, smith_normal_form, zeros
 from graphbraids.morse import (WORDS, Reducer, cell_sort_key, morse_boundary,
                                name_critical_cell)
 from graphbraids.trees import OrderedTree
@@ -133,3 +136,124 @@ def per_labelling_complex(t: OrderedTree, n: int):
                     row[lower[c]] = x
             rows.append(row)
     return critical, names, boundaries, relators
+
+
+# ---------------------------------------------------------------------------
+# dense matrices
+
+def dense_boundaries(mc):
+    """``mc.boundaries`` as dense matrices: entry (i, j) of degree d is the
+    coefficient of critical[d-1][j] in the boundary of critical[d][i]."""
+    out = {}
+    for d, rows in mc.boundaries.items():
+        width = len(mc.critical.get(d - 1, ()))
+        out[d] = [[row.get(j, 0) for j in range(width)] for row in rows]
+    return out
+
+
+def mat_mul(a, b):
+    if not a:
+        return []
+    n, k = len(a), len(a[0])
+    cols = len(b[0]) if b else 0
+    out = zeros(n, cols)
+    for i in range(n):
+        ai, oi = a[i], out[i]
+        for t in range(k):
+            x = ai[t]
+            if x:
+                bt = b[t]
+                for j in range(cols):
+                    oi[j] += x * bt[j]
+    return out
+
+
+def per_matrix_homology(mc):
+    """Homology from one Smith form of each whole dense boundary matrix,
+    with no rows dropped between degrees: Z^(c_d - rank d_d - rank
+    d_(d+1)) plus the torsion of d_(d+1)."""
+    snf = {d: smith_normal_form(b)
+           for d, b in dense_boundaries(mc).items() if b and b[0]}
+    out = {}
+    for d in sorted(set(mc.critical) | {0, 1, 2}):
+        lower, upper = snf.get(d), snf.get(d + 1)
+        free = (len(mc.critical.get(d, ())) - (lower.rank if lower else 0)
+                - (upper.rank if upper else 0))
+        torsion = tuple(x for x in upper.diag if x > 1) if upper else ()
+        out[d] = AbelianGroup(free, torsion)
+    return out
+
+
+def relative_h1_rank(mc) -> int:
+    """rank H_1(M, M^0): generators all critical 1-cells, relations im d_2.
+
+    For ordered n = 2 this is rank H_1(P_2) + 1, the relative trick used to
+    present H_1 without a kernel computation.
+    """
+    n1 = len(mc.critical.get(1, ()))
+    rows = dense_boundaries(mc).get(2, [])
+    return n1 - (smith_normal_form(rows).rank if rows else 0)
+
+
+def naive_invariant_factors(a):
+    """Independent oracle: repeated gcd elimination without pivot strategy.
+
+    Exhaustively reduces with the smallest pivot by Euclidean steps; used in
+    tests to cross-check smith_normal_form.
+    """
+    m = copy_matrix(a)
+    factors = []
+    while m and m[0]:
+        entries = [(abs(m[i][j]), i, j)
+                   for i in range(len(m)) for j in range(len(m[0])) if m[i][j]]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        m[0], m[pi] = m[pi], m[0]
+        for r in m:
+            r[0], r[pj] = r[pj], r[0]
+        again = False
+        for i in range(1, len(m)):
+            if m[i][0] % m[0][0]:
+                q = m[i][0] // m[0][0]
+                m[i] = [x - q * y for x, y in zip(m[i], m[0])]
+                again = True
+        for j in range(1, len(m[0])):
+            if m[0][j] % m[0][0]:
+                q = m[0][j] // m[0][0]
+                for r in m:
+                    r[j] -= q * r[0]
+                again = True
+        if again:
+            continue
+        for i in range(1, len(m)):
+            if m[i][0]:
+                q = m[i][0] // m[0][0]
+                m[i] = [x - q * y for x, y in zip(m[i], m[0])]
+        for j in range(1, len(m[0])):
+            if m[0][j]:
+                q = m[0][j] // m[0][0]
+                for r in m:
+                    r[j] -= q * r[0]
+        bad = any(m[i][j] % m[0][0]
+                  for i in range(1, len(m)) for j in range(1, len(m[0])))
+        if bad:
+            for i in range(1, len(m)):
+                if any(m[i][j] % m[0][0] for j in range(1, len(m[0]))):
+                    m[0] = [x + y for x, y in zip(m[0], m[i])]
+                    break
+            continue
+        factors.append(abs(m[0][0]))
+        m = [row[1:] for row in m[1:]]
+    out = sorted(factors)
+    # fix divisibility chain by pairwise gcd/lcm sweeps
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(out) - 1):
+            g = math.gcd(out[i], out[i + 1])
+            l = out[i] * out[i + 1] // g if g else 0
+            if (out[i], out[i + 1]) != (g, l):
+                out[i], out[i + 1] = g, l
+                changed = True
+    return [d for d in out if d]

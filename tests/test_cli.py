@@ -274,7 +274,7 @@ def test_check_ordered_n3_reports_a_broken_boundary(capsys, monkeypatch):
     def broken(t, n, flavor, **kw):
         mc = build(t, n, flavor, **kw)
         if flavor == "ordered":
-            mc.boundaries[2][0] = [-x for x in mc.boundaries[2][0]]
+            mc.boundaries[2][0] = {j: -x for j, x in mc.boundaries[2][0].items()}
         return mc
 
     monkeypatch.setattr(cli, "build_morse_complex", broken)

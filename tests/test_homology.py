@@ -12,9 +12,12 @@ from graphbraids.graphs import build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
 from graphbraids.morse import build_morse_complex
 from graphbraids.homology import (AbelianGroup, homology, classify_1cells,
-                                  undetermined_block, relative_h1_rank)
+                                  undetermined_block)
 from graphbraids.intlinalg import (smith_normal_form, kernel_basis,
                                    kernel_coordinates)
+from graphbraids.morse import MorseError
+
+from reference import dense_boundaries, per_matrix_homology, relative_h1_rank
 
 
 def test_abelian_group_canonical():
@@ -29,10 +32,11 @@ def reference_homology(mc):
     form with transforms, im d_(d+1) rewritten in kernel coordinates, and a
     second Smith form for the quotient."""
     out = {}
+    boundaries = dense_boundaries(mc)
     for d in sorted(set(mc.critical) | {0, 1, 2}):
         nd = len(mc.critical.get(d, ()))
-        lower = mc.boundaries.get(d)
-        upper = mc.boundaries.get(d + 1, [])
+        lower = boundaries.get(d)
+        upper = boundaries.get(d + 1, [])
         if nd == 0:
             out[d] = AbelianGroup(0)
             continue
@@ -63,6 +67,54 @@ def test_homology_matches_kernel_reference(flavor):
                   for seed in (1, 2, 3) for n in (1, 2, 3)]
     for mc in complexes:
         assert homology(mc) == reference_homology(mc)
+
+
+# the top-down pass drops the rows of d_d at the pivot columns of d_(d+1);
+# the reference takes one Smith form of each whole matrix instead
+
+@pytest.mark.parametrize("flavor", ["unordered", "ordered"])
+def test_top_down_homology_matches_per_matrix_smith_forms(flavor):
+    for seed in range(8):
+        for n in (1, 2, 3):
+            mc = _corpus_complex(seed, n, flavor)
+            assert homology(mc) == per_matrix_homology(mc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3),
+       st.sampled_from(["unordered", "ordered"]))
+def test_top_down_homology_matches_per_matrix_smith_forms_on_corpus(seed, n,
+                                                                    flavor):
+    mc = _corpus_complex(seed, n, flavor)
+    assert homology(mc) == per_matrix_homology(mc)
+
+
+def test_top_down_homology_matches_per_matrix_smith_forms_k33_n4_ordered():
+    t = choose_tree_and_order(subdivide(build_graph("K33"), 4, "auto")[0], 4)
+    mc = build_morse_complex(t, 4, "ordered")
+    h = homology(mc)
+    assert h == per_matrix_homology(mc)
+    assert sum((-1) ** d * g.rank for d, g in h.items()) == \
+        mc.full_euler_characteristic()
+
+
+def test_a_pivot_column_outside_the_lower_rows_raises():
+    # d2 of K33 n=2 has unit pivots; with d1 cut to one row, they name rows
+    # that d1 does not have
+    mc = build_morse_complex(k33_pinned_tree(), 2, "unordered")
+    assert any(j > 0 for row in mc.boundaries[2] for j in row)
+    mc.boundaries[1] = mc.boundaries[1][:1]
+    with pytest.raises(MorseError, match="is not a row of d_1"):
+        homology(mc)
+
+
+def test_a_negative_free_rank_raises():
+    # every 1-cell bounds the one 0-cell, which is then left out of the basis
+    mc = build_morse_complex(k33_pinned_tree(), 2, "unordered")
+    mc.boundaries[1] = [{0: 1}] * len(mc.critical[1])
+    mc.critical[0] = []
+    with pytest.raises(MorseError, match="rank H_0 comes out negative"):
+        homology(mc)
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,8 +194,9 @@ def test_ordered_matrix_k33_known_values():
         [0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0],
     ]
     got = []
+    d2 = dense_boundaries(mc)[2]
     for rc in row_cells:
-        row = mc.boundaries[2][idx2[rc]]
+        row = d2[idx2[rc]]
         got.append([row[idx1[cc]] for cc in col_cells])
     assert got == want
 
@@ -260,7 +313,7 @@ def test_tags_consistent_with_matrix():
     tags = classify_1cells(mc)
     leading = set()
     touched = set()
-    for row in mc.boundaries[2]:
+    for row in dense_boundaries(mc)[2]:
         nz = [j for j, x in enumerate(row) if x]
         if nz:
             leading.add(mc.critical[1][min(nz)])

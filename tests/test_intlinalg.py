@@ -2,9 +2,16 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from graphbraids.intlinalg import (smith_normal_form, naive_invariant_factors,
-                                   mat_mul, identity, kernel_basis,
-                                   kernel_coordinates, rank, _eliminate_units)
+from graphbraids.intlinalg import (smith_normal_form, identity, kernel_basis,
+                                   kernel_coordinates, rank, unit_pivots,
+                                   densify)
+
+from reference import mat_mul, naive_invariant_factors
+
+
+def sparse(m):
+    return [{j: x for j, x in enumerate(r) if x} for r in m]
+
 
 # the 3x7 degree-2 boundary matrix of the two-strand K33 complex
 K33_3x7 = [
@@ -59,6 +66,44 @@ def sparse_matrices(draw):
             for _ in range(rows)]
 
 
+@st.composite
+def dependent_matrices(draw):
+    """Unit-heavy matrices up to 10 x 10 whose later rows are integer
+    combinations of the first ones, so that rows wait for pivots made after
+    them and cores of 2s and 3s are common, in a shuffled row order."""
+    cols = draw(st.integers(1, 10))
+    base = draw(st.integers(1, 6))
+    rows = [draw(st.lists(SPARSE_ENTRY, min_size=cols, max_size=cols))
+            for _ in range(base)]
+    for _ in range(draw(st.integers(0, 10 - base))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=base,
+                               max_size=base))
+        rows.append([sum(c * r[j] for c, r in zip(coeffs, rows))
+                     for j in range(cols)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_matrices(), dependent_matrices()))
+def test_unit_pivots_and_core_smith_form_match_naive_oracle(m):
+    pivots, core = unit_pivots(sparse(m))
+    for j, row in pivots.items():
+        assert row[j] in (1, -1)
+        assert all(j not in r for r in core)
+    diag = [1] * len(pivots) + smith_normal_form(densify(core)).diag
+    assert diag == naive_invariant_factors(m)
+
+
+def test_unit_pivots_take_the_lowest_unit_column_from_the_last_row():
+    # the last row is taken first and pivots on its lowest +-1 column, 1;
+    # the first row is cleared of column 1 and pivots on column 0
+    rows = [{0: 1, 1: 2}, {1: -1, 2: 1, 3: 2}]
+    pivots, core = unit_pivots(rows)
+    assert list(pivots) == [1, 0] and core == []
+    assert pivots[0] == {0: 1, 2: 2, 3: 4}
+    assert rows == [{0: 1, 1: 2}, {1: -1, 2: 1, 3: 2}]  # inputs untouched
+
+
 @settings(max_examples=150, deadline=None)
 @given(sparse_matrices())
 def test_sparse_snf_matches_naive_oracle(m):
@@ -72,9 +117,9 @@ def test_sparse_snf_matches_naive_oracle(m):
 @given(sparse_matrices())
 def test_unit_elimination_leaves_no_unit_in_the_core(m):
     # every unit, also one that fill-in creates, is taken as a pivot
-    units, core = _eliminate_units(m)
-    assert all(x not in (1, -1) for row in core for x in row)
-    assert units + len(core) <= len(m)
+    pivots, core = unit_pivots(sparse(m))
+    assert all(x not in (1, -1) for row in core for x in row.values())
+    assert len(pivots) + len(core) <= len(m)
 
 
 def test_all_unit_matrices():
@@ -85,7 +130,7 @@ def test_all_unit_matrices():
 
 def test_no_unit_matrix_takes_the_dense_path():
     m = [[2, 4], [6, 8]]
-    assert _eliminate_units(m) == (0, m)
+    assert unit_pivots(sparse(m)) == ({}, sparse(m))
     assert smith_normal_form(m).diag == [2, 4]
     assert smith_normal_form([[6, 10, 15]]).diag == [1]
 
@@ -100,8 +145,9 @@ def test_zero_rows_and_columns():
 
 def test_unit_elimination_leaves_a_non_unit_core():
     m = [[1, 1], [1, -1]]
-    units, core = _eliminate_units(m)
-    assert units == 1 and [abs(x) for row in core for x in row] == [2]
+    pivots, core = unit_pivots(sparse(m))
+    assert len(pivots) == 1
+    assert [abs(x) for row in core for x in row.values()] == [2]
     assert smith_normal_form(m).diag == [1, 2]
 
 

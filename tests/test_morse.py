@@ -17,7 +17,7 @@ from graphbraids.morse import (Reducer, morse_boundary, build_morse_complex,
                                fast_morse_boundary, name_critical_cell,
                                materialize_name, format_name, bare_fill,
                                MorseError, cell_sort_key)
-from reference import ReferenceReducer, per_labelling_complex
+from reference import ReferenceReducer, dense_boundaries, per_labelling_complex
 
 
 def chain_by_name(mc, chain):
@@ -98,8 +98,9 @@ def test_critical_counts():
 def test_corrupt_boundary_raises():
     mc = build_morse_complex(k33_pinned_tree(), 2, "unordered")
     d2 = mc.boundaries[2]
-    j = next(j for row in d2 for j, x in enumerate(row) if x)
-    mc.boundaries[1][j][0] += 1
+    j = next(j for row in d2 for j in row)
+    row = mc.boundaries[1][j]
+    row[0] = row.get(0, 0) + 1
     with pytest.raises(MorseError, match="d o d"):
         mc.validate_chain_complex()
 
@@ -244,7 +245,7 @@ def test_leading_coefficient():
     # cell over the same edge with coefficient -1
     for t, n in [(k5_pinned_tree(), 4), (theta4_pinned_tree(), 3)]:
         mc = build_morse_complex(t, n, "unordered")
-        for row, c2 in zip(mc.boundaries[2], mc.critical[2]):
+        for row, c2 in zip(dense_boundaries(mc)[2], mc.critical[2]):
             nz = [j for j, x in enumerate(row) if x]
             if not nz:
                 continue
@@ -428,7 +429,7 @@ def _check_per_labelling(t, n):
     critical, names, boundaries, relators = per_labelling_complex(t, n)
     assert mc.critical == critical
     assert mc.names == names
-    assert mc.boundaries == boundaries
+    assert dense_boundaries(mc) == boundaries
     assert mc.relators == relators
 
 
@@ -487,6 +488,29 @@ def test_derived_column_outside_basis_raises(monkeypatch):
                         lambda sigmas: [[10 ** 9] * len(sigmas)] * len(sigmas))
     with pytest.raises(MorseError, match="falls outside the critical 0-cells"):
         build_morse_complex(k33_pinned_tree(), 2, "ordered")
+
+
+def test_derived_column_at_the_basis_width_raises(monkeypatch):
+    # K33 n=2 ordered has two critical 0-cells, so column 2 is one past them
+    from graphbraids import morse
+    monkeypatch.setattr(morse, "_product_table",
+                        lambda sigmas: [[2] * len(sigmas)] * len(sigmas))
+    with pytest.raises(MorseError, match="falls outside the critical 0-cells"):
+        build_morse_complex(k33_pinned_tree(), 2, "ordered")
+
+
+@pytest.mark.parametrize("name,n,flavor", [("K33", 2, "unordered"),
+                                           ("K33", 3, "ordered"),
+                                           ("K(3,4)", 2, "ordered")])
+def test_boundary_rows_are_sparse(name, n, flavor):
+    # one row per cell, no zero entry, every column a cell one degree down
+    mc = build_morse_complex(_tree(build_graph(name), n), n, flavor)
+    for d, rows in mc.boundaries.items():
+        assert len(rows) == len(mc.critical[d])
+        width = len(mc.critical[d - 1])
+        for row in rows:
+            assert all(x and 0 <= j < width for j, x in row.items())
+    assert any(mc.boundaries.values())
 
 
 def test_colliding_labellings_raise(monkeypatch):

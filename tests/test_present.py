@@ -18,7 +18,8 @@ from graphbraids.present import (free_reduce, wmul, winv, cyclic_reduce,
                                  exponent_sums, WORDS, Word, raw_presentation, simplify, commutator_form,
                                  quadratic_genus, format_word, substitute,
                                  Presentation, _leading_pairs)
-from reference import ReferenceReducer, matching, unblocked_vertices
+from reference import (ReferenceReducer, dense_boundaries, matching,
+                       unblocked_vertices)
 
 
 def w(*letters):
@@ -521,7 +522,8 @@ def _same_d2_three_ways(mc):
     cells2 = mc.critical.get(2, [])
     assert len(mc.relators) == len(cells2)
     chains = ReferenceReducer(mc.tree, mc.ordered)
-    for c2, built, word in zip(cells2, mc.boundaries.get(2, []), mc.relators):
+    for c2, built, word in zip(cells2, dense_boundaries(mc).get(2, []),
+                               mc.relators):
         fresh = [0] * len(lower)
         for c, x in chains.morse_boundary(c2).items():
             fresh[lower[c]] = x
