@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -23,8 +24,15 @@ from .cells import CellError
 
 
 def _load_graph(spec: str):
-    path = Path(spec)
-    return build_graph(path.read_text() if path.exists() else spec)
+    # os.path.exists, unlike Path.exists, is False for a spec too long to
+    # be a file name, such as a long inline JSON graph
+    if not os.path.exists(spec):
+        return build_graph(spec)
+    try:
+        text = Path(spec).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphError(f"cannot read graph file {spec}: {exc}") from exc
+    return build_graph(text)
 
 
 def _prepare_tree(args):
@@ -201,7 +209,7 @@ def cmd_cells(args):
             {"cell": C.format_cell(c, mc.ordered), "name": mc.name_of(c)}
             for c in cs]
     tags = None
-    if not mc.ordered or args.n == 2:
+    if not mc.ordered or args.n <= 2:
         tags = {mc.name_of(c): tag for c, tag in classify_1cells(mc).items()}
     results = {"tree": prov, "critical": crit}
     if tags:

@@ -90,13 +90,6 @@ def homology(mc: MorseComplex) -> dict[int, AbelianGroup]:
 # ---------------------------------------------------------------------------
 # pivotal / separating / free
 
-def _unordered_name(mc: MorseComplex, cell):
-    if mc.ordered:
-        sc, _ = C.phi(cell)
-        return mc.names[cell], sc
-    return mc.names[cell], cell
-
-
 def separating_families(t):
     """Triples feeding rows with two +-1 entries: for each deleted edge d
     with k = g(tau(d), iota(d)) >= 1, the deleted edges d' with smaller tau,
@@ -135,16 +128,17 @@ def classify_1cells(mc: MorseComplex) -> dict:
     """Tag each critical 1-cell pivotal, separating, or free from the
     geometric characterizations (not from the matrix)."""
     t = mc.tree
-    if mc.ordered and mc.n != 2:
-        raise ValueError("1-cell classification needs unordered flavor or n = 2")
+    if mc.ordered and mc.n > 2:
+        raise ValueError("1-cell classification needs unordered flavor or n <= 2")
     sep_unordered = separating_cells(t, mc.n)
     tags = {}
     for cell in mc.critical.get(1, ()):
-        name, sc = _unordered_name(mc, cell)
-        if sc in sep_unordered:
+        rep, _ = mc.orbit(cell)
+        if rep in sep_unordered:
             tags[cell] = "separating"
             continue
         pivotal = False
+        name = mc.names[rep]
         if name is not None and name.canonical and len(name.terms) == 1:
             tm = name.terms[0]
             a = tm.tau
@@ -160,56 +154,44 @@ def classify_1cells(mc: MorseComplex) -> dict:
 
 def undetermined_block(mc: MorseComplex):
     """Rows d u d' - d u d_ref over the separating 1-cells, the block left
-    after removing pivotal rows/columns and free columns.
+    after removing pivotal rows/columns and free columns, read off the d2
+    rows of the complex.
 
     Returns (matrix, row_labels, column_cells); for the ordered flavor each
-    family row appears for both permutation subscripts.
+    family row appears once per labelling, for sigma in ``mc.sigmas``.
     """
     t = mc.tree
-    n = mc.n
     tags = classify_1cells(mc)
     sep = [c for c in mc.critical.get(1, ()) if tags[c] == "separating"]
-    col_index = {c: i for i, c in enumerate(sep)}
-    from .morse import Reducer, morse_boundary
-    red = Reducer(t, mc.ordered)
+    col_index = {mc.index[1][c]: i for i, c in enumerate(sep)}
+    index2 = mc.index.get(2, {})
+
+    def d2_row(edges, sigma):
+        cell = bare_fill(t, edges, mc.n - 2)
+        if sigma is not None:
+            cell = C.phi_inverse(cell, sigma)
+        if cell not in index2:
+            raise MorseError(f"family cell {C.format_cell(cell, mc.ordered)} "
+                             f"is not a critical 2-cell")
+        return mc.boundaries[2][index2[cell]]
+
     rows, labels = [], []
-
-    def emit(chain, label):
-        row = [0] * len(sep)
-        for cc, x in chain.items():
-            if cc in col_index:
-                row[col_index[cc]] = x
-            elif x:
-                raise MorseError(
-                    f"block row {label} leaks outside separating columns: "
-                    f"{C.format_cell(cc, mc.ordered)}")
-        rows.append(row)
-        labels.append(label)
-
     for d, partners in sorted(separating_families(t), reverse=True):
         ref = partners[0]
         for dp in sorted(partners[1:], reverse=True):
-            if mc.ordered:
-                for sigma in ((1, 2), (2, 1)):
-                    ca = C.phi_inverse(tuple(sorted((dp, d))), sigma)
-                    cb = C.phi_inverse(tuple(sorted((ref, d))), sigma)
-                    chain = _chain_sub(morse_boundary(red, ca),
-                                       morse_boundary(red, cb))
-                    emit(chain, (d, dp, ref, sigma))
-            else:
-                ca = bare_fill(t, [d, dp], n - 2)
-                cb = bare_fill(t, [d, ref], n - 2)
-                chain = _chain_sub(morse_boundary(red, ca),
-                                   morse_boundary(red, cb))
-                emit(chain, (d, dp, ref))
+            for sigma in mc.sigmas:
+                label = (d, dp, ref) if sigma is None else (d, dp, ref, sigma)
+                chain = dict(d2_row([d, dp], sigma))
+                for j, x in d2_row([d, ref], sigma).items():
+                    chain[j] = chain.get(j, 0) - x
+                row = [0] * len(sep)
+                for j, x in chain.items():
+                    if j in col_index:
+                        row[col_index[j]] = x
+                    elif x:
+                        raise MorseError(
+                            f"block row {label} leaks outside separating "
+                            f"columns: {C.format_cell(mc.critical[1][j], mc.ordered)}")
+                rows.append(row)
+                labels.append(label)
     return rows, labels, sep
-
-
-def _chain_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) - v
-        if not out[k]:
-            del out[k]
-    return out
-

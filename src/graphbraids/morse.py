@@ -23,14 +23,16 @@ cell's value is its sorted representative's value with every critical cell
 relabelled the same way.  The ordered reducer reduces representatives only.
 For the same reason the ordered basis is the unordered one expanded orbit by
 orbit: each critical cell c, in the unordered order, is followed by its n!
-labellings ``phi_inverse(c, sigma)`` with sigma in lexicographic order, and
-each labelling is named as c with sigma attached.  So the labelling
-``phi_inverse(c, tau)`` sits at row orbit(c) * n! + rank(tau), and the build
-reduces each orbit once, at c itself (the identity labelling): relabelling
-by sigma moves the term at column orbit(c') * n! + rank(tau) to column
-orbit(c') * n! + rank(sigma o tau), (sigma o tau)[i] = sigma[tau[i] - 1],
-read off one n! x n! table of product ranks.  Every labelling's boundary
-row and relator come from its orbit's by this index arithmetic.
+labellings ``phi_inverse(c, sigma)`` with sigma in lexicographic order
+(``MorseComplex.sigmas``).  So the labelling ``phi_inverse(c, tau)`` sits at
+row orbit(c) * n! + rank(tau), and ``MorseComplex.orbit`` reads (c, tau)
+back off the row: names are kept once per orbit, under c, and ``name_of``
+attaches tau.  The build reduces each orbit once, at c itself (the identity
+labelling): relabelling by sigma moves the term at column orbit(c') * n! +
+rank(tau) to column orbit(c') * n! + rank(sigma o tau), (sigma o tau)[i] =
+sigma[tau[i] - 1], read off one n! x n! table of product ranks.  Every
+labelling's boundary row and relator come from its orbit's by this index
+arithmetic.
 
 The one shortcut move replaces c by c with one unblocked vertex v moved to
 its parent, when no vertex or edge end of c lies strictly between parent[v]
@@ -40,7 +42,7 @@ the words it gives are the words of the full expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable
 
@@ -286,7 +288,6 @@ class Term:
 class CriticalName:
     terms: tuple     # Terms sorted by descending tau
     s0: int          # length of the 0_s prefix
-    sigma: tuple | None = None
     canonical: bool = True
 
 
@@ -328,7 +329,7 @@ def _cell_shape(t: OrderedTree, cell):
     return s0, rest, edges, owner
 
 
-def name_critical_cell(t: OrderedTree, cell, sigma=None):
+def name_critical_cell(t: OrderedTree, cell):
     """Structured name of a sorted critical cell, or None when the cell does
     not fit the standard forms (possible on trees violating T1/T2)."""
     s0, rest, edges, owner = _cell_shape(t, cell)
@@ -342,7 +343,7 @@ def name_critical_cell(t: OrderedTree, cell, sigma=None):
     terms = tuple(Term("deleted" if e in t.deleted_set else "tree", e,
                        tuple(vecs[e])) for e in edges)
     back = materialize_name(t, CriticalName(terms, s0))
-    return CriticalName(terms, s0, sigma, canonical=back == tuple(cell))
+    return CriticalName(terms, s0, canonical=back == tuple(cell))
 
 
 def _branch_chain(t: OrderedTree, a: int, k: int, skip_first: bool, count: int):
@@ -387,7 +388,9 @@ def materialize_name(t: OrderedTree, name: CriticalName):
 
 
 def format_name(t: OrderedTree, name: CriticalName | None, cell=None,
-                ordered: bool = False) -> str:
+                ordered: bool = False, sigma=None) -> str:
+    """The name of a critical cell; an ordered labelling's carries its
+    permutation ``sigma`` as a subscript."""
     if name is None or not name.canonical:
         return C.format_cell(cell, ordered=ordered) if cell is not None else "?"
     parts = []
@@ -404,8 +407,8 @@ def format_name(t: OrderedTree, name: CriticalName | None, cell=None,
     if not parts:
         parts.append(f"0_{name.s0}")
     body = " ∪ ".join(parts)
-    if name.sigma is not None:
-        body += "_" + C.perm_cycles(name.sigma)
+    if sigma is not None:
+        body += "_" + C.perm_cycles(sigma)
     return body
 
 
@@ -664,7 +667,12 @@ class MorseComplex:
     # dim -> one sparse row {column: nonzero coefficient} per cell of
     # critical[dim], in that order; a column is a row index of dim - 1
     boundaries: dict
-    names: dict             # cell -> CriticalName
+    # unordered critical cell -> CriticalName: one name per orbit, under its
+    # representative (the identity labelling); ``name_of`` adds the sigma
+    names: dict
+    # S_n in lexicographic order, the labellings of each orbit in basis
+    # order; [None] unordered
+    sigmas: list
     # the rewritten boundary words of the critical 2-cells, in critical[2]
     # order; None on path "fast"
     relators: list | None = None
@@ -693,9 +701,20 @@ class MorseComplex:
                 if any(acc.values()):
                     raise MorseError(f"d o d != 0 in degree {d}")
 
+    def orbit(self, cell):
+        """(the orbit's representative, sigma) of a basis cell: row i of its
+        degree is the labelling sigmas[i % n!] of the orbit whose
+        representative sits at row i - i % n!.  Unordered, this is (cell,
+        None)."""
+        d = C.cell_dim(cell)
+        i = self.index[d][cell]
+        m = len(self.sigmas)
+        return self.critical[d][i - i % m], self.sigmas[i % m]
+
     def name_of(self, cell) -> str:
-        return format_name(self.tree, self.names.get(cell), cell,
-                           ordered=self.ordered)
+        rep, sigma = self.orbit(cell)
+        return format_name(self.tree, self.names.get(rep), cell,
+                           ordered=self.ordered, sigma=sigma)
 
 
 def tree_satisfies_t123(t: OrderedTree) -> bool:
@@ -711,13 +730,13 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
     nonzero coefficient}.  ``cap`` bounds the number of critical cells.
 
     The unordered critical cells are named and sorted once, in both
-    flavors.  The ordered basis replaces each of them, in place, by its n!
-    labellings ``C.phi_inverse(c, sigma)`` with sigma in lexicographic
-    order, so every orbit is contiguous, and names each labelling as c with
-    sigma attached.  Each orbit's boundary is reduced (or rewritten) once,
-    at c; the row and relator of the labelling sigma are c's with every
-    column moved within its orbit to rank(sigma o tau) (see the module
-    docstring).  Labellings that collide, or a column moved outside the
+    flavors, and ``names`` keeps those names only.  The ordered basis
+    replaces each of them, in place, by its n! labellings
+    ``C.phi_inverse(c, sigma)`` with sigma in lexicographic order (kept as
+    ``sigmas``), so every orbit is contiguous and starts with c itself.
+    Each orbit's boundary is reduced (or rewritten) once, at c; the row and
+    relator of the labelling sigma are c's with every column moved within
+    its orbit to rank(sigma o tau) (see the module docstring).  Labellings that collide, or a column moved outside the
     lower basis, raise `MorseError`.
 
     path "fast" evaluates the closed formulas for the degree-2 boundary,
@@ -742,19 +761,10 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
     m = len(sigmas)
     for d, crit in sorted(C.critical_cells(t, n, flavor, cap=cap).items()):
         crit.sort(key=lambda cell: cell_sort_key(t, cell), reverse=True)
-        critical[d] = basis = []
-        for c in crit:
-            name = name_critical_cell(t, c)
-            if not ordered:
-                basis.append(c)
-                names[c] = name
-                continue
-            # the orbit of c: one labelling per sigma, in lexicographic
-            # order, named as c with sigma attached
-            for s in sigmas:
-                cell = C.phi_inverse(c, s)
-                basis.append(cell)
-                names[cell] = name and replace(name, sigma=s)
+        names.update((c, name_critical_cell(t, c)) for c in crit)
+        # the orbit of c: one labelling per sigma, in lexicographic order
+        critical[d] = basis = ([C.phi_inverse(c, s) for c in crit
+                                for s in sigmas] if ordered else crit)
         index[d] = {c: i for i, c in enumerate(basis)}
         if len(index[d]) != len(crit) * m:
             i = next(i for i, c in enumerate(basis) if index[d][c] != i)
@@ -820,7 +830,7 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
                 rows.append(row)
         boundaries[d] = rows
     return MorseComplex(t, n, flavor, critical, index, boundaries, names,
-                        relators=relators)
+                        sigmas, relators=relators)
 
 
 def _product_table(sigmas) -> list:

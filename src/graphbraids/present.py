@@ -8,7 +8,7 @@ solving a redundant 1-cell out of the boundary word of its matched square.
 `morse.build_morse_complex` does this rewriting once per critical 2-cell,
 in both flavors and at every n, reads d2 off it, and keeps the words as
 `MorseComplex.relators`; `raw_presentation` takes them from there (for the
-ordered flavor, at n = 2 only).
+ordered flavor, at n <= 2 only).
 
 Tietze elimination then removes pivotal generators in decreasing order and
 contracts separating generators along the labeled graph of their relations.
@@ -23,7 +23,6 @@ contain it lets a move rewrite only those relators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from . import cells as C
 # the word algebra lives in morse and stays importable from here
@@ -135,12 +134,13 @@ def format_word(w, names: dict) -> str:
 def raw_presentation(mc: MorseComplex) -> Presentation:
     """Generators = critical 1-cells; relators = rewritten boundary words of
     critical 2-cells, as the build left them in ``mc.relators``.  Ordered
-    flavor (n = 2): when the complex has two critical 0-cells, the
-    fundamental group of the Morse complex with them identified is P_2 * Z,
-    so one generator joining the two 0-cells is killed.  (D_2 of a single
-    vertex is empty and has no critical cells at all.)"""
-    if mc.ordered and mc.n != 2:
-        raise MorseError("presentations of pure braid groups need n = 2")
+    flavor, n <= 2: at n = 1 each orbit is one labelling, so P_1 = B_1 with
+    every name subscripted ``_id``.  At n = 2, when the complex has two
+    critical 0-cells, the fundamental group of the Morse complex with them
+    identified is P_2 * Z, so one generator joining the two 0-cells is
+    killed.  (D_2 of a single vertex is empty and has no critical cells.)"""
+    if mc.ordered and mc.n > 2:
+        raise MorseError("presentations of pure braid groups need n <= 2")
     if mc.relators is None:
         raise MorseError("a complex built on path 'fast' has no relator "
                          "words; build it on path 'generic' or 'both'")
@@ -176,17 +176,13 @@ def _leading_pairs(mc: MorseComplex):
     return {mc.critical[1][lead]: cells2[i] for lead, i in groups.items()}
 
 
-def _modified_pivotal_key(mc: MorseComplex, cell, sigmas):
+def _modified_pivotal_key(mc: MorseComplex, cell):
     """Order used only when eliminating pivotal generators: deleted edges
-    outrank tree edges at equal terminal vertex.  The generator is the
-    labelling sigmas[i % n!] of the orbit starting at row i - i % n!
-    (``sigmas`` lists S_n in lexicographic order; unordered it is [None])."""
+    outrank tree edges at equal terminal vertex."""
     t = mc.tree
-    m = len(sigmas)
-    i = mc.index[1][cell]
-    rep = mc.critical[1][i - i % m]
+    rep, sigma = mc.orbit(cell)
     e = C.cell_edges(rep)[0]
-    base = cell_sort_key(t, rep, sigmas[i % m])
+    base = cell_sort_key(t, rep, sigma)
     mod_edge = (e[0], 1 if e in t.deleted_set else 0, e[1])
     return (base[0], mod_edge) + tuple(base[2:])
 
@@ -259,10 +255,7 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
 
     pivotal = [g for g in out.generators
                if tags.get(g) == "pivotal" and g in pairs]
-    sigmas = (list(permutations(range(1, mc.n + 1))) if mc.ordered
-              else [None])
-    pivotal.sort(key=lambda g: _modified_pivotal_key(mc, g, sigmas),
-                 reverse=True)
+    pivotal.sort(key=lambda g: _modified_pivotal_key(mc, g), reverse=True)
     for g in pivotal:
         rid = mc.index[2][pairs[g]]
         if rid in rels:

@@ -6,9 +6,11 @@ from itertools import permutations
 from graphbraids import cells as C
 from graphbraids.cells import (Classification, boundary, cell_edges,
                                cell_vertices, classify, matched_cell)
-from graphbraids.homology import AbelianGroup
+from graphbraids.homology import (AbelianGroup, classify_1cells,
+                                  separating_families)
 from graphbraids.intlinalg import copy_matrix, smith_normal_form, zeros
-from graphbraids.morse import (WORDS, Reducer, cell_sort_key, morse_boundary,
+from graphbraids.morse import (WORDS, MorseError, Reducer, bare_fill,
+                               cell_sort_key, morse_boundary,
                                name_critical_cell)
 from graphbraids.trees import OrderedTree
 
@@ -105,7 +107,8 @@ class ReferenceReducer:
 def per_labelling_complex(t: OrderedTree, n: int):
     """(critical, names, boundaries, relators) of the ordered Morse complex
     the long way, labelling by labelling: the basis lists every permutation
-    of each unordered critical cell, sorted and named through ``phi``; each
+    of each unordered critical cell, sorted through ``phi`` and named as
+    (name of the sorted cell, permutation) through ``phi``; each
     basis cell's boundary word is rewritten (degree 2) or its boundary
     reduced (other degrees) on its own, and the row is read off the
     result."""
@@ -115,7 +118,8 @@ def per_labelling_complex(t: OrderedTree, n: int):
         split = {c: C.phi(c) for c in cs}
         cs.sort(key=lambda c: cell_sort_key(t, *split[c]), reverse=True)
         critical[d] = cs
-        names.update((c, name_critical_cell(t, *split[c])) for c in cs)
+        names.update((c, (name_critical_cell(t, split[c][0]), split[c][1]))
+                     for c in cs)
     red = Reducer(t, ordered=True)
     words = Reducer(t, ordered=True, algebra=WORDS)
     boundaries, relators = {}, []
@@ -136,6 +140,46 @@ def per_labelling_complex(t: OrderedTree, n: int):
                     row[lower[c]] = x
             rows.append(row)
     return critical, names, boundaries, relators
+
+
+def reference_undetermined_block(mc):
+    """The undetermined block the long way: each family row is the
+    difference of the two family cells' Morse boundaries, reduced afresh
+    with a `Reducer`; the ordered family cells are the labellings of the
+    sorted pair by every permutation, in lexicographic order."""
+    t = mc.tree
+    tags = classify_1cells(mc)
+    sep = [c for c in mc.critical.get(1, ()) if tags[c] == "separating"]
+    col_index = {c: i for i, c in enumerate(sep)}
+    red = Reducer(t, mc.ordered)
+    rows, labels = [], []
+
+    def emit(ca, cb, label):
+        chain = dict(morse_boundary(red, ca))
+        for c, x in morse_boundary(red, cb).items():
+            chain[c] = chain.get(c, 0) - x
+        row = [0] * len(sep)
+        for c, x in chain.items():
+            if c in col_index:
+                row[col_index[c]] = x
+            elif x:
+                raise MorseError(f"block row {label} leaks outside "
+                                 f"separating columns")
+        rows.append(row)
+        labels.append(label)
+
+    for d, partners in sorted(separating_families(t), reverse=True):
+        ref = partners[0]
+        for dp in sorted(partners[1:], reverse=True):
+            ca = bare_fill(t, [d, dp], mc.n - 2)
+            cb = bare_fill(t, [d, ref], mc.n - 2)
+            if not mc.ordered:
+                emit(ca, cb, (d, dp, ref))
+                continue
+            for sigma in permutations(range(1, mc.n + 1)):
+                emit(C.phi_inverse(ca, sigma), C.phi_inverse(cb, sigma),
+                     (d, dp, ref, sigma))
+    return rows, labels, sep
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,51 @@ def test_graph_file_input(tmp_path, capsys):
     assert status == 0 and rep["verdict"] == "match"
 
 
+def _one_line_error(capsys, argv, start="error: "):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(start) and captured.err.count("\n") == 1
+
+
+def test_graph_path_that_is_a_directory_is_one_line(tmp_path, capsys):
+    _one_line_error(capsys, ["homology", "--graph", str(tmp_path)],
+                    "error: cannot read graph file")
+
+
+def test_graph_file_that_is_not_text_is_one_line(tmp_path, capsys):
+    p = tmp_path / "g.bin"
+    p.write_bytes(bytes([0xff, 0xfe, 0x00, 0xd0, 0x80]) * 20)
+    _one_line_error(capsys, ["homology", "--graph", str(p)],
+                    "error: cannot read graph file")
+
+
+def test_inline_json_graph_longer_than_a_file_name(capsys):
+    # a 40-cycle written out is far longer than a file name may be
+    vs = [f"vertex{i}" for i in range(40)]
+    doc = json.dumps({"vertices": vs,
+                      "edges": [[f"e{i}", vs[i], vs[(i + 1) % 40]]
+                                for i in range(40)]})
+    assert len(doc) > 1000
+    status, rep = capture(capsys, ["homology", "--graph", doc, "--n", "1"])
+    assert status == 0
+    assert h_of(rep, 1) == {"degree": 1, "rank": 1, "torsion": []}
+
+
+def test_ordered_n1_presentation_and_tags(capsys):
+    status, rep = capture(capsys, ["present", "--graph", "K4", "--n", "1",
+                                   "--flavor", "ordered"])
+    assert status == 0
+    res = rep["results"]
+    assert res["generators"] == ["d_3_id", "d_2_id", "d_1_id"]
+    assert res["relators"] == [] and res["abelianization"]["rank"] == 3
+    status, rep = capture(capsys, ["cells", "--graph", "K4", "--n", "1",
+                                   "--flavor", "ordered"])
+    assert status == 0
+    assert rep["results"]["one_cell_tags"] == {
+        "d_3_id": "free", "d_2_id": "free", "d_1_id": "free"}
+
+
 def test_check_ordered_n3_covers_unordered(capsys):
     status, rep = capture(capsys, ["check", "--graph", "K33", "--n", "3",
                                    "--flavor", "ordered"])

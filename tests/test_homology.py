@@ -1,4 +1,3 @@
-import importlib
 from collections import Counter
 
 import pytest
@@ -17,7 +16,8 @@ from graphbraids.intlinalg import (smith_normal_form, kernel_basis,
                                    kernel_coordinates)
 from graphbraids.morse import MorseError
 
-from reference import dense_boundaries, per_matrix_homology, relative_h1_rank
+from reference import (dense_boundaries, per_matrix_homology,
+                       reference_undetermined_block, relative_h1_rank)
 
 
 def test_abelian_group_canonical():
@@ -293,17 +293,66 @@ def test_classification_requires_supported_flavor():
         classify_1cells(mc)
 
 
-def test_block_row_leaking_outside_separating_columns_raises(monkeypatch):
-    from graphbraids.morse import MorseError
-    # the module, not the function the package re-exports under its name
-    H = importlib.import_module("graphbraids.homology")
+def test_block_row_leaking_outside_separating_columns_raises():
+    from graphbraids.homology import separating_families
+    from graphbraids.morse import bare_fill
     mc = build_morse_complex(k5_pinned_tree(), 4, "unordered")
     tags = classify_1cells(mc)
-    free = next(c for c, tag in tags.items() if tag == "free")
-    # every block row then carries a free 1-cell, outside the block's columns
-    monkeypatch.setattr(H, "_chain_sub", lambda a, b: {free: 1})
+    free = mc.index[1][next(c for c, tag in tags.items() if tag == "free")]
+    # the d2 row of one family's reference cell gains a free 1-cell, so the
+    # rows of that family carry it, outside the block's columns
+    d, partners = separating_families(mc.tree)[0]
+    row = mc.boundaries[2][mc.index[2][bare_fill(mc.tree, [d, partners[0]],
+                                                 mc.n - 2)]]
+    row[free] = row.get(free, 0) + 1
     with pytest.raises(MorseError, match="leaks outside separating columns"):
         undetermined_block(mc)
+
+
+def test_block_family_cell_outside_the_critical_2_cells_raises():
+    mc = build_morse_complex(k5_pinned_tree(), 4, "unordered")
+    mc.index[2] = {}
+    with pytest.raises(MorseError, match="is not a critical 2-cell"):
+        undetermined_block(mc)
+
+
+# the block reads d2 off the complex; the reference reduces each family
+# cell's boundary afresh with a Reducer
+
+def _same_block(mc):
+    assert undetermined_block(mc) == reference_undetermined_block(mc)
+
+
+def test_block_matches_reference():
+    gs, _ = subdivide(build_graph(PRISM), 2, "strict")
+    for mc in (build_morse_complex(k5_pinned_tree(), 4, "unordered"),
+               build_morse_complex(k5_pinned_tree(), 2, "ordered"),
+               build_morse_complex(choose_tree_and_order(gs, 2, "planar"), 2,
+                                   "unordered")):
+        rows, _, cols = undetermined_block(mc)
+        assert rows and cols
+        _same_block(mc)
+
+
+def test_block_matches_reference_on_corpus():
+    # seeds 0-149 at n = 2 in both flavors; some of these complexes have no
+    # critical 1-cells and give the empty block
+    empty = blocks = 0
+    for seed in range(150):
+        for flavor in ("unordered", "ordered"):
+            mc = _corpus_complex(seed, 2, flavor)
+            if not mc.critical.get(1):
+                empty += 1
+                assert undetermined_block(mc) == ([], [], [])
+            blocks += bool(undetermined_block(mc)[0])
+            _same_block(mc)
+    assert empty and blocks
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["unordered", "ordered"]))
+def test_block_matches_reference_on_random_corpus(seed, flavor):
+    _same_block(_corpus_complex(seed, 2, flavor))
 
 
 def test_tags_consistent_with_matrix():

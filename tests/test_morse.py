@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -372,7 +371,11 @@ def _check_orbit_names(t, n):
     mc = build_morse_complex(t, n, "ordered")
     for d, cs in _ordered_critical(t, n).items():
         for c in cs:
-            assert mc.names[c] == name_critical_cell(t, *phi(c))
+            sc, sigma = phi(c)
+            rep, s = mc.orbit(c)
+            assert (mc.names[rep], s) == (name_critical_cell(t, sc), sigma)
+            assert mc.name_of(c) == format_name(t, name_critical_cell(t, sc),
+                                                c, True, sigma)
         cs.sort(key=lambda c: cell_sort_key(t, *phi(c)), reverse=True)
         assert mc.critical[d] == cs
 
@@ -396,15 +399,19 @@ def _check_ordered_basis_expands_unordered(t, n):
     po = build_morse_complex(t, n, "ordered")
     bo = build_morse_complex(t, n, "unordered")
     sigmas = list(permutations(range(1, n + 1)))
+    assert po.sigmas == sigmas and bo.sigmas == [None]
     assert po.critical.keys() == bo.critical.keys()
+    # one name per orbit, the unordered cell's
+    assert po.names == bo.names
     for d, cs in bo.critical.items():
         assert po.critical[d] == [C.phi_inverse(c, s) for c in cs
                                   for s in sigmas]
         for c in cs:
-            name = bo.names[c]
             for s in sigmas:
-                got = po.names[C.phi_inverse(c, s)]
-                assert got == (name and replace(name, sigma=s))
+                cell = C.phi_inverse(c, s)
+                assert po.orbit(cell) == (c, s)
+                assert po.name_of(cell) == format_name(t, bo.names[c], cell,
+                                                       True, s)
 
 
 @pytest.mark.parametrize("name,n", [("K33", 2), ("K33", 3), ("K33", 4),
@@ -428,7 +435,13 @@ def _check_per_labelling(t, n):
     mc = build_morse_complex(t, n, "ordered")
     critical, names, boundaries, relators = per_labelling_complex(t, n)
     assert mc.critical == critical
-    assert mc.names == names
+    # each labelling named as its orbit's name with its permutation
+    labelled = {}
+    for cs in mc.critical.values():
+        for c in cs:
+            rep, sigma = mc.orbit(c)
+            labelled[c] = (mc.names[rep], sigma)
+    assert labelled == names
     assert dense_boundaries(mc) == boundaries
     assert mc.relators == relators
 
@@ -460,6 +473,35 @@ def test_ordered_build_matches_per_labelling_walk_degenerate(graph, n):
 @given(st.integers(0, 10_000), st.integers(1, 3))
 def test_ordered_build_matches_per_labelling_walk_on_corpus(seed, n):
     _check_per_labelling(_tree(corpus(seed, 1)[0], n), n)
+
+
+# ---------------------------------------------------------------------------
+# the complex owns its orbit layout: orbit() is phi read off the basis rows
+
+def _check_orbit_is_phi(mc):
+    for cs in mc.critical.values():
+        for c in cs:
+            assert mc.orbit(c) == (phi(c) if mc.ordered else (c, None))
+    # names are kept once per orbit, under its representative
+    reps = {mc.orbit(c)[0] for cs in mc.critical.values() for c in cs}
+    assert set(mc.names) == reps
+    assert len(mc.names) * len(mc.sigmas) == sum(map(len,
+                                                     mc.critical.values()))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3),
+       st.sampled_from(["unordered", "ordered"]))
+def test_orbit_is_phi_on_corpus(seed, n, flavor):
+    _check_orbit_is_phi(build_morse_complex(_tree(corpus(seed, 1)[0], n), n,
+                                            flavor))
+
+
+def test_orbit_is_phi_k33_n4_ordered():
+    mc = build_morse_complex(pinned_tree("K33", 4)
+                             or _tree(build_graph("K33"), 4), 4, "ordered")
+    _check_orbit_is_phi(mc)
+    assert len(mc.sigmas) == 24 and mc.sigmas[0] == (1, 2, 3, 4)
 
 
 def test_both_checks_every_labelling(monkeypatch):

@@ -9,11 +9,11 @@ from graphbraids.cells import parse_cell, format_cell, vertex, boundary_word
 from graphbraids.corpus import corpus
 from graphbraids.fixtures import (k33_pinned_tree, theta4_pinned_tree,
                                   k5_pinned_tree, k4_pinned_tree, fig_b3n3_tree)
-from graphbraids.graphs import build_graph, subdivide
+from graphbraids.graphs import BUILTIN_GRAPHS, betti1, build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
 from graphbraids.morse import (build_morse_complex, cell_sort_key, MorseError,
                                Reducer)
-from graphbraids.homology import homology, classify_1cells
+from graphbraids.homology import AbelianGroup, homology, classify_1cells
 from graphbraids.present import (free_reduce, wmul, winv, cyclic_reduce,
                                  exponent_sums, WORDS, Word, raw_presentation, simplify, commutator_form,
                                  quadratic_genus, format_word, substitute,
@@ -467,7 +467,7 @@ def test_simplify_matches_reference(make):
        st.sampled_from(["unordered", "ordered"]))
 def test_simplify_matches_reference_on_corpus(seed, n, flavor):
     if flavor == "ordered":
-        n = 2  # pure braid presentations are defined for n = 2 only
+        n = 2  # ordered n = 1 has its own tests below
     mc = _generic_complex(corpus(seed, 1)[0], n, flavor)
     try:
         _same_simplification(mc)
@@ -505,7 +505,7 @@ def test_raw_presentation_matches_reference_rewriting(make):
        st.sampled_from(["unordered", "ordered"]))
 def test_raw_presentation_matches_reference_rewriting_on_corpus(seed, n, flavor):
     if flavor == "ordered":
-        n = 2  # pure braid presentations are defined for n = 2 only
+        n = 2  # ordered n = 1 has its own tests below
     mc = _generic_complex(corpus(seed, 1)[0], n, flavor)
     try:
         _same_rewriting(mc)
@@ -564,13 +564,42 @@ def test_relators_only_where_a_presentation_is_read():
     # ordered n = 3 keeps its relator words, but P_3 has no presentation here
     mc = build_morse_complex(k33_pinned_tree(), 3, "ordered")
     assert len(mc.relators) == len(mc.critical[2]) > 0
-    with pytest.raises(MorseError, match="need n = 2"):
+    with pytest.raises(MorseError, match="need n <= 2"):
         raw_presentation(mc)
     t = theta4_pinned_tree()
     both = build_morse_complex(t, 3, "unordered", path="both")
     generic = build_morse_complex(t, 3, "unordered")
     assert both.relators == generic.relators
     assert both.boundaries == generic.boundaries
+
+
+# ordered n = 1: D_1 = UD_1 is the graph, so P_1 = B_1 = pi_1 of the graph,
+# free of rank beta_1, with every name subscripted by the identity
+
+def _check_ordered_n1(g):
+    t = choose_tree_and_order(subdivide(g, 1, "auto")[0], 1)
+    po = build_morse_complex(t, 1, "ordered")
+    bo = build_morse_complex(t, 1, "unordered")
+    for simplified in (False, True):
+        p, b = raw_presentation(po), raw_presentation(bo)
+        if simplified:
+            p, b = simplify(p, po), simplify(b, bo)
+        assert len(p.generators) == len(b.generators)
+        assert p.relators == b.relators
+        assert p.abelianization() == b.abelianization() == \
+            AbelianGroup(betti1(g))
+        assert all(p.names[c] == b.names[c] + "_id" for c in p.generators)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GRAPHS))
+def test_ordered_n1_presentation_is_the_unordered_one(name):
+    _check_ordered_n1(build_graph(name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_ordered_n1_presentation_is_the_unordered_one_on_corpus(seed):
+    _check_ordered_n1(corpus(seed, 1)[0])
 
 
 def test_simplify_audits_every_move_without_touching_its_input():
