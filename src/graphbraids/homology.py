@@ -158,11 +158,14 @@ def undetermined_block(mc: MorseComplex):
     rows of the complex.
 
     Returns (matrix, row_labels, column_cells); for the ordered flavor each
-    family row appears once per labelling, for sigma in ``mc.sigmas``.
+    family row appears once per labelling, for sigma in ``mc.sigmas``.  At
+    n = 1 there are no 2-cells, so the block has no rows.
     """
     t = mc.tree
     tags = classify_1cells(mc)
     sep = [c for c in mc.critical.get(1, ()) if tags[c] == "separating"]
+    if mc.n < 2:
+        return [], [], sep
     col_index = {mc.index[1][c]: i for i, c in enumerate(sep)}
     index2 = mc.index.get(2, {})
 

@@ -19,20 +19,21 @@ from the closed formulas instead.  Degrees 1 and >= 3 are Z-chains.
 
 D_n is the n!-sheeted cover of UD_n and its matching is the lift of the one
 on UD_n, so the ordered reduction commutes with relabelling the points: a
-cell's value is its sorted representative's value with every critical cell
-relabelled the same way.  The ordered reducer reduces representatives only.
-For the same reason the ordered basis is the unordered one expanded orbit by
-orbit: each critical cell c, in the unordered order, is followed by its n!
-labellings ``phi_inverse(c, sigma)`` with sigma in lexicographic order
-(``MorseComplex.sigmas``).  So the labelling ``phi_inverse(c, tau)`` sits at
-row orbit(c) * n! + rank(tau), and ``MorseComplex.orbit`` reads (c, tau)
-back off the row: names are kept once per orbit, under c, and ``name_of``
-attaches tau.  The build reduces each orbit once, at c itself (the identity
-labelling): relabelling by sigma moves the term at column orbit(c') * n! +
-rank(tau) to column orbit(c') * n! + rank(sigma o tau), (sigma o tau)[i] =
-sigma[tau[i] - 1], read off one n! x n! table of product ranks.  Every
-labelling's boundary row and relator come from its orbit's by this index
-arithmetic.
+labelling's value is its orbit representative's value with every critical
+cell relabelled the same way.  The ordered basis is the unordered one
+expanded orbit by orbit: each critical cell c, in the unordered order, is
+followed by its n! labellings ``phi_inverse(c, sigma)`` with sigma in
+lexicographic order (``MorseComplex.sigmas``).  So the labelling
+``phi_inverse(c, tau)`` sits at row orbit(c) * n! + rank(tau), and
+``MorseComplex.orbit`` reads (c, tau) back off the row: names are kept once
+per orbit, under c, and ``name_of`` attaches tau.  The build reduces each
+orbit once, at c itself (the identity labelling): relabelling by sigma
+moves the term at column orbit(c') * n! + rank(tau) to column orbit(c') *
+n! + rank(sigma o tau), (sigma o tau)[i] = sigma[tau[i] - 1], read off one
+n! x n! table of product ranks (`_product_table`).  Every labelling's
+boundary row and relator come from its orbit's by this index arithmetic,
+the one place where S_n acts on reduced values: `Reducer` walks every cell
+as it is given, labelled or not, and never relabels.
 
 The one shortcut move replaces c by c with one unblocked vertex v moved to
 its parent, when no vertex or edge end of c lies strictly between parent[v]
@@ -66,14 +67,11 @@ class Algebra:
     (face, coefficient) whose sum (or product) is zero (or 1); a redundant
     cell is solved out of the relation of its matched cell, and
     ``combine(terms)`` turns the solution, as (value, coefficient) pairs of
-    the other faces, into the cell's value, one call per cell.
-    ``relabel(value, sigma)`` applies ``C.phi_inverse(., sigma)`` to every
-    critical cell in a value."""
+    the other faces, into the cell's value, one call per cell."""
     zero: object
     unit: Callable
     combine: Callable
     relation: Callable
-    relabel: Callable
 
 
 def _combine_chains(terms) -> dict:
@@ -86,9 +84,7 @@ def _combine_chains(terms) -> dict:
 
 # Z-chains {critical cell: nonzero coefficient} over the cubical boundary
 CHAINS = Algebra(zero={}, unit=lambda cell: {cell: 1}, combine=_combine_chains,
-                 relation=lambda cell, ordered: C.boundary(cell, ordered),
-                 relabel=lambda chain, sigma: {C.phi_inverse(cell, sigma): x
-                                               for cell, x in chain.items()})
+                 relation=lambda cell, ordered: C.boundary(cell, ordered))
 
 
 # words in a free group; letters are (generator, +-1)
@@ -122,20 +118,17 @@ def _combine_words(terms) -> Word:
 # words over critical 1-cells; a redundant 1-cell is solved out of the
 # boundary word of its matched square
 WORDS = Algebra(zero=(), unit=lambda cell: ((cell, 1),),
-                combine=_combine_words, relation=C.boundary_word,
-                relabel=lambda w, sigma: tuple((C.phi_inverse(g, sigma), e)
-                                               for g, e in w))
+                combine=_combine_words, relation=C.boundary_word)
 
 
 class Reducer:
     """Memoized reduction onto the critical cells of one flavor, with values
     in ``algebra`` (Z-chains by default).
 
-    Ordered, ``memo`` holds one entry per S_n-orbit, keyed on the sorted
-    representative ``C.phi(cell)[0]``: every step of the reduction acts on
-    the items position by position, with signs read from the items, so the
-    value of ``phi_inverse(rep, sigma)`` is rep's value relabelled by
-    sigma."""
+    It walks cells exactly as it is given them and knows nothing of the
+    S_n action: ``memo`` is keyed on the cell as walked, a labelled tuple
+    when ordered.  `build_morse_complex` only asks it for orbit
+    representatives and derives the other labellings itself."""
 
     def __init__(self, tree: OrderedTree, ordered: bool = False,
                  algebra: Algebra = CHAINS):
@@ -144,24 +137,16 @@ class Reducer:
         self.algebra = algebra
         self.memo: dict = {}
 
-    def _canonical(self, cell):
-        """(rep, sigma) with cell = phi_inverse(rep, sigma) and rep the
-        orbit's sorted representative; sigma is None for the identity."""
-        rep, sigma = C.phi(cell)
-        return (cell, None) if rep == cell else (rep, sigma)
-
     def _plan(self, cell):
-        """("critical" | "collapsible", None), or ("redundant", [(rep, sigma,
+        """("critical" | "collapsible", None), or ("redundant", [(face,
         coefficient)]) with the cell's value the combination of the faces'
-        values, each face canonicalised once (sigma is None unordered)."""
+        values."""
         cls = C.classify(self.t, cell)
         if cls.kind != "redundant":
             return cls.kind, None
         move = self._shortcut_move(cell, cls)
         if move is not None:
-            if not self.ordered:
-                return "redundant", [(move, None, 1)]
-            return "redundant", self._deps([(move, 1)])
+            return "redundant", [(move, 1)]
         matched = C.matched_cell(self.t, cell, cls.witness, self.ordered)
         rel = self.algebra.relation(matched, self.ordered)
         hits = [i for i, (f, _) in enumerate(rel) if f == cell]
@@ -173,15 +158,8 @@ class Reducer:
         i = hits[0]
         e, rest = rel[i][1], rel[i + 1:] + rel[:i]
         if e == -1:
-            return "redundant", self._deps(rest)
-        return "redundant", self._deps([(f, -x) for f, x in reversed(rest)])
-
-    def _deps(self, terms):
-        """The faces of a plan as (rep, sigma, coefficient)."""
-        if not self.ordered:
-            return [(f, None, x) for f, x in terms]
-        canonical = self._canonical
-        return [canonical(f) + (x,) for f, x in terms]
+            return "redundant", rest
+        return "redundant", [(f, -x) for f, x in reversed(rest)]
 
     def _shortcut_move(self, cell, cls):
         """One V-move c -> V_e(c) when the special-reduction hypotheses hold,
@@ -202,20 +180,13 @@ class Reducer:
         return None
 
     def reduce_cell(self, cell):
-        sigma = None
-        if self.ordered:
-            cell, sigma = self._canonical(cell)
         value = self.memo.get(cell)
-        if value is None:
-            value = self._walk(cell)
-        return value if sigma is None else self.algebra.relabel(value, sigma)
+        return self._walk(cell) if value is None else value
 
     def _walk(self, cell0):
-        """Reduce the representative cell0 and every representative it
-        depends on into ``memo``."""
+        """Reduce cell0 and every cell it depends on into ``memo``."""
         memo = self.memo
         alg = self.algebra
-        relabel = alg.relabel
         plans: dict = {}
         stack = [(cell0, False)]
         in_progress = set()
@@ -243,19 +214,16 @@ class Reducer:
                     raise MorseError("cyclic reduction dependency (bug)")
                 in_progress.add(cell)
                 stack.append((cell, True))
-                for f, _, _ in deps:
+                for f, _ in deps:
                     if f not in memo:
                         stack.append((f, False))
             else:
-                if len(deps) == 1 and deps[0][2] == 1:
+                if len(deps) == 1 and deps[0][1] == 1:
                     # a shortcut move: values are kept reduced, so the
                     # moved cell's value is this cell's as it stands
-                    f, s, _ = deps[0]
-                    memo[cell] = memo[f] if s is None else relabel(memo[f], s)
+                    memo[cell] = memo[deps[0][0]]
                 else:
-                    memo[cell] = alg.combine([
-                        (memo[f] if s is None else relabel(memo[f], s), x)
-                        for f, s, x in deps])
+                    memo[cell] = alg.combine([(memo[f], x) for f, x in deps])
                 in_progress.discard(cell)
         return memo[cell0]
 

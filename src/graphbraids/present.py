@@ -97,7 +97,6 @@ class Presentation:
     relators: list
     names: dict = field(default_factory=dict)
     history: list = field(default_factory=list)
-    killed: object = None
 
     def abelianization(self) -> AbelianGroup:
         index = {g: i for i, g in enumerate(self.generators)}
@@ -159,7 +158,6 @@ def raw_presentation(mc: MorseComplex) -> Presentation:
         pres.generators.remove(join)
         pres.relators = [free_reduce(tuple((g, e) for g, e in r if g != join))
                          for r in pres.relators]
-        pres.killed = join
         pres.history.append(f"kill joining generator {names[join]}")
     return pres
 
@@ -201,7 +199,7 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
     `audit`, when given, is called with the presentation after every Tietze
     move (used by tests to confirm the abelianization never changes)."""
     out = Presentation(list(pres.generators), [], dict(pres.names),
-                       list(pres.history), pres.killed)
+                       list(pres.history))
     tags = classify_1cells(mc)
     pairs = _leading_pairs(mc)
     # letter i is generator i (from 1) and -i its inverse; letter[x] turns

@@ -270,6 +270,18 @@ def test_block_empty_when_no_separating():
     assert rows == [] and cols == []
 
 
+@pytest.mark.parametrize("flavor", ["unordered", "ordered"])
+@pytest.mark.parametrize("name", ["K4", "K5", "K33", "Theta4"])
+def test_block_empty_at_one_point(name, flavor):
+    # D_1 has no 2-cells, so no family cell exists to fill
+    gs, _ = subdivide(build_graph(name), 1, "auto")
+    mc = build_morse_complex(choose_tree_and_order(gs, 1), 1, flavor)
+    tags = classify_1cells(mc)
+    rows, labels, cols = undetermined_block(mc)
+    assert rows == [] and labels == []
+    assert cols == [c for c in mc.critical[1] if tags[c] == "separating"]
+
+
 PRISM = ("a1 a2\na2 a3\na3 a1\nb1 b2\nb2 b3\nb3 b1\n"
          "a1 b1\na2 b2\na3 b3")
 
