@@ -226,7 +226,6 @@ class Classification:
     # cell vertices and edge ends; at most 2n of them, so a list is scanned
     # as fast as a set is hashed
     occupied: list = field(default_factory=list)
-    edges: list = field(default_factory=list)  # the cell's edges, in order
 
 
 def classify(t: OrderedTree, cell) -> Classification:
@@ -269,10 +268,10 @@ def classify(t: OrderedTree, cell) -> Classification:
             best = e
             bound = iota
     if best is not None:
-        return Classification("collapsible", best, unb, occupied, edges)
+        return Classification("collapsible", best, unb, occupied)
     if unb:
-        return Classification("redundant", min(unb), unb, occupied, edges)
-    return Classification("critical", None, unb, occupied, edges)
+        return Classification("redundant", min(unb), unb, occupied)
+    return Classification("critical", None, unb, occupied)
 
 
 def matched_cell(t: OrderedTree, cell, v: int, ordered: bool = False):

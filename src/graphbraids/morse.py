@@ -35,10 +35,29 @@ boundary row and relator come from its orbit's by this index arithmetic,
 the one place where S_n acts on reduced values: `Reducer` walks every cell
 as it is given, labelled or not, and never relabels.
 
-The one shortcut move replaces c by c with one unblocked vertex v moved to
-its parent, when no vertex or edge end of c lies strictly between parent[v]
-and v.  It is a special reduction in both flavors and both algebras, and
-the words it gives are the words of the full expansion.
+The one-step shortcut move takes the smallest unblocked vertex v of a
+redundant cell c with no vertex or edge end of c strictly between parent[v]
+and v, and moves it to p = parent[v].  It is a special reduction
+in both flavors and both algebras, and the words it gives are the words of
+the full expansion.  On a subdivided graph the move repeats down a run of
+the tree, so the reducer takes the whole run in one plan, the shortcut
+slide: after the first step it keeps moving the vertex from p to parent[p]
+while p != 0, parent[p] is free and no vertex or edge end lies strictly
+between parent[p] and p, all read off the classification of c itself.  The
+slide ends where the iterated one-step move ends, so the value is
+unchanged; only the start and the end of a run are planned and memoized.
+Each cell c' the slide passes, c with v moved to p:
+
+- is redundant.  Its order-respecting edges are among c's: the vertex at p
+  only adds constraints, and v constrained no edge, as no edge ends at its
+  free parent.  Its smallest unblocked vertex is at most c's, u: u stays
+  unblocked unless u = v or parent[u] = p, and then p < u is unblocked
+  itself, as parent[p] is free.  So it lies below those edges' terminal
+  vertices, and c' is not collapsible.
+- moves p next.  The unblocked vertices below p and the occupied vertices
+  below them are c's, as the occupied set changed only at p and v > p.
+  Each of them failed the test in c, where v was the first to pass, so p,
+  which passes, is the first.
 """
 
 from __future__ import annotations
@@ -162,17 +181,23 @@ class Reducer:
         return "redundant", [(f, -x) for f, x in reversed(rest)]
 
     def _shortcut_move(self, cell, cls):
-        """One V-move c -> V_e(c) when the special-reduction hypotheses hold,
-        read off the cell's classification ``cls``."""
+        """The end of the shortcut slide from c, or None when no unblocked
+        vertex can move, read off the cell's classification ``cls`` alone
+        (see the module docstring)."""
         parent = self.t.parent
         occupied = cls.occupied
         for v in sorted(cls.unblocked):
-            lo = parent[v]
+            # the largest occupied vertex below v: the vertex slides to
+            # each parent above it, as no step passes an occupied vertex
+            below = -1
             for w in occupied:
-                if lo < w < v:
-                    break
-            else:
-                rep = C.vertex(lo)
+                if below < w < v:
+                    below = w
+            end = v
+            while end and parent[end] > below:
+                end = parent[end]
+            if end != v:
+                rep = C.vertex(end)
                 out = [rep if it == (v, -1) else it for it in cell]
                 if not self.ordered:
                     out.sort()
@@ -219,8 +244,9 @@ class Reducer:
                         stack.append((f, False))
             else:
                 if len(deps) == 1 and deps[0][1] == 1:
-                    # a shortcut move: values are kept reduced, so the
-                    # moved cell's value is this cell's as it stands
+                    # a shortcut slide: values are kept reduced, so the
+                    # value at the slide's end is this cell's as it stands;
+                    # the cells it passed are never planned or memoized
                     memo[cell] = memo[deps[0][0]]
                 else:
                     memo[cell] = alg.combine([(memo[f], x) for f, x in deps])

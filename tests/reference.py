@@ -59,6 +59,35 @@ def matching(t: OrderedTree, cell, ordered: bool = False):
     return matched_cell(t, cell, cls.witness, ordered)
 
 
+def _one_step_shortcut(t: OrderedTree, cls):
+    """(v, parent[v]) for the smallest unblocked vertex v with no vertex or
+    edge end strictly between parent[v] and v, or None."""
+    for v in sorted(cls.unblocked):
+        lo = t.parent[v]
+        if not any(lo < w < v for w in cls.occupied):
+            return v, lo
+    return None
+
+
+def step_shortcut_end(t: OrderedTree, cell, ordered: bool = False):
+    """The end of the shortcut slide from a redundant cell, one step at a
+    time: the one-step move, classified afresh at every cell, repeated while
+    the cell stays redundant and each step moves the vertex the previous
+    step placed.  None when no vertex moves at all."""
+    step = _one_step_shortcut(t, classify(t, cell))
+    if step is None:
+        return None
+    while True:
+        v, p = step
+        cell = tuple(C.vertex(p) if it == C.vertex(v) else it for it in cell)
+        if not ordered:
+            cell = tuple(sorted(cell))
+        cls = classify(t, cell)
+        step = _one_step_shortcut(t, cls) if cls.kind == "redundant" else None
+        if step is None or step[0] != p:
+            return cell
+
+
 class ReferenceReducer:
     """The Morse reduction onto critical cells as Z-chains, the long way:
     one memo entry per cell (per labelling, when ordered), no shortcut

@@ -113,7 +113,6 @@ def test_classify_matches_reference_on_corpus(seed, n, flavor):
             if got.kind == "redundant":
                 assert sorted(got.occupied) == sorted(
                     x for it in cell for x in C.closure_vertices(it))
-                assert got.edges == C.cell_edges(cell)
 
 
 def test_matching_examples():

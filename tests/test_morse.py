@@ -16,7 +16,8 @@ from graphbraids.morse import (Reducer, morse_boundary, build_morse_complex,
                                fast_morse_boundary, name_critical_cell,
                                materialize_name, format_name, bare_fill,
                                MorseError, cell_sort_key)
-from reference import ReferenceReducer, dense_boundaries, per_labelling_complex
+from reference import (ReferenceReducer, dense_boundaries,
+                       per_labelling_complex, step_shortcut_end)
 
 
 def chain_by_name(mc, chain):
@@ -132,6 +133,65 @@ def test_each_reduced_cell_is_classified_once(monkeypatch, make, n, flavor):
     for cell in mc.critical[2]:
         morse_boundary(red, cell)
     assert len(calls) == len(red.memo) > 0
+
+
+def test_slide_plans_only_the_ends_of_a_run():
+    # on the K33 tree the vertex 5 slides through 4 and 2 to 1, where the
+    # vertex 0 stops it: three steps, one plan
+    t = k33_pinned_tree()
+    start, end = parse_cell("{0,5}")[0], parse_cell("{0,1}")[0]
+    red = Reducer(t)
+    planned = []
+    plan = red._plan
+    red._plan = lambda cell: planned.append(cell) or plan(cell)
+    assert red.reduce_cell(start) == {end: 1}
+    assert planned == [start, end]
+    assert red.memo.keys() == {start, end}
+
+
+def _check_slide_matches_steps(t, n, flavor):
+    """The slide's end is the iterated one-step move's on every redundant
+    cell the build plans; returns those cells."""
+    planned = []
+    plan = Reducer._plan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Reducer, "_plan",
+                   lambda self, cell: planned.append(cell) or plan(self, cell))
+        build_morse_complex(t, n, flavor)
+    ordered = flavor == "ordered"
+    red = Reducer(t, ordered)
+    redundant = [c for c in planned if C.classify(t, c).kind == "redundant"]
+    for c in redundant:
+        assert red._shortcut_move(c, C.classify(t, c)) == \
+            step_shortcut_end(t, c, ordered)
+    return redundant
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3),
+       st.sampled_from(["unordered", "ordered"]))
+def test_slide_matches_steps_on_corpus(seed, n, flavor):
+    _check_slide_matches_steps(_tree(corpus(seed, 1)[0], n), n, flavor)
+
+
+def test_slide_matches_steps_k5_n4():
+    t = k5_pinned_tree()
+    redundant = _check_slide_matches_steps(t, 4, "unordered")
+    red = Reducer(t)
+    assert any(red._shortcut_move(c, C.classify(t, c)) is not None
+               for c in redundant)
+
+
+def test_k5_n4_boundaries_match_reference_reducer():
+    t = k5_pinned_tree()
+    mc = build_morse_complex(t, 4, "unordered")
+    ref = ReferenceReducer(t)
+    assert mc.critical[2] and mc.critical[3]
+    for d in (2, 3):
+        faces = mc.critical[d - 1]
+        for c, row in zip(mc.critical[d], mc.boundaries[d]):
+            assert {faces[j]: x for j, x in row.items()} == \
+                ref.morse_boundary(c)
 
 
 def test_k33_critical_cells_known_values():
