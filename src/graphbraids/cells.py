@@ -19,6 +19,13 @@ class CellError(ValueError):
     pass
 
 
+# the most items that `critical_cells` generates by default: n per critical
+# cell, n * n! per ordered orbit, as the cells' memory grows with their
+# items.  It admits K33 n = 5 ordered (159,000 items) and refuses K33 at
+# n = 40 long before memory runs short.
+CAP = 1_000_000
+
+
 def vertex(v: int):
     return (v, -1)
 
@@ -140,7 +147,7 @@ def complex_dimension(t: OrderedTree, n: int) -> int:
 
 
 def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
-                   cap: int = 10_000_000):
+                   cap: int = CAP):
     """The critical cells of UD_n grouped by dimension, each list sorted;
     every dimension of the complex is a key, even one without critical
     cells.  The critical cells of D_n are the n! labellings
@@ -152,11 +159,13 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
     with iota not the first child of tau, and such a tree edge needs a
     cell vertex u with parent[u] == tau and u < iota.  Vertices are added
     in increasing order, each one 0 or with its parent already occupied.
-    Refuses once more than ``cap`` cells (ordered cells counted one by
-    one, n! per orbit) have been generated."""
+    Refuses once the cells generated hold more than ``cap`` items: n per
+    cell, and n * n! per ordered orbit."""
     if flavor not in ("unordered", "ordered"):
         raise CellError(f"unknown flavor {flavor!r}")
-    per_cell = factorial(n) if flavor == "ordered" else 1
+    ordered = flavor == "ordered"
+    per_cell = n * factorial(n) if ordered else n
+    unit = "orbit" if ordered else "cell"
     parent, children, deleted = t.parent, t.children, t.deleted_set
     nv = t.nv
     edges = [e for e in t.all_edge_pairs()
@@ -178,7 +187,8 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
                 return
         count += per_cell
         if count > cap:
-            raise CellError(f"critical cell count exceeds cap {cap}")
+            raise CellError(f"the critical cells exceed the cap of {cap} "
+                            f"items ({per_cell} per {unit})")
         cell = tuple(sorted(chosen_edges + [vertex(v) for v in verts]))
         by_dim[len(chosen_edges)].append(cell)
 

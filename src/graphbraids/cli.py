@@ -288,7 +288,10 @@ def make_parser():
                             default="generic")
             sp.add_argument("--subdivide", default="pinned",
                             help="pinned|auto|strict|uniform|none|<k>")
-            sp.add_argument("--cap", type=int, default=10_000_000)
+            sp.add_argument("--cap", type=int, default=C.CAP,
+                            help="the most items of critical cells to "
+                                 "generate: n per cell, n * n! per ordered "
+                                 f"orbit (default {C.CAP:,})")
 
     for name, fn, tree_args in (
             ("homology", cmd_homology, True), ("formula", cmd_formula, False),

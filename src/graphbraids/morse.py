@@ -35,6 +35,23 @@ boundary row and relator come from its orbit's by this index arithmetic,
 the one place where S_n acts on reduced values: `Reducer` walks every cell
 as it is given, labelled or not, and never relabels.
 
+The build does only what a job reads.  ``MorseComplex.names`` names a
+critical cell with `name_critical_cell` the first time its name is read,
+and keeps it; the jobs read the names of critical 1-cells only.  And when
+there is a single critical 0-cell c0 (unordered, or ordered n = 1), every
+d1 row is empty, so none is reduced:
+
+- a 0-cell has no edge, so none is order respecting and it is never
+  collapsible;
+- a redundant 0-cell v is solved out of the boundary u - v of its matched
+  1-cell, so its value is +1 times u's, and a slide also carries
+  coefficient 1;
+- so each 0-cell reduces to +1 times a critical 0-cell, here c0, and the
+  Morse boundary of a critical 1-cell, its terminal face minus its initial
+  face, is c0 - c0 = 0.
+
+Ordered n >= 2 has n! critical 0-cells, and there d1 is walked.
+
 The one-step shortcut move takes the smallest unblocked vertex v of a
 redundant cell c with no vertex or edge end of c strictly between parent[v]
 and v, and moves it to p = parent[v].  It is a special reduction
@@ -62,6 +79,7 @@ Each cell c' the slide passes, c with v moved to p:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable
@@ -406,6 +424,33 @@ def format_name(t: OrderedTree, name: CriticalName | None, cell=None,
     return body
 
 
+_UNNAMED = object()
+
+
+class CriticalNames(Mapping):
+    """Unordered critical cell -> its `CriticalName` (None where the cell
+    fits no standard form), named the first time it is read and kept."""
+
+    def __init__(self, t: OrderedTree, cells):
+        self._tree = t
+        self._names = dict.fromkeys(cells, _UNNAMED)
+
+    def __getitem__(self, cell):
+        name = self._names[cell]
+        if name is _UNNAMED:
+            name = self._names[cell] = name_critical_cell(self._tree, cell)
+        return name
+
+    def __contains__(self, cell):
+        return cell in self._names
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self):
+        return len(self._names)
+
+
 # ---------------------------------------------------------------------------
 # basis orders (reversed in the Morse complex)
 
@@ -661,9 +706,10 @@ class MorseComplex:
     # dim -> one sparse row {column: nonzero coefficient} per cell of
     # critical[dim], in that order; a column is a row index of dim - 1
     boundaries: dict
-    # unordered critical cell -> CriticalName: one name per orbit, under its
-    # representative (the identity labelling); ``name_of`` adds the sigma
-    names: dict
+    # unordered critical cell -> CriticalName, computed when first read:
+    # one name per orbit, under its representative (the identity
+    # labelling); ``name_of`` adds the sigma
+    names: CriticalNames
     # S_n in lexicographic order, the labellings of each orbit in basis
     # order; [None] unordered
     sigmas: list
@@ -718,20 +764,23 @@ def tree_satisfies_t123(t: OrderedTree) -> bool:
 
 
 def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
-                        path: str = "generic", cap: int = 10_000_000) -> MorseComplex:
+                        path: str = "generic", cap: int = C.CAP) -> MorseComplex:
     """Generate the critical cells and reduce to the Morse complex with
     boundary matrices over the reversed bases, as sparse rows {column:
-    nonzero coefficient}.  ``cap`` bounds the number of critical cells.
+    nonzero coefficient}.  ``cap`` bounds the items of the critical cells
+    (see `cells.critical_cells`).
 
-    The unordered critical cells are named and sorted once, in both
-    flavors, and ``names`` keeps those names only.  The ordered basis
+    The unordered critical cells are sorted once, in both flavors, and
+    ``names`` names those only, each when first read.  The ordered basis
     replaces each of them, in place, by its n! labellings
     ``C.phi_inverse(c, sigma)`` with sigma in lexicographic order (kept as
     ``sigmas``), so every orbit is contiguous and starts with c itself.
     Each orbit's boundary is reduced (or rewritten) once, at c; the row and
     relator of the labelling sigma are c's with every column moved within
-    its orbit to rank(sigma o tau) (see the module docstring).  Labellings that collide, or a column moved outside the
-    lower basis, raise `MorseError`.
+    its orbit to rank(sigma o tau) (see the module docstring).  Labellings
+    that collide, or a column moved outside the lower basis, raise
+    `MorseError`.  With a single critical 0-cell every d1 row is empty and
+    none is reduced (see the module docstring).
 
     path "fast" evaluates the closed formulas for the degree-2 boundary,
     "generic" iterates the reduction, "both" runs the two and insists they
@@ -750,12 +799,12 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
             raise MorseError("fast path needs a tree satisfying T1-T3")
     critical: dict[int, list] = {}
     index: dict[int, dict] = {}
-    names: dict = {}
+    reps: list = []  # the unordered critical cells, one per orbit
     sigmas = list(permutations(range(1, n + 1))) if ordered else [None]
     m = len(sigmas)
     for d, crit in sorted(C.critical_cells(t, n, flavor, cap=cap).items()):
         crit.sort(key=lambda cell: cell_sort_key(t, cell), reverse=True)
-        names.update((c, name_critical_cell(t, c)) for c in crit)
+        reps.extend(crit)
         # the orbit of c: one labelling per sigma, in lexicographic order
         critical[d] = basis = ([C.phi_inverse(c, s) for c in crit
                                 for s in sigmas] if ordered else crit)
@@ -776,6 +825,10 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
     boundaries: dict[int, list] = {}
     for d in sorted(critical):
         if d == 0 or not critical[d]:
+            continue
+        if d == 1 and len(critical[0]) == 1:
+            # every 0-cell reduces to the one critical 0-cell
+            boundaries[1] = [{} for _ in critical[1]]
             continue
         rows = []
         lower = index.get(d - 1, {})
@@ -823,8 +876,8 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
                             f"{fast} vs {chain}")
                 rows.append(row)
         boundaries[d] = rows
-    return MorseComplex(t, n, flavor, critical, index, boundaries, names,
-                        sigmas, relators=relators)
+    return MorseComplex(t, n, flavor, critical, index, boundaries,
+                        CriticalNames(t, reps), sigmas, relators=relators)
 
 
 def _product_table(sigmas) -> list:

@@ -73,12 +73,15 @@ def test_critical_cells_match_classification_k5():
 
 
 def test_critical_cell_cap_counts_ordered_cells():
+    # the cap counts items: n = 2 per cell, n * n! = 4 per ordered orbit
     t = k33_pinned_tree()
-    assert sum(len(cs) for cs in critical_cells(t, 2, cap=11).values()) == 11
-    ordered = labellings(critical_cells(t, 2, "ordered", cap=22))
+    assert sum(len(cs) for cs in critical_cells(t, 2, cap=22).values()) == 11
+    with pytest.raises(CellError, match="cap"):
+        critical_cells(t, 2, cap=21)
+    ordered = labellings(critical_cells(t, 2, "ordered", cap=44))
     assert sum(len(cs) for cs in ordered.values()) == 22
     with pytest.raises(CellError, match="cap"):
-        critical_cells(t, 2, "ordered", cap=21)
+        critical_cells(t, 2, "ordered", cap=43)
 
 
 def test_gal_series_matches_cell_counts():

@@ -130,6 +130,13 @@ def test_error_paths(capsys):
     assert run(["homology", "--graph", "K5", "--n", "4", "--cap", "10"]) == 2
 
 
+def test_cap_counts_items(capsys):
+    # K33 at n = 40: 1,250 critical cells of 40 items each reach the cap
+    _one_line_error(capsys, ["homology", "--graph", "K33", "--n", "40",
+                             "--cap", "50000"],
+                    "error: the critical cells exceed the cap of 50000 items")
+
+
 def test_bad_json_graph(tmp_path, capsys):
     bad = '{"vertices": ['
     assert run(["homology", "--graph", bad]) == 2

@@ -9,7 +9,7 @@ from graphbraids.corpus import corpus
 from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
                                   theta4_pinned_tree, fig_b3n3_tree,
                                   pinned_tree)
-from graphbraids.graphs import build_graph, subdivide
+from graphbraids.graphs import BUILTIN_GRAPHS, build_graph, subdivide
 from graphbraids.homology import homology
 from graphbraids.trees import choose_tree_and_order
 from graphbraids.morse import (Reducer, morse_boundary, build_morse_complex,
@@ -617,3 +617,110 @@ def test_colliding_labellings_raise(monkeypatch):
     monkeypatch.setattr(C, "phi_inverse", lambda cell, sigma: tuple(cell))
     with pytest.raises(MorseError, match="are not distinct"):
         build_morse_complex(k33_pinned_tree(), 2, "ordered")
+
+
+# ---------------------------------------------------------------------------
+# the build does only what a job reads: names on first read, and no d1 walk
+# below a lone critical 0-cell
+
+def _check_names_on_demand(mc):
+    t = mc.tree
+    for cs in mc.critical.values():
+        for c in cs:
+            rep, sigma = mc.orbit(c)
+            name = name_critical_cell(t, rep)
+            assert mc.name_of(c) == format_name(t, name, c, mc.ordered, sigma)
+            assert mc.names[rep] == name
+    assert set(mc.names) == {mc.orbit(c)[0] for cs in mc.critical.values()
+                             for c in cs}
+
+
+@pytest.mark.parametrize("flavor", ["unordered", "ordered"])
+def test_names_on_demand_k5_n4(flavor):
+    _check_names_on_demand(build_morse_complex(k5_pinned_tree(), 4, flavor))
+
+
+def test_names_on_demand_k33_n3_ordered():
+    t = pinned_tree("K33", 3) or _tree(build_graph("K33"), 3)
+    _check_names_on_demand(build_morse_complex(t, 3, "ordered"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3),
+       st.sampled_from(["unordered", "ordered"]))
+def test_names_on_demand_on_corpus(seed, n, flavor):
+    t = _tree(corpus(seed, 1)[0], n)
+    _check_names_on_demand(build_morse_complex(t, n, flavor))
+
+
+def test_a_job_names_only_critical_1cells(monkeypatch):
+    from graphbraids import morse
+    from graphbraids.present import raw_presentation, simplify
+    named = []
+    name = morse.name_critical_cell
+    monkeypatch.setattr(morse, "name_critical_cell",
+                        lambda t, cell: named.append(cell) or name(t, cell))
+    mc = build_morse_complex(k5_pinned_tree(), 4, "unordered")
+    homology(mc)
+    simplify(raw_presentation(mc), mc)
+    assert named and set(named) <= set(mc.critical[1])
+    assert len(named) == len(set(named))  # each name is kept once computed
+
+
+def _check_d1_walked(mc):
+    """The d1 rows are the walked reduction's, the package's and the
+    reference's; returns the rows."""
+    t = mc.tree
+    red, ref = Reducer(t, mc.ordered), ReferenceReducer(t, mc.ordered)
+    faces = mc.critical[0]
+    rows = mc.boundaries.get(1, [])
+    assert len(rows) == len(mc.critical.get(1, ()))
+    for c, row in zip(mc.critical.get(1, ()), rows):
+        chain = {faces[j]: x for j, x in row.items()}
+        assert chain == morse_boundary(red, c) == ref.morse_boundary(c)
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GRAPHS))
+def test_d1_of_a_lone_critical_0cell_ordered_n1(name):
+    mc = build_morse_complex(_tree(build_graph(name), 1), 1, "ordered")
+    assert len(mc.critical[0]) == 1 and mc.critical[1]
+    assert not any(_check_d1_walked(mc))
+
+
+@pytest.mark.parametrize("make,n", [(k33_pinned_tree, 2), (k5_pinned_tree, 4),
+                                    (theta4_pinned_tree, 3),
+                                    (fig_b3n3_tree, 3)])
+def test_d1_of_a_lone_critical_0cell_unordered(make, n):
+    mc = build_morse_complex(make(), n, "unordered")
+    assert len(mc.critical[0]) == 1
+    assert not any(_check_d1_walked(mc))
+
+
+def test_d1_is_walked_at_ordered_n2():
+    mc = build_morse_complex(k33_pinned_tree(), 2, "ordered")
+    assert len(mc.critical[0]) == 2
+    assert any(_check_d1_walked(mc))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3),
+       st.sampled_from(["unordered", "ordered"]))
+def test_d1_matches_the_walk_on_corpus(seed, n, flavor):
+    t = _tree(corpus(seed, 1)[0], n)
+    _check_d1_walked(build_morse_complex(t, n, flavor))
+
+
+@pytest.mark.parametrize("name,n,flavor", [("K5", 4, "unordered"),
+                                           ("K33", 2, "unordered"),
+                                           ("K33", 1, "ordered")])
+def test_a_lone_critical_0cell_build_classifies_no_0cell(monkeypatch, name,
+                                                         n, flavor):
+    t = pinned_tree(name, n) or _tree(build_graph(name), n)
+    classified = []
+    classify = C.classify
+    monkeypatch.setattr(C, "classify", lambda t, cell: classified.append(
+        C.cell_dim(cell)) or classify(t, cell))
+    mc = build_morse_complex(t, n, flavor)
+    assert len(mc.critical[0]) == 1 and mc.critical[1]
+    assert 0 not in classified
