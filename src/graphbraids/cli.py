@@ -1,5 +1,6 @@
 """Command-line interface: build configuration spaces, run both homology
-routes, cross-validate them, and emit presentations and decompositions."""
+routes, cross-validate them (and d2 against the closed boundary formulas),
+and emit presentations and decompositions."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from pathlib import Path
 from .graphs import build_graph, subdivide, betti1, GraphError
 from .trees import choose_tree_and_order, verify_conditions, TreeError
 from .fixtures import pinned_tree
-from .morse import build_morse_complex, MorseError
+from .morse import (build_morse_complex, check_closed_forms, MorseError,
+                    tree_satisfies_t123)
 from .homology import homology, classify_1cells
 from .decompose import (h1_formula, beta2_formula, invariant_bundle,
                         decomposition_tree, is_planar,
@@ -59,8 +61,7 @@ def _report(args, command, results, verdict=None, t0=None):
         "command": command,
         "inputs": {"graph": args.graph, "n": args.n,
                    "flavor": getattr(args, "flavor", None),
-                   "mode": getattr(args, "mode", None),
-                   "method": getattr(args, "method", None)},
+                   "mode": getattr(args, "mode", None)},
         "results": results,
     }
     if verdict is not None:
@@ -95,8 +96,7 @@ def _print_text(rep, indent=0):
 def cmd_homology(args):
     t0 = time.perf_counter()
     tree, prov = _prepare_tree(args)
-    mc = build_morse_complex(tree, args.n, args.flavor, path=args.method,
-                             cap=args.cap)
+    mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
     h = homology(mc)
     results = {
         "tree": prov,
@@ -111,8 +111,8 @@ def cmd_formula(args):
     t0 = time.perf_counter()
     g = _load_graph(args.graph)
     flavor = "P2" if args.flavor == "ordered" else "B"
-    if flavor == "P2" and args.n != 2:
-        raise GraphError("the closed formula for ordered flavor needs n = 2")
+    if flavor == "P2" and args.n > 2:
+        raise GraphError("the closed formula for ordered flavor needs n <= 2")
     h1 = h1_formula(g, args.n, flavor)
     results = {"H1": h1.to_json()}
     if args.n >= 2:
@@ -152,8 +152,7 @@ def _covering_failure(pn, bn, h_p, h_b):
 
 def _check_covering(args, tree, prov, t0):
     """graphbraids check for ordered n >= 3, where no formula exists."""
-    pn = build_morse_complex(tree, args.n, "ordered", path=args.method,
-                             cap=args.cap)
+    pn = build_morse_complex(tree, args.n, "ordered", cap=args.cap)
     bn = build_morse_complex(tree, args.n, "unordered", cap=args.cap)
     h_p, h_b = homology(pn), homology(bn)
     failure = _covering_failure(pn, bn, h_p, h_b)
@@ -162,19 +161,25 @@ def _check_covering(args, tree, prov, t0):
                "ordered_homology": [{"degree": d, **g.to_json()}
                                     for d, g in sorted(h_p.items())],
                "unordered_homology": [{"degree": d, **g.to_json()}
-                                      for d, g in sorted(h_b.items())]}
+                                      for d, g in sorted(h_b.items())],
+               "closed_forms": False}
     verdict = "match" if failure is None else f"mismatch({failure})"
     return (_report(args, "check", results, verdict=verdict, t0=t0),
             0 if failure is None else 1)
 
 
 def cmd_check(args):
+    """H1 of the Morse complex against the formula route, and, on a tree
+    satisfying T1-T3, d2 against the closed boundary formulas: a
+    disagreement there raises `MorseError`."""
     t0 = time.perf_counter()
     tree, prov = _prepare_tree(args)
     if args.flavor == "ordered" and args.n >= 3:
         return _check_covering(args, tree, prov, t0)
-    mc = build_morse_complex(tree, args.n, args.flavor, path=args.method,
-                             cap=args.cap)
+    mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
+    closed_forms = tree_satisfies_t123(tree)
+    if closed_forms:
+        check_closed_forms(mc)
     h = homology(mc)[1]
     flavor = "P2" if args.flavor == "ordered" else "B"
     g = _load_graph(args.graph)
@@ -182,7 +187,8 @@ def cmd_check(args):
     match = (h.rank, h.torsion) == (hf.rank, hf.torsion)
     verdict = "match" if match else \
         f"mismatch(morse={h}, formula={hf})"
-    results = {"tree": prov, "morse_H1": h.to_json(), "formula_H1": hf.to_json()}
+    results = {"tree": prov, "morse_H1": h.to_json(), "formula_H1": hf.to_json(),
+               "closed_forms": closed_forms}
     return _report(args, "check", results, verdict=verdict, t0=t0), (0 if match else 1)
 
 
@@ -242,8 +248,7 @@ def cmd_tree(args):
 def cmd_present(args):
     t0 = time.perf_counter()
     tree, prov = _prepare_tree(args)
-    mc = build_morse_complex(tree, args.n, args.flavor, path=args.method,
-                             cap=args.cap)
+    mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
     pres = raw_presentation(mc)
     if not args.raw:
         pres = simplify(pres, mc)
@@ -283,8 +288,6 @@ def make_parser():
             sp.add_argument("--flavor", choices=("unordered", "ordered"),
                             default="unordered")
             sp.add_argument("--mode", choices=("generic", "planar"),
-                            default="generic")
-            sp.add_argument("--method", choices=("generic", "fast", "both"),
                             default="generic")
             sp.add_argument("--subdivide", default="pinned",
                             help="pinned|auto|strict|uniform|none|<k>")

@@ -284,9 +284,11 @@ def is_suitably_subdivided(g: Graph, n: int, strict: bool = False) -> bool:
 def subdivide(g: Graph, n: int, policy="auto"):
     """Subdivide so the discrete configuration space of n points is valid.
 
-    policy: "auto" (minimal per-segment), "strict" (auto plus the two-edge
-    rule used for n = 2), "uniform" (every edge into n+1 pieces), "none"
-    (verify only), or an integer k (every edge into k pieces, then verify).
+    policy: "auto" (minimal per-segment: every segment gets at least
+    max(n - 1, 2) edges, so essential-to-essential paths have >= 2 edges
+    even at n <= 2 and ordered trees get a simple graph), "strict" (another
+    name for "auto"), "uniform" (every edge into n+1 pieces), "none" (verify
+    only), or an integer k (every edge into k pieces, then verify).
     """
     if n < 1:
         raise GraphError("braid index must be >= 1")
@@ -299,12 +301,7 @@ def subdivide(g: Graph, n: int, policy="auto"):
     elif policy == "uniform":
         pieces = {e.id: n + 1 for e in g.edges}
     elif policy in ("auto", "strict"):
-        floor = max(n - 1, 1)
-        if policy == "strict" or n <= 2:
-            # two-edge rule for n = 2: essential-to-essential paths get >= 2
-            # edges; one point gets the same, since ordered trees need a
-            # simple graph
-            floor = max(floor, 2)
+        floor = max(n - 1, 2)
         cycle = max(n, 2) + 1  # a cycle of n + 1 edges, and simple
         targets: dict[str, int] = {}
         segs = segments(g)

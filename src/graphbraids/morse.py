@@ -1,5 +1,5 @@
 """The Morse engine: the reduction onto critical cells, Morse boundaries,
-critical cell names, and the closed boundary formulas.
+critical cell names, and the closed boundary formulas as a check of d2.
 
 `Reducer` is the one reduction engine.  It follows the matching W cellwise
 with memoization and writes every cell in a coefficient `Algebra`: Z-chains
@@ -14,8 +14,11 @@ cell is classified once per plan.
 at every n: it rewrites the 2-cell's boundary word with `WORDS` and keeps
 the word as a relator.  The word's abelianization is minus the cubical
 boundary, and rewriting abelianizes to the Z-chain reduction, so the d2
-row is minus the relator's exponent sums.  Only the "fast" path reads d2
-from the closed formulas instead.  Degrees 1 and >= 3 are Z-chains.
+row is minus the relator's exponent sums.  This is the only way d2 is
+built.  The closed boundary formulas (`fast_morse_boundary` and
+`fast_morse_boundary_ordered`) state d2 independently on a tree satisfying
+T1-T3, unordered or ordered n <= 2, and `check_closed_forms` compares the
+built complex with them.  Degrees 1 and >= 3 are Z-chains.
 
 D_n is the n!-sheeted cover of UD_n and its matching is the lift of the one
 on UD_n, so the ordered reduction commutes with relabelling the points: a
@@ -714,8 +717,8 @@ class MorseComplex:
     # order; [None] unordered
     sigmas: list
     # the rewritten boundary words of the critical 2-cells, in critical[2]
-    # order; None on path "fast"
-    relators: list | None = None
+    # order
+    relators: list
 
     @property
     def ordered(self) -> bool:
@@ -782,21 +785,19 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
     `MorseError`.  With a single critical 0-cell every d1 row is empty and
     none is reduced (see the module docstring).
 
-    path "fast" evaluates the closed formulas for the degree-2 boundary,
-    "generic" iterates the reduction, "both" runs the two and insists they
-    agree cellwise.  On "generic" and "both" the reduction of degree 2 is
-    the rewriting of each critical 2-cell's boundary word: the words are
-    kept as ``relators`` and the d2 row is minus their exponent sums.  On
-    "fast" ``relators`` is None.
+    The reduction of degree 2 is the rewriting of each critical 2-cell's
+    boundary word: the words are kept as ``relators`` and the d2 row is
+    minus their exponent sums.  `check_closed_forms` compares the rows with
+    the closed formulas.  ``path`` accepts only "generic", the one route.
     """
+    # the benchmark harness still passes path="generic"; ROADMAP item 1
+    # removes the keyword
+    if path != "generic":
+        raise MorseError(f"unknown path {path!r}: d2 has one route, "
+                         f"'generic'")
     if flavor not in ("unordered", "ordered"):
         raise MorseError(f"unknown flavor {flavor!r}")
     ordered = flavor == "ordered"
-    if path in ("fast", "both"):
-        if ordered and n >= 3:
-            raise MorseError("no closed boundary formulas for ordered n >= 3")
-        if not tree_satisfies_t123(t):
-            raise MorseError("fast path needs a tree satisfying T1-T3")
     critical: dict[int, list] = {}
     index: dict[int, dict] = {}
     reps: list = []  # the unordered critical cells, one per orbit
@@ -820,8 +821,8 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
     red = Reducer(t, ordered)
     # degree 2 is walked once, in words: the relators are kept and d2 is
     # read off them
-    words = Reducer(t, ordered, algebra=WORDS) if path != "fast" else None
-    relators = [] if words is not None else None
+    words = Reducer(t, ordered, algebra=WORDS)
+    relators: list = []
     boundaries: dict[int, list] = {}
     for d in sorted(critical):
         if d == 0 or not critical[d]:
@@ -839,10 +840,7 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
         # identity labelling), read as (orbit offset, rank of the labelling,
         # coefficient) per term; relabelling by sigma_s moves only the rank
         for i in range(0, len(basis), m):
-            word = None
-            if d == 2 and words is None:
-                chain = _fast_for(t, basis[i], ordered).items()
-            elif d == 2:
+            if d == 2:
                 word = words.reduce(C.boundary_word(basis[i], ordered))
                 # d2 is minus the relator's exponent sums
                 chain = [(g, -e) for g, e in word]
@@ -865,15 +863,8 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
                         row[j] = v
                     else:
                         del row[j]
-                if word is not None:
+                if d == 2:
                     relators.append(tuple((faces[j], -x) for j, x in moved))
-                if d == 2 and path == "both":
-                    fast = _fast_for(t, cell, ordered)
-                    if {lower[c]: x for c, x in fast.items()} != row:
-                        chain = {faces[j]: row[j] for j in sorted(row)}
-                        raise MorseError(
-                            f"fast/generic disagree on {C.format_cell(cell, ordered)}: "
-                            f"{fast} vs {chain}")
                 rows.append(row)
         boundaries[d] = rows
     return MorseComplex(t, n, flavor, critical, index, boundaries,
@@ -892,3 +883,24 @@ def _fast_for(t: OrderedTree, cell, ordered: bool) -> dict:
     if ordered:
         return fast_morse_boundary_ordered(t, cell)
     return fast_morse_boundary(t, cell)
+
+
+def check_closed_forms(mc: MorseComplex) -> None:
+    """Compare every d2 row of ``mc``, read off its relator words, with the
+    closed boundary formulas, an independent statement of d2.  Raises
+    `MorseError` at the first critical 2-cell where they disagree, and for
+    a complex the formulas do not cover: ordered n >= 3, or a tree that
+    fails T1-T3."""
+    if mc.ordered and mc.n >= 3:
+        raise MorseError("no closed boundary formulas for ordered n >= 3")
+    if not tree_satisfies_t123(mc.tree):
+        raise MorseError("the closed boundary formulas need a tree "
+                         "satisfying T1-T3")
+    faces = mc.critical.get(1, [])
+    for cell, row in zip(mc.critical.get(2, ()), mc.boundaries.get(2, ())):
+        closed = _fast_for(mc.tree, cell, mc.ordered)
+        chain = {faces[j]: row[j] for j in sorted(row)}
+        if closed != chain:
+            raise MorseError(
+                f"the closed forms and the rewriting disagree on "
+                f"{C.format_cell(cell, mc.ordered)}: {closed} vs {chain}")

@@ -38,15 +38,6 @@ def cyclic_reduce(w) -> Word:
     return w
 
 
-def exponent_sums(w) -> dict:
-    out: dict = {}
-    for g, e in w:
-        out[g] = out.get(g, 0) + e
-        if not out[g]:
-            del out[g]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # words on signed-integer letters: i and -i are generator i and its inverse
 
@@ -140,9 +131,6 @@ def raw_presentation(mc: MorseComplex) -> Presentation:
     killed.  (D_2 of a single vertex is empty and has no critical cells.)"""
     if mc.ordered and mc.n > 2:
         raise MorseError("presentations of pure braid groups need n <= 2")
-    if mc.relators is None:
-        raise MorseError("a complex built on path 'fast' has no relator "
-                         "words; build it on path 'generic' or 'both'")
     gens = list(mc.critical.get(1, ()))
     names = {c: mc.name_of(c) for c in gens}
     pres = Presentation(gens, list(mc.relators), names)
@@ -327,46 +315,3 @@ def commutator_form(w):
                 if r[j:] == tuple(inv[k:i][::-1] + inv[i:j - k][::-1]):
                     return r[:i], r[i:j]
     return None
-
-
-def quadratic_genus(w):
-    """Genus of the closed orientable surface built from a single polygon
-    with identification word w; requires each generator to appear exactly
-    twice with opposite exponents.  Returns None if w is not such a word."""
-    w = cyclic_reduce(w)
-    if not w:
-        return 0
-    sums = exponent_sums(w)
-    counts: dict = {}
-    for g, _ in w:
-        counts[g] = counts.get(g, 0) + 1
-    if sums or any(c != 2 for c in counts.values()):
-        return None
-    L = len(w)
-    # corners 0..L-1 sit between letters i-1 and i; glue via matching letters
-    parent = list(range(L))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    pos: dict = {}
-    for i, (g, e) in enumerate(w):
-        if g in pos:
-            j, f = pos[g]
-            # letter i runs corner i -> i+1; the matching inverse letter j
-            # runs j -> j+1 traversing the same edge backwards
-            union(i, (j + 1) % L)
-            union((i + 1) % L, j)
-        else:
-            pos[g] = (i, e)
-    vertices = len({find(i) for i in range(L)})
-    chi = vertices - L // 2 + 1
-    if (2 - chi) % 2:
-        return None
-    return (2 - chi) // 2

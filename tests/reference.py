@@ -12,6 +12,7 @@ from graphbraids.intlinalg import copy_matrix, smith_normal_form, zeros
 from graphbraids.morse import (WORDS, MorseError, Reducer, bare_fill,
                                cell_sort_key, morse_boundary,
                                name_critical_cell)
+from graphbraids.present import cyclic_reduce
 from graphbraids.trees import OrderedTree
 
 
@@ -330,3 +331,58 @@ def naive_invariant_factors(a):
                 out[i], out[i + 1] = g, l
                 changed = True
     return [d for d in out if d]
+
+
+# ---------------------------------------------------------------------------
+# surface words
+
+def exponent_sums(w) -> dict:
+    out: dict = {}
+    for g, e in w:
+        out[g] = out.get(g, 0) + e
+        if not out[g]:
+            del out[g]
+    return out
+
+
+def quadratic_genus(w):
+    """Genus of the closed orientable surface built from a single polygon
+    with identification word w; requires each generator to appear exactly
+    twice with opposite exponents.  Returns None if w is not such a word."""
+    w = cyclic_reduce(w)
+    if not w:
+        return 0
+    sums = exponent_sums(w)
+    counts: dict = {}
+    for g, _ in w:
+        counts[g] = counts.get(g, 0) + 1
+    if sums or any(c != 2 for c in counts.values()):
+        return None
+    L = len(w)
+    # corners 0..L-1 sit between letters i-1 and i; glue via matching letters
+    parent = list(range(L))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    pos: dict = {}
+    for i, (g, e) in enumerate(w):
+        if g in pos:
+            j, f = pos[g]
+            # letter i runs corner i -> i+1; the matching inverse letter j
+            # runs j -> j+1 traversing the same edge backwards
+            union(i, (j + 1) % L)
+            union((i + 1) % L, j)
+        else:
+            pos[g] = (i, e)
+    vertices = len({find(i) for i in range(L)})
+    chi = vertices - L // 2 + 1
+    if (2 - chi) % 2:
+        return None
+    return (2 - chi) // 2

@@ -10,23 +10,23 @@ from graphbraids.graphs import build_graph, subdivide, betti1
 from graphbraids.trees import choose_tree_and_order
 from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
                                   theta4_pinned_tree, fig_b3n3_tree)
-from graphbraids.morse import build_morse_complex
+from graphbraids.morse import build_morse_complex, check_closed_forms
 from graphbraids.homology import (AbelianGroup, homology, classify_1cells,
                                   undetermined_block)
 from graphbraids.decompose import (h1_formula, beta2_formula, N_cut, is_planar,
                                    invariant_bundle)
 from graphbraids.intlinalg import smith_normal_form
-from graphbraids.present import (raw_presentation, simplify, commutator_form,
-                                 quadratic_genus, exponent_sums)
+from graphbraids.present import raw_presentation, simplify, commutator_form
 from graphbraids.corpus import corpus
+from reference import exponent_sums, quadratic_genus
 
 
 def _verdict(num, text):
     print(f"[acceptance {num:>2}] PASS: {text}")
 
 
-def _both_routes(tree, graph, n, flavor, path="generic"):
-    mc = build_morse_complex(tree, n, flavor, path=path)
+def _both_routes(tree, graph, n, flavor):
+    mc = build_morse_complex(tree, n, flavor)
     h = homology(mc)
     f = h1_formula(graph, n, "P2" if flavor == "ordered" else "B")
     assert (h[1].rank, h[1].torsion) == (f.rank, f.torsion), (h[1], f)
@@ -127,7 +127,8 @@ def test_criterion_06_k4_and_thetas():
 
 def test_criterion_07_b3_theta4_surface():
     tree = theta4_pinned_tree()
-    mc = build_morse_complex(tree, 3, "unordered", path="both")
+    mc = build_morse_complex(tree, 3, "unordered")
+    check_closed_forms(mc)
     assert [len(mc.critical[d]) for d in (0, 1, 2)] == [1, 8, 3]
     assert mc.euler_characteristic() == -4
     h = homology(mc)
@@ -144,7 +145,7 @@ def test_criterion_07_b3_theta4_surface():
 
 def test_criterion_08_d3_theta4():
     tree = theta4_pinned_tree()
-    mc = build_morse_complex(tree, 3, "ordered", path="generic")
+    mc = build_morse_complex(tree, 3, "ordered")
     assert mc.euler_characteristic() == -24
     h = homology(mc)
     assert h[1] == AbelianGroup(26) and h[2] == AbelianGroup(1)
@@ -205,8 +206,8 @@ def test_criterion_11_property_suite():
         for n, flavor in ((2, "unordered"), (3, "unordered"), (2, "ordered")):
             gs, _ = subdivide(g, n, "strict" if n == 2 else "auto")
             tree = choose_tree_and_order(gs, n)
-            path = "both" if (flavor == "unordered" or n == 2) else "generic"
-            mc = build_morse_complex(tree, n, flavor, path=path)
+            mc = build_morse_complex(tree, n, flavor)
+            check_closed_forms(mc)
             mc.validate_chain_complex()
             assert mc.euler_characteristic() == mc.full_euler_characteristic()
             h = homology(mc)

@@ -64,30 +64,48 @@ def test_present_command(capsys):
     assert len(rep["results"]["relators"]) == 1
 
 
-def test_present_method_both_checks_the_formulas(capsys):
-    status, rep = capture(capsys, ["present", "--graph", "Theta4", "--n", "3",
-                                   "--method", "both"])
-    assert status == 0 and rep["inputs"]["method"] == "both"
-    _, plain = capture(capsys, ["present", "--graph", "Theta4", "--n", "3"])
-    for key in ("generators", "relators", "history", "abelianization"):
-        assert rep["results"][key] == plain["results"][key]
+def test_check_runs_the_closed_forms(capsys):
+    # the pinned Theta4 n=3 tree satisfies T1-T3
+    status, rep = capture(capsys, ["check", "--graph", "Theta4", "--n", "3"])
+    assert status == 0 and rep["verdict"] == "match"
+    assert rep["results"]["closed_forms"] is True
+    assert set(rep["inputs"]) == {"graph", "n", "flavor", "mode"}
 
 
-def test_present_method_both_reports_a_formula_mismatch(capsys, monkeypatch):
+def test_check_reports_a_closed_form_mismatch(capsys, monkeypatch):
     from graphbraids import morse
     formula = morse.fast_morse_boundary
     monkeypatch.setattr(morse, "fast_morse_boundary",
                         lambda t, c: {k: -x for k, x in formula(t, c).items()})
-    assert run(["present", "--graph", "Theta4", "--n", "3",
-                "--method", "both"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: fast/generic disagree") and err.count("\n") == 1
+    assert run(["check", "--graph", "Theta4", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the closed forms and the rewriting "
+                                   "disagree on ")
+    assert captured.err.count("\n") == 1
+
+
+def test_method_is_no_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["present", "--graph", "Theta4", "--n", "3", "--method", "both"])
+    assert exc.value.code == 2
+
+
+def test_formula_ordered_n1_is_the_graphs_abelianized_group(capsys):
+    status, rep = capture(capsys, ["formula", "--graph", "K33", "--n", "1",
+                                   "--flavor", "ordered"])
+    assert status == 0 and rep["results"]["H1"] == {"rank": 4, "torsion": []}
+    _, unordered = capture(capsys, ["formula", "--graph", "K33", "--n", "1"])
+    assert unordered["results"] == rep["results"]
+    assert run(["formula", "--graph", "K33", "--n", "3",
+                "--flavor", "ordered"]) == 2
+    assert capsys.readouterr().err == \
+        "error: the closed formula for ordered flavor needs n <= 2\n"
 
 
 @pytest.mark.parametrize("argv", [
-    ["present", "--graph", "Theta4", "--n", "3", "--method", "fast"],
     ["present", "--graph", "K33", "--n", "3", "--flavor", "ordered"],
-], ids=["method-fast", "ordered-n3"])
+], ids=["ordered-n3"])
 def test_present_refusals_are_one_line(capsys, argv):
     assert run(argv) == 2
     captured = capsys.readouterr()
@@ -336,11 +354,16 @@ def test_check_ordered_n3_reports_a_broken_boundary(capsys, monkeypatch):
     assert rep["verdict"].startswith("mismatch(the boundary of (")
 
 
-@pytest.mark.parametrize("method", ["fast", "both"])
-def test_ordered_formulas_refuse_a_tree_failing_t1_to_t3(capsys, method):
-    # the pinned K33 n=2 tree fails T1 and T2, as the unordered guard knows
-    assert run(["homology", "--graph", "K33", "--n", "2", "--flavor", "ordered",
-                "--method", method]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: fast path needs a tree satisfying T1-T3\n"
+def test_check_skips_the_closed_forms_on_a_tree_failing_t1_to_t3(capsys):
+    # the pinned K33 n=2 tree fails T1 and T2, so the formulas do not apply
+    from graphbraids.fixtures import k33_pinned_tree
+    from graphbraids.morse import (MorseError, build_morse_complex,
+                                   check_closed_forms)
+    for flavor in ("unordered", "ordered"):
+        status, rep = capture(capsys, ["check", "--graph", "K33", "--n", "2",
+                                       "--flavor", flavor])
+        assert status == 0 and rep["verdict"] == "match"
+        assert rep["results"]["closed_forms"] is False
+        mc = build_morse_complex(k33_pinned_tree(), 2, flavor)
+        with pytest.raises(MorseError, match="need a tree satisfying T1-T3"):
+            check_closed_forms(mc)

@@ -85,6 +85,20 @@ def test_subdivide_idempotent_and_invariants():
             assert all(once.valency(x) == 2 for x in v)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("spec", [
+    "K33", "K5", "Theta4", "FigB3n3", "Dumbbell", "FigCounterEx", "K(1)",
+    "K(2)", "Theta(2)", "a b\nb c\nc a", "a b\nb c\nb d"])
+def test_strict_is_auto(spec, n):
+    # "auto" floors every segment at max(n - 1, 2) edges, which is the
+    # two-edge rule that "strict" names, so the two policies agree
+    g = build_graph(spec)
+    auto, _ = subdivide(g, n, "auto")
+    assert graph_to_json(auto) == graph_to_json(subdivide(g, n, "strict")[0])
+    assert is_suitably_subdivided(auto, n, strict=True)
+    assert all(len(s) >= max(n - 1, 2) for s in segments(auto) if s.u != s.v)
+
+
 def test_segments_circle_and_wedge():
     circle = build_graph("a b\nb c\nc a")
     segs = segments(circle)

@@ -9,7 +9,7 @@ from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
                                   theta4_pinned_tree, fig_b3n3_tree)
 from graphbraids.graphs import build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
-from graphbraids.morse import build_morse_complex
+from graphbraids.morse import build_morse_complex, check_closed_forms
 from graphbraids.homology import (AbelianGroup, homology, classify_1cells,
                                   undetermined_block)
 from graphbraids.intlinalg import (smith_normal_form, kernel_basis,
@@ -242,7 +242,8 @@ def test_ordered_block_p2_k5():
     from graphbraids.morse import Reducer, morse_boundary
     from graphbraids.cells import phi_inverse
     t = k5_pinned_tree()
-    mc = build_morse_complex(t, 2, "ordered", path="both")
+    mc = build_morse_complex(t, 2, "ordered")
+    check_closed_forms(mc)
     assert homology(mc)[1] == AbelianGroup(12)
     tags = Counter(classify_1cells(mc).values())
     assert tags["free"] == 12 and tags["separating"] == 14

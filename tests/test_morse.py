@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import pytest
@@ -13,6 +14,7 @@ from graphbraids.graphs import BUILTIN_GRAPHS, build_graph, subdivide
 from graphbraids.homology import homology
 from graphbraids.trees import choose_tree_and_order
 from graphbraids.morse import (Reducer, morse_boundary, build_morse_complex,
+                               check_closed_forms,
                                fast_morse_boundary, name_critical_cell,
                                materialize_name, format_name, bare_fill,
                                MorseError, cell_sort_key)
@@ -216,7 +218,8 @@ def test_euler_characteristic_preserved():
 
 def test_theta4_counts_and_chi():
     t = theta4_pinned_tree()
-    mc = build_morse_complex(t, 3, "unordered", path="both")
+    mc = build_morse_complex(t, 3, "unordered")
+    check_closed_forms(mc)
     assert [len(mc.critical[d]) for d in (0, 1, 2)] == [1, 8, 3]
     assert mc.euler_characteristic() == -4
     mco = build_morse_complex(t, 3, "ordered")
@@ -266,24 +269,31 @@ def test_fast_zero_cases():
 
 def test_fast_matches_generic_everywhere_k5():
     t = k5_pinned_tree()
-    build_morse_complex(t, 4, "unordered", path="both")
+    check_closed_forms(build_morse_complex(t, 4, "unordered"))
 
 
 def test_fast_requires_conditions():
     t = k33_pinned_tree()  # T1/T2 fail here
-    with pytest.raises(MorseError):
-        build_morse_complex(t, 2, "unordered", path="fast")
-    with pytest.raises(MorseError):
-        build_morse_complex(theta4_pinned_tree(), 3, "ordered", path="fast")
+    with pytest.raises(MorseError, match="T1-T3"):
+        check_closed_forms(build_morse_complex(t, 2, "unordered"))
+    with pytest.raises(MorseError, match="ordered n >= 3"):
+        check_closed_forms(build_morse_complex(theta4_pinned_tree(), 3,
+                                               "ordered"))
 
 
 def test_fast_ordered_n2():
     gs, _ = subdivide(build_graph("K33"), 2, "strict")
     t = choose_tree_and_order(gs, 2)
-    build_morse_complex(t, 2, "ordered", path="both")
+    check_closed_forms(build_morse_complex(t, 2, "ordered"))
     gs5, _ = subdivide(build_graph("K5"), 2, "strict")
     t5 = choose_tree_and_order(gs5, 2)
-    build_morse_complex(t5, 2, "ordered", path="both")
+    check_closed_forms(build_morse_complex(t5, 2, "ordered"))
+
+
+@pytest.mark.parametrize("path", ["fast", "both"])
+def test_generic_is_the_only_path(path):
+    with pytest.raises(MorseError, match="unknown path"):
+        build_morse_complex(k33_pinned_tree(), 2, "unordered", path=path)
 
 
 def test_dependence_on_lower_vector():
@@ -565,7 +575,8 @@ def test_orbit_is_phi_k33_n4_ordered():
 def test_both_checks_every_labelling(monkeypatch):
     from graphbraids import morse
     t = _tree(build_graph("K33"), 2)
-    mc = build_morse_complex(t, 2, "ordered", path="both")
+    mc = build_morse_complex(t, 2, "ordered")
+    check_closed_forms(mc)
     target = mc.critical[2][-1]
     assert phi(target)[1] != (1, 2)  # not the orbit's representative
     fast_for = morse._fast_for
@@ -578,8 +589,10 @@ def test_both_checks_every_labelling(monkeypatch):
         return out
 
     monkeypatch.setattr(morse, "_fast_for", corrupted)
-    with pytest.raises(MorseError, match="fast/generic disagree"):
-        build_morse_complex(t, 2, "ordered", path="both")
+    with pytest.raises(MorseError, match="closed forms and the rewriting "
+                                         "disagree on " + re.escape(
+                                             format_cell(target, True))):
+        check_closed_forms(mc)
 
 
 def test_derived_column_outside_basis_raises(monkeypatch):

@@ -12,14 +12,14 @@ from graphbraids.fixtures import (k33_pinned_tree, theta4_pinned_tree,
 from graphbraids.graphs import BUILTIN_GRAPHS, betti1, build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
 from graphbraids.morse import (build_morse_complex, cell_sort_key, MorseError,
-                               Reducer)
+                               Reducer, check_closed_forms)
 from graphbraids.homology import AbelianGroup, homology, classify_1cells
 from graphbraids.present import (free_reduce, wmul, winv, cyclic_reduce,
-                                 exponent_sums, WORDS, Word, raw_presentation, simplify, commutator_form,
-                                 quadratic_genus, format_word, substitute,
+                                 WORDS, Word, raw_presentation, simplify, commutator_form,
+                                 format_word, substitute,
                                  Presentation, _leading_pairs)
-from reference import (ReferenceReducer, dense_boundaries, matching,
-                       unblocked_vertices)
+from reference import (ReferenceReducer, dense_boundaries, exponent_sums,
+                       matching, quadratic_genus, unblocked_vertices)
 
 
 def w(*letters):
@@ -187,7 +187,8 @@ def test_three_disjoint_cycles_three_commutators():
         "a0 b0\nb1 c0")
     gs, _ = subdivide(g, 2, "strict")
     t = choose_tree_and_order(gs, 2)
-    mc = build_morse_complex(t, 2, "unordered", path="both")
+    mc = build_morse_complex(t, 2, "unordered")
+    check_closed_forms(mc)
     h = homology(mc)
     assert h[1].rank == 7 and h[2].rank == 3
     p = simplify(raw_presentation(mc), mc)
@@ -557,22 +558,14 @@ def test_d2_from_words_matches_chain_reduction_on_corpus(seed, n, flavor):
 
 
 def test_relators_only_where_a_presentation_is_read():
-    k33 = choose_tree_and_order(subdivide(build_graph("K33"), 2, "strict")[0], 2)
-    for t, n, flavor in ((k33, 2, "ordered"), (theta4_pinned_tree(), 3, "unordered")):
-        mc = build_morse_complex(t, n, flavor, path="fast")
-        assert mc.relators is None
-        with pytest.raises(MorseError, match="path 'fast'"):
-            raw_presentation(mc)
     # ordered n = 3 keeps its relator words, but P_3 has no presentation here
     mc = build_morse_complex(k33_pinned_tree(), 3, "ordered")
     assert len(mc.relators) == len(mc.critical[2]) > 0
     with pytest.raises(MorseError, match="need n <= 2"):
         raw_presentation(mc)
-    t = theta4_pinned_tree()
-    both = build_morse_complex(t, 3, "unordered", path="both")
-    generic = build_morse_complex(t, 3, "unordered")
-    assert both.relators == generic.relators
-    assert both.boundaries == generic.boundaries
+    mc = build_morse_complex(theta4_pinned_tree(), 3, "unordered")
+    check_closed_forms(mc)
+    assert len(mc.relators) == len(mc.critical[2]) > 0
 
 
 # ordered n = 1: D_1 = UD_1 is the graph, so P_1 = B_1 = pi_1 of the graph,

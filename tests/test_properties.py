@@ -8,12 +8,12 @@ from graphbraids.corpus import corpus, random_topological_graph
 from graphbraids.graphs import subdivide, betti1, build_graph
 from graphbraids.trees import choose_tree_and_order, verify_conditions
 from graphbraids.cells import classify, phi, enumerate_cells
-from graphbraids.morse import build_morse_complex, Reducer, morse_boundary
+from graphbraids.morse import (build_morse_complex, check_closed_forms, Reducer,
+                               morse_boundary)
 from graphbraids.homology import homology
 from graphbraids.decompose import h1_formula
-from graphbraids.present import (free_reduce, winv, wmul, commutator_form,
-                                 exponent_sums)
-from reference import matching
+from graphbraids.present import free_reduce, winv, wmul, commutator_form
+from reference import exponent_sums, matching
 
 
 def test_generic_trees_self_validate_on_corpus():
@@ -114,7 +114,8 @@ def test_classic_graphs_cross_validate():
     for g, rank, torsion in wants:
         gs, _ = subdivide(g, 2, "strict")
         t = choose_tree_and_order(gs, 2)
-        mc = build_morse_complex(t, 2, "unordered", path="both")
+        mc = build_morse_complex(t, 2, "unordered")
+        check_closed_forms(mc)
         h = homology(mc)[1]
         assert (h.rank, h.torsion) == (rank, torsion)
         f = h1_formula(g, 2)
