@@ -354,16 +354,22 @@ def test_check_ordered_n3_reports_a_broken_boundary(capsys, monkeypatch):
     assert rep["verdict"].startswith("mismatch(the boundary of (")
 
 
-def test_check_skips_the_closed_forms_on_a_tree_failing_t1_to_t3(capsys):
-    # the pinned K33 n=2 tree fails T1 and T2, so the formulas do not apply
+@pytest.mark.parametrize("method", ["fast", "both"])
+def test_ordered_formulas_refuse_a_tree_failing_t1_to_t3(capsys, method):
+    # the pinned K33 n=2 tree fails T1 and T2, so the formulas do not apply:
+    # asked for alone ("fast") they refuse it, and `check`, which compares
+    # them with the rewritten d2 ("both"), skips them there
     from graphbraids.fixtures import k33_pinned_tree
     from graphbraids.morse import (MorseError, build_morse_complex,
                                    check_closed_forms)
     for flavor in ("unordered", "ordered"):
-        status, rep = capture(capsys, ["check", "--graph", "K33", "--n", "2",
-                                       "--flavor", flavor])
-        assert status == 0 and rep["verdict"] == "match"
-        assert rep["results"]["closed_forms"] is False
-        mc = build_morse_complex(k33_pinned_tree(), 2, flavor)
-        with pytest.raises(MorseError, match="need a tree satisfying T1-T3"):
-            check_closed_forms(mc)
+        if method == "fast":
+            mc = build_morse_complex(k33_pinned_tree(), 2, flavor)
+            with pytest.raises(MorseError,
+                               match="need a tree satisfying T1-T3"):
+                check_closed_forms(mc)
+        else:
+            status, rep = capture(capsys, ["check", "--graph", "K33", "--n",
+                                           "2", "--flavor", flavor])
+            assert status == 0 and rep["verdict"] == "match"
+            assert rep["results"]["closed_forms"] is False
