@@ -39,12 +39,12 @@ def _load_graph(spec: str):
 
 def _prepare_tree(args):
     """Pinned example tree when one exists for (graph, n), otherwise subdivide
-    and construct; returns (tree, provenance string)."""
+    and construct; returns (tree, provenance string, the graph as given)."""
     g = _load_graph(args.graph)
     if args.subdivide == "pinned":
         t = pinned_tree(args.graph, args.n)
         if t is not None:
-            return t, "pinned"
+            return t, "pinned", g
         policy = "strict" if args.n == 2 else "auto"
     else:
         policy = args.subdivide
@@ -53,7 +53,7 @@ def _prepare_tree(args):
     gs, record = subdivide(g, args.n, policy)
     mode = args.mode
     t = choose_tree_and_order(gs, args.n, mode)
-    return t, f"subdivide={policy},mode={mode}"
+    return t, f"subdivide={policy},mode={mode}", g
 
 
 def _report(args, command, results, verdict=None, t0=None):
@@ -95,7 +95,7 @@ def _print_text(rep, indent=0):
 
 def cmd_homology(args):
     t0 = time.perf_counter()
-    tree, prov = _prepare_tree(args)
+    tree, prov, _ = _prepare_tree(args)
     mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
     h = homology(mc)
     results = {
@@ -173,7 +173,7 @@ def cmd_check(args):
     satisfying T1-T3, d2 against the closed boundary formulas: a
     disagreement there raises `MorseError`."""
     t0 = time.perf_counter()
-    tree, prov = _prepare_tree(args)
+    tree, prov, g = _prepare_tree(args)
     if args.flavor == "ordered" and args.n >= 3:
         return _check_covering(args, tree, prov, t0)
     mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
@@ -182,7 +182,6 @@ def cmd_check(args):
         check_closed_forms(mc)
     h = homology(mc)[1]
     flavor = "P2" if args.flavor == "ordered" else "B"
-    g = _load_graph(args.graph)
     hf = h1_formula(g, args.n, flavor)
     match = (h.rank, h.torsion) == (hf.rank, hf.torsion)
     verdict = "match" if match else \
@@ -207,7 +206,7 @@ def cmd_decompose(args):
 
 def cmd_cells(args):
     t0 = time.perf_counter()
-    tree, prov = _prepare_tree(args)
+    tree, prov, _ = _prepare_tree(args)
     mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
     crit = {}
     for d, cs in mc.critical.items():
@@ -233,7 +232,7 @@ def cmd_cells(args):
 
 def cmd_tree(args):
     t0 = time.perf_counter()
-    tree, prov = _prepare_tree(args)
+    tree, prov, _ = _prepare_tree(args)
     rep = verify_conditions(tree, planar=(args.mode == "planar"))
     results = {
         "tree": prov,
@@ -247,7 +246,7 @@ def cmd_tree(args):
 
 def cmd_present(args):
     t0 = time.perf_counter()
-    tree, prov = _prepare_tree(args)
+    tree, prov, _ = _prepare_tree(args)
     mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
     pres = raw_presentation(mc)
     if not args.raw:

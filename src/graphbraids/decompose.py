@@ -225,6 +225,8 @@ def invariant_bundle(g: Graph, n: int,
 def h1_formula(g: Graph, n: int, flavor: str = "B",
                bundle: InvariantBundle | None = None) -> AbelianGroup:
     """H1(B_n) or H1(P_2) from the decomposition census."""
+    if n < 1:
+        raise GraphError("braid index must be >= 1")
     if n == 1:
         return AbelianGroup(betti1(g))
     if flavor == "P2" and n != 2:

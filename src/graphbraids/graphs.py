@@ -56,7 +56,11 @@ class Graph:
             else:
                 u, v = e
                 eid = f"e{len(norm)}"
-            eid, u, v = str(eid), str(u), str(v)
+            # an Edge of str fields is kept, so subgraphs share their edges
+            if not (isinstance(e, Edge)
+                    and type(eid) is type(u) is type(v) is str):
+                eid, u, v = str(eid), str(u), str(v)
+                e = Edge(eid, u, v)
             if eid in seen_ids:
                 raise GraphError(f"duplicate edge id {eid!r}")
             seen_ids.add(eid)
@@ -64,7 +68,7 @@ class Graph:
                 raise GraphError(
                     f"loop edge {eid!r} at {u!r}; subdivide loops before building"
                 )
-            norm.append(Edge(eid, u, v))
+            norm.append(e)
         self.vertices = vertices
         self.edges = tuple(norm)
         vset = set(vertices)

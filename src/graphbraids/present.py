@@ -15,8 +15,9 @@ contracts separating generators along the labeled graph of their relations.
 It runs on signed-integer letters: generator i of the presentation (from 1)
 is the letter i and its inverse -i, and words are turned back into
 (cell, +-1) letters at the end and for each audit.  Every relator is kept
-freely reduced, and an index from each generator to the relators that
-contain it lets a move rewrite only those relators.
+freely reduced.  An index from each generator to the relators that may
+contain it only grows, so it may list relators that no longer hold the
+generator; a move rewrites only the relators the index lists.
 `commutator_form` recognises relators of the form [u, v] for display.
 """
 
@@ -179,10 +180,13 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
 
     Relators are kept by a stable id (their index in `pres.relators`, which
     is also the index of their critical 2-cell), with an index from each
-    generator to the ids of the relators that contain it.  A move rewrites
-    only those relators: every other one is already freely reduced, so
-    substituting into it would return it unchanged.  The moves run on
-    signed-integer letters (see the module docstring).
+    generator to the ids of every relator that may contain it.  A move
+    rewrites only the relators the index lists for its generator and adds
+    them under the generators of the replacement word.  Nothing leaves the
+    index: it may list a deleted relator, which readers skip, or one that
+    lost the generator by cancellation, which readers find by counting
+    letters and a move rewrites unchanged.  The moves run on signed-integer
+    letters (see the module docstring).
 
     `audit`, when given, is called with the presentation after every Tietze
     move (used by tests to confirm the abelianization never changes)."""
@@ -201,10 +205,9 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
 
     rels = {i: tuple(number[g] * e for g, e in r)
             for i, r in enumerate(pres.relators)}
-    gens_of = {i: set(map(abs, r)) for i, r in rels.items()}
     index: dict = {}
-    for i, gens in gens_of.items():
-        for g in gens:
+    for i, r in rels.items():
+        for g in set(map(abs, r)):
             index.setdefault(g, set()).add(i)
 
     def eliminate(gen, rid, why):
@@ -221,17 +224,14 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
         if x < 0:
             repl, inv = inv, repl
         del rels[rid]
-        for g in gens_of.pop(rid):
-            index[g].discard(rid)
+        rewritten = []
         for j in index.pop(gen):
-            new = rels[j] = substitute(rels[j], gen, repl, inv)
-            old_gens, new_gens = gens_of[j], set(map(abs, new))
-            old_gens.discard(gen)
-            for g in old_gens - new_gens:
-                index[g].discard(j)
-            for g in new_gens - old_gens:
-                index.setdefault(g, set()).add(j)
-            gens_of[j] = new_gens
+            r = rels.get(j)
+            if r is not None:
+                rels[j] = substitute(r, gen, repl, inv)
+                rewritten.append(j)
+        for g in set(map(abs, repl)):
+            index[g].update(rewritten)
         cell = letter[gen][0]
         out.generators.remove(cell)
         out.history.append(f"eliminate {out.names.get(cell, cell)} ({why})")
@@ -258,7 +258,7 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
         for g in separating:
             best = None
             for rid in index.get(g, ()):
-                r = rels[rid]
+                r = rels.get(rid, ())
                 if r.count(g) + r.count(-g) == 1 and (
                         best is None or (len(r), rid) < best):
                     best = (len(r), rid)

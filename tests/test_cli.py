@@ -373,3 +373,38 @@ def test_ordered_formulas_refuse_a_tree_failing_t1_to_t3(capsys, method):
                                            "2", "--flavor", flavor])
             assert status == 0 and rep["verdict"] == "match"
             assert rep["results"]["closed_forms"] is False
+
+
+@pytest.mark.parametrize("argv, results", [
+    (["--graph", "K33", "--n", "2"],
+     {"tree": "pinned", "morse_H1": {"rank": 4, "torsion": [2]},
+      "formula_H1": {"rank": 4, "torsion": [2]}, "closed_forms": False}),
+    (["--graph", "Theta4", "--n", "3", "--subdivide", "auto"],
+     {"tree": "subdivide=auto,mode=generic",
+      "morse_H1": {"rank": 6, "torsion": []},
+      "formula_H1": {"rank": 6, "torsion": []}, "closed_forms": True}),
+], ids=["K33-n2-pinned", "Theta4-n3-subdivided"])
+def test_check_reads_the_graph_once(monkeypatch, capsys, argv, results):
+    from graphbraids import cli
+    load_graph = cli._load_graph
+    calls = []
+
+    def load(spec):
+        calls.append(spec)
+        return load_graph(spec)
+
+    monkeypatch.setattr(cli, "_load_graph", load)
+    status, rep = capture(capsys, ["check"] + argv)
+    assert calls == [argv[1]]
+    assert status == 0
+    rep.pop("timing_ms")
+    assert rep == {"command": "check",
+                   "inputs": {"graph": argv[1], "n": int(argv[3]),
+                              "flavor": "unordered", "mode": "generic"},
+                   "results": results, "verdict": "match"}
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_formula_refuses_a_braid_index_below_one(capsys, n):
+    _one_line_error(capsys, ["formula", "--graph", "K33", "--n", n],
+                    "error: braid index must be >= 1\n")

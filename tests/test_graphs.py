@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphbraids.corpus import random_topological_graph
-from graphbraids.decompose import _workable
-from graphbraids.graphs import (Graph, GraphError, build_graph, subdivide,
+from graphbraids.decompose import _subgraph, _workable
+from graphbraids.graphs import (Edge, Graph, GraphError, build_graph, subdivide,
                                 betti1, segments, is_suitably_subdivided,
                                 graph_to_json, blocks, cut_vertices)
 
@@ -29,6 +29,30 @@ def test_multigraph_allowed_loops_rejected():
         Graph(["a", "b", "c"], [("e", "a", "b")])  # disconnected
     with pytest.raises(GraphError, match="duplicate"):
         Graph(["a", "b"], [("e", "a", "b"), ("e", "b", "a")])
+
+
+def test_edges_of_str_fields_are_kept():
+    g = build_graph("K33")
+    sub = _subgraph(g, [e.id for e in g.edges[1:]])
+    assert len(sub.edges) == len(g.edges) - 1
+    assert all(a is b for a, b in zip(sub.edges, g.edges[1:]))
+    odd = Edge("e", 1, 2)
+    h = Graph([1, 2], [odd])
+    assert h.edges == (Edge("e", "1", "2"),) and h.edges[0] is not odd
+    assert all(type(x) is str for x in (h.edges[0].id, *h.edges[0].endpoints()))
+    assert h.edge("e").other("1") == "2"
+
+
+@pytest.mark.parametrize("vertices, edges, match", [
+    (["a", "b"], [Edge("e", "a", "b"), Edge("e", "b", "a")], "duplicate"),
+    (["a", "b"], [Edge("e", "a", "b"), Edge("f", "a", "a")], "loop"),
+    (["a", "b"], [Edge("e", "a", "b"), Edge("f", "b", "c")], "unknown"),
+    (["a", "b", "c"], [Edge("e", "a", "b")], "not connected"),
+    (["a", "a"], [Edge("e", "a", "a")], "duplicate vertex"),
+])
+def test_edge_objects_are_still_checked(vertices, edges, match):
+    with pytest.raises(GraphError, match=match):
+        Graph(vertices, edges)
 
 
 def test_json_and_edge_list_inputs():

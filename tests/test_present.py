@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphbraids import cells as C
+from graphbraids import cells as C, present
 from graphbraids.cells import parse_cell, format_cell, vertex, boundary_word
 from graphbraids.corpus import corpus
 from graphbraids.fixtures import (k33_pinned_tree, theta4_pinned_tree,
@@ -597,8 +597,13 @@ def test_ordered_n1_presentation_is_the_unordered_one_on_corpus(seed):
     _check_ordered_n1(corpus(seed, 1)[0])
 
 
-def test_simplify_audits_every_move_without_touching_its_input():
-    mc = build_morse_complex(theta4_pinned_tree(), 3, "unordered")
+@pytest.mark.parametrize("make", [
+    lambda: build_morse_complex(theta4_pinned_tree(), 3, "unordered"),
+    # separating merges as well as pivotal moves
+    lambda: _generic_complex(build_graph(K2221), 3, "unordered"),
+], ids=["Theta4-n3", "K2221-n3"])
+def test_simplify_audits_every_move_without_touching_its_input(make):
+    mc = make()
     raw = raw_presentation(mc)
     before = copy.deepcopy(raw)
     seen, want = [], []
@@ -609,6 +614,25 @@ def test_simplify_audits_every_move_without_touching_its_input():
     assert len(seen) == len(got.history) - len(raw.history) > 0
     assert seen == want
     assert raw == before
+
+
+def test_simplify_rewrites_relators_that_lost_a_generator(monkeypatch):
+    """The generator index only grows, so it may still list a relator
+    under a generator whose letters all cancelled out of it by an earlier
+    move.  Eliminating that generator rewrites the relator unchanged; on
+    K(2,2,2,1) n=3 this happens, and the result is still the reference's."""
+    stale = []
+
+    def spy(w, gen, repl, inv=None):
+        out = substitute(w, gen, repl, inv)
+        if gen not in w and -gen not in w:
+            assert out == w
+            stale.append(gen)
+        return out
+
+    monkeypatch.setattr(present, "substitute", spy)
+    _same_simplification(_generic_complex(build_graph(K2221), 3, "unordered"))
+    assert stale
 
 
 letters = st.tuples(st.sampled_from("abc"), st.sampled_from([1, -1]))
