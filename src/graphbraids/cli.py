@@ -14,8 +14,7 @@ from pathlib import Path
 from .graphs import build_graph, subdivide, betti1, GraphError
 from .trees import choose_tree_and_order, verify_conditions, TreeError
 from .fixtures import pinned_tree
-from .morse import (build_morse_complex, check_closed_forms, MorseError,
-                    tree_satisfies_t123)
+from .morse import build_morse_complex, check_closed_forms, MorseError
 from .homology import homology, classify_1cells
 from .decompose import (h1_formula, beta2_formula, invariant_bundle,
                         decomposition_tree, is_planar,
@@ -177,7 +176,7 @@ def cmd_check(args):
     if args.flavor == "ordered" and args.n >= 3:
         return _check_covering(args, tree, prov, t0)
     mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
-    closed_forms = tree_satisfies_t123(tree)
+    closed_forms = verify_conditions(tree).ok()
     if closed_forms:
         check_closed_forms(mc)
     h = homology(mc)[1]
@@ -325,7 +324,16 @@ def run(argv):
     except (GraphError, TreeError, MorseError, CellError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, report)
+    try:
+        _emit(args, report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (say, `| head`): send what is left, and the
+        # flush at exit, to devnull, and exit as a writer killed by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return status
 
 

@@ -60,7 +60,6 @@ class MarkedComponent:
     kind: str                 # "circle" | "triconnected"
     planar: bool | None
     vertices: list
-    virtual_edges: int = 0
 
 
 @dataclass

@@ -32,10 +32,10 @@ def k33_pinned_tree() -> OrderedTree:
     es += [(f"d{a}{b}", str(a), str(b)) for a, b in deleted]
     g = Graph(vs, es)
     children = _chain_children([(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)])
-    return OrderedTree(g, "0", children, 2, "generic")
+    return OrderedTree(g, "0", children, "generic")
 
 
-def theta4_pinned_tree(n: int = 3) -> OrderedTree:
+def theta4_pinned_tree() -> OrderedTree:
     """Theta_4 subdivided for n=3 (6 vertices): star tree at vertex 2 with
     stem 0-1-2 and deleted edges (0,3), (0,4), (0,5)."""
     vs = [str(i) for i in range(6)]
@@ -45,7 +45,7 @@ def theta4_pinned_tree(n: int = 3) -> OrderedTree:
     es += [(f"d{a}{b}", str(a), str(b)) for a, b in deleted]
     g = Graph(vs, es)
     children = _chain_children(tree)
-    return OrderedTree(g, "0", children, n, "generic")
+    return OrderedTree(g, "0", children, "generic")
 
 
 def k5_pinned_tree() -> OrderedTree:
@@ -66,7 +66,7 @@ def k5_pinned_tree() -> OrderedTree:
     es += [(f"d{a}-{b}", str(a), str(b)) for a, b in deleted]
     g = Graph(vs, es)
     children = _chain_children(parent_pairs)
-    return OrderedTree(g, "0", children, 4, "generic")
+    return OrderedTree(g, "0", children, "generic")
 
 
 def k4_pinned_tree() -> OrderedTree:
@@ -81,7 +81,7 @@ def k4_pinned_tree() -> OrderedTree:
     return choose_tree_and_order(g, 3, "planar")
 
 
-def fig_b3n3_tree(n: int = 3) -> OrderedTree:
+def fig_b3n3_tree() -> OrderedTree:
     """The cut-vertex example graph (two circles and a theta wedged at A)
     with a tree giving A four branches; T2 fails by design, matching the
     example's ad-hoc tree."""
@@ -89,7 +89,7 @@ def fig_b3n3_tree(n: int = 3) -> OrderedTree:
     parent_pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
                     (2, 6), (6, 7), (7, 8), (2, 9), (9, 10), (2, 11)]
     children = _chain_children(parent_pairs)
-    return OrderedTree(g, "0", children, n, "generic")
+    return OrderedTree(g, "0", children, "generic")
 
 
 PINNED_TREES = {

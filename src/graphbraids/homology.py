@@ -93,23 +93,16 @@ def homology(mc: MorseComplex) -> dict[int, AbelianGroup]:
 def separating_families(t):
     """Triples feeding rows with two +-1 entries: for each deleted edge d
     with k = g(tau(d), iota(d)) >= 1, the deleted edges d' with smaller tau,
-    separated by tau(d), disjoint from d, and g(tau(d), iota(d')) = k."""
+    separated by tau(d), disjoint from d, and g(tau(d), iota(d')) = k: the
+    census ``t.sep_classes[tau(d)][k]`` cut to those."""
     fams = []
     for d in t.deleted:
         a = d[0]
-        k = t.branch(a, d[1]) if t.is_ancestor(a, d[1]) and a != d[1] else 0
-        if k == 0:
-            continue
-        partners = []
-        for dp in t.deleted:
-            if dp == d or dp[0] >= d[0]:
-                continue
-            if len({d[0], d[1], dp[0], dp[1]}) != 4:
-                continue
-            if t.separates(dp, a) and t.branch(a, dp[1]) == k:
-                partners.append(dp)
-        if len(partners) >= 2:
-            fams.append((d, sorted(partners)))
+        k = t.branch(a, d[1])
+        partners = [dp for dp in t.sep_classes.get(a, {}).get(k, ())
+                    if dp[0] < a and len({*d, *dp}) == 4]
+        if k and len(partners) >= 2:
+            fams.append((d, partners))
     return fams
 
 
@@ -142,7 +135,7 @@ def classify_1cells(mc: MorseComplex) -> dict:
         if name is not None and name.canonical and len(name.terms) == 1:
             tm = name.terms[0]
             a = tm.tau
-            classes = t.sep_classes().get(a, {})
+            classes = t.sep_classes.get(a, {})
             hit = any(tm.vec[m - 1] >= 1 for m in classes)
             if tm.kind == "deleted":
                 pivotal = hit

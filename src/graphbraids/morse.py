@@ -760,12 +760,6 @@ class MorseComplex:
                            ordered=self.ordered, sigma=sigma)
 
 
-def tree_satisfies_t123(t: OrderedTree) -> bool:
-    if not hasattr(t, "_t123"):
-        t._t123 = verify_conditions(t).ok()
-    return t._t123
-
-
 def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
                         path: str = "generic", cap: int = C.CAP) -> MorseComplex:
     """Generate the critical cells and reduce to the Morse complex with
@@ -893,7 +887,7 @@ def check_closed_forms(mc: MorseComplex) -> None:
     fails T1-T3."""
     if mc.ordered and mc.n >= 3:
         raise MorseError("no closed boundary formulas for ordered n >= 3")
-    if not tree_satisfies_t123(mc.tree):
+    if not verify_conditions(mc.tree).ok():
         raise MorseError("the closed boundary formulas need a tree "
                          "satisfying T1-T3")
     faces = mc.critical.get(1, [])

@@ -5,6 +5,14 @@ regular neighborhood of an embedded spanning tree.  Every edge is oriented
 with tau(e) < iota(e) under that order, and all navigation (meet, branch
 numbers, separation) is answered from subtree intervals.
 
+The tree owns its separation census, ``sep_classes``: which deleted edges
+each vertex separates, and on which of its branches.  A vertex separates a
+deleted edge exactly when it lies strictly inside the edge's tree path, so
+the census is built once, by walking each deleted edge's path; T3, the T3
+reordering of branches and the 1-cell census read it.  T2 is read off the
+ancestry instead: a vertex below tau(d) separates d exactly when tau(d) is
+not a tree ancestor of iota(d), and the lowest such vertex is their meet.
+
 Tree choice takes its bridges and cut vertices from `graphs.blocks` and,
 in planar mode, the embedding from `graphs.rotation_system`, computed
 once per choice.
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import (Graph, blocks, cut_vertices, is_suitably_subdivided,
                      rotation_system)
@@ -44,10 +53,9 @@ class OrderedTree:
     order (branch 1, 2, ...); branch 0 of a vertex points toward the base.
     """
 
-    def __init__(self, graph: Graph, base_id: str, children_ids: dict, n: int,
+    def __init__(self, graph: Graph, base_id: str, children_ids: dict,
                  mode: str = "generic"):
         self.graph = graph
-        self.n = n
         self.mode = mode
         nv = len(graph.vertices)
         # clockwise DFS numbering
@@ -75,10 +83,6 @@ class OrderedTree:
         self.size = [1] * nv
         for v in range(nv - 1, 0, -1):
             self.size[self.parent[v]] += self.size[v]
-        self._branch_of_child = {}
-        for v in range(nv):
-            for k, c in enumerate(self.children[v], start=1):
-                self._branch_of_child[c] = k
         tree_pairs = set()
         for v in range(1, nv):
             tree_pairs.add((self.parent[v], v))
@@ -101,7 +105,6 @@ class OrderedTree:
         self.essential_letter = {}
         for i, v in enumerate(ess):
             self.essential_letter[v] = (chr(ord("A") + i) if i < 26 else f"V{v}")
-        self._sep_classes_cache = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -161,21 +164,28 @@ class OrderedTree:
                 return dist
         return dist if len(self.children[v]) > 1 else self.nv
 
-    def separated_classes(self, v: int) -> dict:
-        """Branches of v that carry separated deleted edges: k -> sorted edges."""
-        out: dict[int, list] = {}
-        for d in self.deleted:
-            if self.separates(d, v):
-                k = self.branch(v, d[1])
-                out.setdefault(k, []).append(d)
-        return out
-
+    @cached_property
     def sep_classes(self) -> dict:
-        if self._sep_classes_cache is None:
-            self._sep_classes_cache = {
-                v: self.separated_classes(v) for v in range(self.nv)
-                if self.branch_count(v) >= 1}
-        return self._sep_classes_cache
+        """The separation census {v: {k: sorted deleted edges}}: v separates
+        d when it lies strictly inside d's tree path, and k = g(v, iota(d)),
+        0 below the meet on tau(d)'s side.  Vertices separating nothing are
+        left out."""
+        out: dict[int, dict[int, list]] = {}
+        for d in self.deleted:
+            a, b = d
+            m = self.meet(a, b)
+            c = b
+            while c != m:  # up from iota(d) to the meet
+                v = self.parent[c]
+                if v != a:
+                    k = self.children[v].index(c) + 1
+                    out.setdefault(v, {}).setdefault(k, []).append(d)
+                c = v
+            v = a
+            while v != m and self.parent[v] != m:  # up from tau(d)
+                v = self.parent[v]
+                out.setdefault(v, {}).setdefault(0, []).append(d)
+        return out
 
     def debug_dump(self) -> str:
         lines = []
@@ -191,7 +201,9 @@ class OrderedTree:
 # condition verification
 
 def verify_conditions(t: OrderedTree, planar: bool | None = None) -> ConditionReport:
-    """Exhaustively check T1-T3 (and T4 when the tree was built in planar mode)."""
+    """Check T1-T3 (and T4 when the tree was built in planar mode), each
+    with the first witness against it; T2 and T3 read the ancestry and the
+    census as the module docstring says."""
     if planar is None:
         planar = t.mode == "planar"
     witnesses: dict[str, object] = {}
@@ -201,28 +213,16 @@ def verify_conditions(t: OrderedTree, planar: bool | None = None) -> ConditionRe
             t1, witnesses["t1"] = False, d
             break
     t2 = True
-    for d in t.deleted:
-        for v in range(t.nv):
-            if v < d[0] and t.separates(d, v):
-                t2, witnesses["t2"] = False, (d, v)
-                break
-        if not t2:
+    for a, b in t.deleted:
+        if not t.is_ancestor(a, b):
+            t2, witnesses["t2"] = False, ((a, b), t.meet(a, b))
             break
     t3 = True
-    for v in range(t.nv):
-        mu = t.branch_count(v)
-        if mu < 2:
-            continue
-        classes = t.separated_classes(v)
-        has_prop = [k in classes for k in range(1, mu + 1)]
-        for k in range(mu):
-            for j in range(k + 1, mu):
-                if has_prop[k] and not has_prop[j]:
-                    t3, witnesses["t3"] = False, (v, j + 1, k + 1)
-                    break
-            if not t3:
-                break
-        if not t3:
+    for v, classes in sorted(t.sep_classes.items()):
+        marked = [k in classes for k in range(1, t.branch_count(v) + 1)]
+        if True in marked and False in marked[marked.index(True):]:
+            k = marked.index(True)
+            t3, witnesses["t3"] = False, (v, marked.index(False, k) + 1, k + 1)
             break
     t4: bool | None = None
     if planar:
@@ -341,25 +341,20 @@ def _rooted_children(g: Graph, base: str, deleted_ids, order_hint=None):
     return children
 
 
-def _apply_t3(g: Graph, base: str, children: dict, n: int, mode: str) -> OrderedTree:
+def _apply_t3(g: Graph, base: str, children: dict, mode: str) -> OrderedTree:
     """Step III: stable-partition each vertex's branches so that branches
     carrying separated deleted edges come last, then renumber."""
-    t = OrderedTree(g, base, children, n, mode)
+    t = OrderedTree(g, base, children, mode)
     moved = False
     new_children = {}
     for v in range(t.nv):
-        cs = t.children[v]
-        if len(cs) < 2:
-            new_children[t.ids[v]] = [t.ids[c] for c in cs]
-            continue
-        classes = t.separated_classes(v)
-        plain = [c for k, c in enumerate(cs, start=1) if k not in classes]
-        marked = [c for k, c in enumerate(cs, start=1) if k in classes]
-        if marked and plain and cs != plain + marked:
-            moved = True
-        new_children[t.ids[v]] = [t.ids[c] for c in plain + marked]
+        classes = t.sep_classes.get(v, {})
+        branches = enumerate(t.children[v], start=1)
+        cs = [c for k, c in sorted(branches, key=lambda kc: kc[0] in classes)]
+        moved = moved or cs != t.children[v]
+        new_children[t.ids[v]] = [t.ids[c] for c in cs]
     if moved:
-        t = OrderedTree(g, base, new_children, n, mode)
+        t = OrderedTree(g, base, new_children, mode)
     return t
 
 
@@ -384,7 +379,7 @@ def choose_tree_and_order(g: Graph, n: int, mode: str = "generic") -> OrderedTre
         for strategy in (_greedy_deletions, _dfs_tree_deletions):
             deleted = strategy(g, base)
             children = _rooted_children(g, base, deleted)
-            t = _apply_t3(g, base, children, n, "generic")
+            t = _apply_t3(g, base, children, "generic")
             report = verify_conditions(t)
             if n == 1 or (report.ok() and (t.stem_length() >= n - 1
                                            or len(g.vertices) < n)):
@@ -419,7 +414,7 @@ def _choose_planar(g: Graph, n: int) -> OrderedTree:
             for number_reverse in (not reverse, reverse):
                 for base in bases:
                     try:
-                        t = _build_planar(g, n, base, rotations, reverse,
+                        t = _build_planar(g, base, rotations, reverse,
                                           number_reverse)
                     except TreeError:
                         continue
@@ -430,7 +425,7 @@ def _choose_planar(g: Graph, n: int) -> OrderedTree:
     raise TreeError("could not satisfy T1-T4; is the graph planar and subdivided?")
 
 
-def _build_planar(g: Graph, n: int, base: str, rotations: dict, reverse: bool,
+def _build_planar(g: Graph, base: str, rotations: dict, reverse: bool,
                   number_reverse: bool) -> OrderedTree:
     """Delete edges met walking the outer face from the base, then number
     the surviving tree following the rotation system (counter to it when
@@ -478,4 +473,4 @@ def _build_planar(g: Graph, n: int, base: str, rotations: dict, reverse: bool,
         return (i - j) % len(nbrs) if number_reverse else (j - i) % len(nbrs)
 
     children = _rooted_children(g, base, deleted_ids, hint)
-    return _apply_t3(g, base, children, n, "planar")
+    return _apply_t3(g, base, children, "planar")

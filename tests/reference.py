@@ -1,11 +1,14 @@
 """Reference code the tests share; the package itself does not need it."""
 
 import math
+import random
 from itertools import permutations
 
 from graphbraids import cells as C
 from graphbraids.cells import (Classification, boundary, cell_edges,
                                cell_vertices, classify, matched_cell)
+from graphbraids.corpus import random_topological_graph
+from graphbraids.graphs import Graph, subdivide
 from graphbraids.homology import (AbelianGroup, classify_1cells,
                                   separating_families)
 from graphbraids.intlinalg import copy_matrix, smith_normal_form, zeros
@@ -87,6 +90,85 @@ def step_shortcut_end(t: OrderedTree, cell, ordered: bool = False):
         step = _one_step_shortcut(t, cls) if cls.kind == "redundant" else None
         if step is None or step[0] != p:
             return cell
+
+
+def random_ordered_tree(seed: int, max_vertices: int = 6,
+                        max_extra: int = 8) -> OrderedTree:
+    """A random spanning tree of a corpus graph with its parallel edges
+    dropped, subdivided for n = 2 half of the time: the edges are added in
+    random order, and the base and every vertex's branch order are random
+    too.  About half of these trees fail T2."""
+    rng = random.Random(seed)
+    g = random_topological_graph(rng, max_vertices, max_extra)
+    first = {}
+    for e in g.edges:
+        first.setdefault(frozenset((e.u, e.v)), e)
+    g = Graph(g.vertices, list(first.values()))
+    if rng.random() < 0.5:
+        g, _ = subdivide(g, 2, "strict")
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    nbrs = {v: [] for v in g.vertices}
+    for e in rng.sample(g.edges, len(g.edges)):
+        a, b = find(e.u), find(e.v)
+        if a != b:
+            root[a] = b
+            nbrs[e.u].append(e.v)
+            nbrs[e.v].append(e.u)
+    base = rng.choice(sorted(g.vertices))
+    children, stack, seen = {}, [base], {base}
+    while stack:
+        v = stack.pop()
+        children[v] = [w for w in rng.sample(nbrs[v], len(nbrs[v]))
+                       if w not in seen]
+        seen.update(children[v])
+        stack.extend(children[v])
+    return OrderedTree(g, base, children)
+
+
+def reference_sep_classes(t: OrderedTree) -> dict:
+    """The separation census pair by pair: every vertex v against every
+    deleted edge d through `separates`, keyed by g(v, iota(d))."""
+    out: dict = {}
+    for v in range(t.nv):
+        for d in t.deleted:
+            if t.separates(d, v):
+                out.setdefault(v, {}).setdefault(t.branch(v, d[1]), []).append(d)
+    return out
+
+
+def reference_t2(t: OrderedTree):
+    """T2 by the double loop over deleted edges d and vertices v < tau(d):
+    (True, None), or (False, (d, v)) at the first v separating d."""
+    for d in t.deleted:
+        for v in range(d[0]):
+            if t.separates(d, v):
+                return False, (d, v)
+    return True, None
+
+
+def reference_separating_families(t: OrderedTree) -> list:
+    """The separating families partner by partner: for each deleted edge d
+    on branch k >= 1 of tau(d), the deleted edges d' with smaller tau,
+    disjoint from d, separated by tau(d) on branch k, when there are two or
+    more."""
+    fams = []
+    for d in t.deleted:
+        a = d[0]
+        k = t.branch(a, d[1])
+        if k == 0:
+            continue
+        partners = [dp for dp in t.deleted
+                    if dp[0] < a and len({*d, *dp}) == 4
+                    and t.separates(dp, a) and t.branch(a, dp[1]) == k]
+        if len(partners) >= 2:
+            fams.append((d, partners))
+    return fams
 
 
 class ReferenceReducer:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphbraids
 from graphbraids.cli import run, make_parser
 
 
@@ -408,3 +413,20 @@ def test_check_reads_the_graph_once(monkeypatch, capsys, argv, results):
 def test_formula_refuses_a_braid_index_below_one(capsys, n):
     _one_line_error(capsys, ["formula", "--graph", "K33", "--n", n],
                     "error: braid index must be >= 1\n")
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader of stdout is gone before the report is written, as with
+    # `graphbraids ... | head -c 100` once head has read its fill
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(graphbraids.__file__).parents[1])}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphbraids", "homology", "--graph", "K33",
+             "--n", "2"], stdout=w, stderr=subprocess.PIPE, env=env,
+            timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -5,18 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 from graphbraids.cells import parse_cell
 from graphbraids.corpus import corpus
-from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
+from graphbraids.fixtures import (PINNED_TREES, k33_pinned_tree, k5_pinned_tree,
                                   theta4_pinned_tree, fig_b3n3_tree)
 from graphbraids.graphs import build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
 from graphbraids.morse import build_morse_complex, check_closed_forms
 from graphbraids.homology import (AbelianGroup, homology, classify_1cells,
-                                  undetermined_block)
+                                  separating_families, undetermined_block)
 from graphbraids.intlinalg import (smith_normal_form, kernel_basis,
                                    kernel_coordinates)
 from graphbraids.morse import MorseError
 
 from reference import (dense_boundaries, per_matrix_homology,
+                       random_ordered_tree, reference_separating_families,
                        reference_undetermined_block, relative_h1_rank)
 
 
@@ -264,6 +265,26 @@ def test_ordered_block_p2_k5():
         {"C_2(1,0,0)_id": -1, "B_3(0,1,0)_(1,2)": -1}
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_separating_families_match_reference_on_random_trees(seed):
+    # larger corpus graphs, so that about one tree in eight has a family
+    t = random_ordered_tree(seed, max_vertices=8, max_extra=12)
+    assert separating_families(t) == reference_separating_families(t)
+
+
+def test_random_trees_have_separating_families():
+    trees = [random_ordered_tree(s, max_vertices=8, max_extra=12)
+             for s in range(200)]
+    assert sum(bool(separating_families(t)) for t in trees) >= 15
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_TREES))
+def test_separating_families_match_reference_on_pinned_trees(key):
+    t = PINNED_TREES[key]()
+    assert separating_families(t) == reference_separating_families(t)
+
+
 def test_block_empty_when_no_separating():
     t = fig_b3n3_tree()
     mc = build_morse_complex(t, 3, "unordered")
@@ -307,7 +328,6 @@ def test_classification_requires_supported_flavor():
 
 
 def test_block_row_leaking_outside_separating_columns_raises():
-    from graphbraids.homology import separating_families
     from graphbraids.morse import bare_fill
     mc = build_morse_complex(k5_pinned_tree(), 4, "unordered")
     tags = classify_1cells(mc)

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphbraids.graphs import build_graph, subdivide
 from graphbraids.trees import (OrderedTree, TreeError, choose_tree_and_order,
                                verify_conditions, _base_candidates)
-from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
+from graphbraids.fixtures import (PINNED_TREES, k33_pinned_tree, k5_pinned_tree,
                                   theta4_pinned_tree, fig_b3n3_tree, pinned_tree)
+from reference import random_ordered_tree, reference_sep_classes, reference_t2
 
 
 def test_k33_navigation_examples():
@@ -46,6 +48,30 @@ def test_pinned_tree_conditions():
     assert rept.ok()
     repb = verify_conditions(fig_b3n3_tree())
     assert (repb.t1, repb.t2, repb.t3) == (True, False, True)
+
+
+def _census_and_t2_match_references(t):
+    assert t.sep_classes == reference_sep_classes(t)
+    rep = verify_conditions(t)
+    assert (rep.t2, rep.witnesses.get("t2")) == reference_t2(t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000))
+def test_census_and_t2_match_references_on_random_trees(seed):
+    _census_and_t2_match_references(random_ordered_tree(seed))
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_TREES))
+def test_census_and_t2_match_references_on_pinned_trees(key):
+    _census_and_t2_match_references(PINNED_TREES[key]())
+
+
+def test_random_trees_fail_t2_about_half_the_time():
+    # the T2 property above is worth little if its trees all pass or all fail
+    fails = sum(not verify_conditions(random_ordered_tree(s)).t2
+                for s in range(200))
+    assert 60 <= fails <= 140
 
 
 def test_k5_fixture_structure():
@@ -117,7 +143,7 @@ def test_transposed_branches_break_t3():
     children = {t.ids[v]: [t.ids[c] for c in t.children[v]] for v in range(t.nv)}
     a = t.ids[2]
     children[a] = [children[a][2]] + [children[a][0], children[a][1], children[a][3]]
-    bad = OrderedTree(g, "0", children, 3, "generic")
+    bad = OrderedTree(g, "0", children, "generic")
     rep = verify_conditions(bad)
     assert rep.t3 is False and rep.witnesses["t3"][0] == bad.order[a]
 
