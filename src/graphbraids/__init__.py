@@ -6,11 +6,11 @@ formulas driven by cut-vertex / 2-cut / triconnected decompositions.  The
 package also emits and simplifies group presentations of these braid groups.
 """
 
-from .graphs import Graph, build_graph, subdivide, betti1
+from .graphs import Graph, build_graph, subdivide, betti1, is_planar
 from .trees import OrderedTree, choose_tree_and_order, verify_conditions
 from .homology import AbelianGroup, homology, smith_normal_form
 from .morse import build_morse_complex
-from .decompose import h1_formula, beta2_formula, invariant_bundle, is_planar
+from .decompose import h1_formula, beta2_formula, invariant_bundle
 
 __all__ = [
     "Graph", "build_graph", "subdivide", "betti1",

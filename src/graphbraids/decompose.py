@@ -5,7 +5,9 @@ biconnected piece splits along 2-cuts (adding virtual edges) into pieces
 that are topologically triconnected or circles.  The first homology of the
 braid group then reads off the decomposition census.  The blocks come from
 one pass of `graphs.blocks`, and the cut vertices with their component
-counts mu(x) are read off them.
+counts mu(x) are read off them.  Each triconnected piece counts toward N3
+or N3' by `graphs.is_planar` (re-exported here), which decides from edge
+and valency counts and asks networkx only about the pieces they leave open.
 """
 
 from __future__ import annotations
@@ -14,13 +16,8 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .graphs import (Graph, GraphError, betti1, blocks, cut_vertices,
-                     rotation_system, subdivide, segments)
+                     is_planar, subdivide, segments)
 from .homology import AbelianGroup
-
-
-def is_planar(g: Graph) -> bool:
-    """Planarity of the underlying simple graph (parallel edges are harmless)."""
-    return rotation_system(g) is not None
 
 
 def _subgraph(g: Graph, edge_ids) -> Graph:

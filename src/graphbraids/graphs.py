@@ -6,16 +6,21 @@ Graphs are immutable after construction and safe to share.
 
 `blocks` is the package's one block (biconnected component) routine: the
 bridges, cut vertices and component counts mu(x) used by tree choice and
-by the formula route all come from it.  `rotation_system` is the one
-conversion to networkx, for planarity and planar embeddings.
+by the formula route all come from it.
+
+`is_planar` answers from counts where Kuratowski's theorem or Euler's edge
+bound decides: fewer than six vertices of valency >= 3 and fewer than five
+of valency >= 4 leave no room for a subdivided K33 or K5, and a smoothed
+graph with too many edges for its vertices cannot be embedded.  Only the
+inputs the counts leave open go to `rotation_system`, the one conversion to
+networkx, which also gives the planar embeddings of planar-mode trees.
+networkx is imported there, when first needed, not when the package loads.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 
 class GraphError(ValueError):
@@ -182,6 +187,8 @@ def rotation_system(g: Graph) -> dict[str, list[str]] | None:
     """The clockwise neighbour order around each vertex in a planar
     embedding of the underlying simple graph, or None when it is not
     planar (parallel edges do not affect planarity)."""
+    import networkx as nx
+
     ng = nx.Graph()
     ng.add_nodes_from(g.vertices)
     ng.add_edges_from((e.u, e.v) for e in g.edges)
@@ -189,6 +196,42 @@ def rotation_system(g: Graph) -> dict[str, list[str]] | None:
     if not ok:
         return None
     return {v: list(emb.neighbors_cw_order(v)) for v in g.vertices}
+
+
+def planarity_from_counts(g: Graph) -> bool | None:
+    """Planarity where counts decide it, else None.
+
+    Planar when fewer than 6 vertices have valency >= 3 and fewer than 5
+    have valency >= 4: a subdivided K33 needs six branch vertices and a
+    subdivided K5 five of valency >= 4 (multigraph valency only
+    over-counts).  Non-planar when the smoothed simple graph S, one vertex
+    per segment end and one edge per pair of distinct ends joined by a
+    segment, has V >= 3 vertices and E > 3V - 6 edges, or no triangle and
+    E > 2V - 4 (Euler's bounds): S is a subgraph of a graph homeomorphic
+    to g."""
+    branch = [v for v in g.vertices if g.valency(v) >= 3]
+    if len(branch) < 6 and sum(g.valency(v) >= 4 for v in branch) < 5:
+        return True
+    adj: dict[str, set[str]] = {}
+    for s in segments(g):
+        if s.u != s.v:
+            adj.setdefault(s.u, set()).add(s.v)
+            adj.setdefault(s.v, set()).add(s.u)
+    nv = len(adj)
+    ne = sum(map(len, adj.values())) // 2
+    if nv >= 3 and (ne > 3 * nv - 6 or (ne > 2 * nv - 4 and not any(
+            adj[a] & adj[b] for a in adj for b in adj[a]))):
+        return False
+    return None
+
+
+def is_planar(g: Graph) -> bool:
+    """Planarity of the underlying simple graph (parallel edges are
+    harmless): from counts where they decide, else from networkx."""
+    decided = planarity_from_counts(g)
+    if decided is not None:
+        return decided
+    return rotation_system(g) is not None
 
 
 # ---------------------------------------------------------------------------

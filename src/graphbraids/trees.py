@@ -15,7 +15,8 @@ not a tree ancestor of iota(d), and the lowest such vertex is their meet.
 
 Tree choice takes its bridges and cut vertices from `graphs.blocks` and,
 in planar mode, the embedding from `graphs.rotation_system`, computed
-once per choice.
+once per choice.  Planar mode refuses a graph the counts of
+`graphs.planarity_from_counts` or the embedding show to be non-planar.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import (Graph, blocks, cut_vertices, is_suitably_subdivided,
-                     rotation_system)
+                     planarity_from_counts, rotation_system)
 
 
 class TreeError(ValueError):
@@ -407,21 +408,23 @@ def _trace_face(rot: dict, start, reverse: bool):
 
 
 def _choose_planar(g: Graph, n: int) -> OrderedTree:
-    rotations = rotation_system(g)
-    if rotations is not None:
-        bases = _base_candidates(g)
-        for reverse in (False, True):
-            for number_reverse in (not reverse, reverse):
-                for base in bases:
-                    try:
-                        t = _build_planar(g, base, rotations, reverse,
-                                          number_reverse)
-                    except TreeError:
-                        continue
-                    report = verify_conditions(t, planar=True)
-                    if report.ok(planar=True) and (t.stem_length() >= n - 1
-                                                   or len(g.vertices) < n):
-                        return t
+    # where the counts decide non-planarity, networkx is never loaded
+    rotations = None if planarity_from_counts(g) is False else rotation_system(g)
+    if rotations is None:
+        raise TreeError("planar mode needs a planar graph")
+    bases = _base_candidates(g)
+    for reverse in (False, True):
+        for number_reverse in (not reverse, reverse):
+            for base in bases:
+                try:
+                    t = _build_planar(g, base, rotations, reverse,
+                                      number_reverse)
+                except TreeError:
+                    continue
+                report = verify_conditions(t, planar=True)
+                if report.ok(planar=True) and (t.stem_length() >= n - 1
+                                               or len(g.vertices) < n):
+                    return t
     raise TreeError("could not satisfy T1-T4; is the graph planar and subdivided?")
 
 

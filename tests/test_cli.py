@@ -294,6 +294,14 @@ def _one_line_error(capsys, argv, start="error: "):
     assert captured.err.startswith(start) and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("graph", ["K5", "FigCounterEx"])
+def test_planar_mode_names_a_nonplanar_graph(capsys, graph):
+    # K5 is decided by the counts, FigCounterEx by the embedding
+    _one_line_error(capsys, ["check", "--graph", graph, "--n", "2",
+                             "--mode", "planar"],
+                    "error: planar mode needs a planar graph\n")
+
+
 def test_graph_path_that_is_a_directory_is_one_line(tmp_path, capsys):
     _one_line_error(capsys, ["homology", "--graph", str(tmp_path)],
                     "error: cannot read graph file")

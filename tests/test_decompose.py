@@ -1,6 +1,16 @@
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from graphbraids.graphs import Graph, GraphError, build_graph, subdivide, betti1
+import graphbraids
+from graphbraids import graphs
+from graphbraids.graphs import (Graph, GraphError, build_graph, subdivide,
+                                betti1, rotation_system)
 from graphbraids.trees import choose_tree_and_order
 from graphbraids.morse import build_morse_complex
 from graphbraids.homology import homology, AbelianGroup
@@ -20,11 +30,83 @@ def test_n_cut_examples():
         N_cut(2, 3, 2)
 
 
-def test_planarity():
-    assert is_planar(build_graph("K4"))
-    assert not is_planar(build_graph("K5"))
-    assert not is_planar(build_graph("K33"))
-    assert is_planar(build_graph("Theta4"))
+K2221 = [(f"v{a}", f"v{b}") for a, b in itertools.combinations(range(7), 2)
+         if (a, b) not in ((0, 1), (2, 3), (4, 5))]
+PETERSEN = ([(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+            + [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+            + [(f"o{i}", f"i{i}") for i in range(5)])
+CUBE = [(f"{a:03b}", f"{a ^ bit:03b}") for a in range(8) for bit in (1, 2, 4)
+        if a < a ^ bit]
+
+
+PLANARITY_CASES = [
+    # non-planar by Euler's bounds on the smoothed graph
+    ("K5", False, 0), ("K33", False, 0), ("K(3,4)", False, 0),
+    (K2221, False, 0),
+    # planar by the branch-vertex counts
+    ("K4", True, 0), ("Theta4", True, 0),
+    ([("a", "b"), ("b", "c"), ("c", "a")], True, 0), ([("a", "b")], True, 0),
+    (Graph(["v"], []), True, 0),
+    # left open by the counts
+    (PETERSEN, False, 1), ("FigCounterEx", False, 1), (CUBE, True, 1),
+]
+
+
+def test_planarity(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return rotation_system(g)
+
+    monkeypatch.setattr(graphs, "rotation_system", counted)
+    for spec, planar, networkx_calls in PLANARITY_CASES:
+        g = build_graph(spec)
+        # subdividing changes neither the answer nor the path that found it
+        for h in (g, subdivide(g, 3, "uniform")[0]):
+            calls.clear()
+            assert is_planar(h) == planar, spec
+            assert len(calls) == networkx_calls, spec
+            assert (rotation_system(h) is not None) == planar, spec
+
+
+def test_networkx_loads_only_to_embed():
+    """The formula route and a planar-mode refusal decided by the counts
+    leave networkx unloaded; a planar-mode tree loads it for the embedding
+    and numbers K4 as it always has."""
+    script = f"""
+import json, sys
+import graphbraids
+from graphbraids import build_graph, choose_tree_and_order, h1_formula
+from graphbraids.cli import run
+from graphbraids.trees import TreeError
+loaded = ["networkx" in sys.modules]
+h1_formula(build_graph("K5"), 4)
+h1_formula(build_graph({K2221!r}), 3)
+h1_formula(build_graph("K(3,4)"), 2, "P2")
+loaded.append("networkx" in sys.modules)
+gs, _ = graphbraids.subdivide(build_graph("K5"), 2, "strict")
+try:
+    choose_tree_and_order(gs, 2, "planar")
+except TreeError as exc:
+    refusal = str(exc)
+loaded.append("networkx" in sys.modules)
+gs, _ = graphbraids.subdivide(build_graph("K4"), 3, "auto")
+dump = choose_tree_and_order(gs, 3, "planar").debug_dump()
+loaded.append("networkx" in sys.modules)
+print(json.dumps({{"loaded": loaded, "refusal": refusal, "dump": dump}}))
+"""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(graphbraids.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, timeout=120, check=True).stdout
+    rep = json.loads(out)
+    assert rep["loaded"] == [False, False, False, True]
+    assert rep["refusal"] == "planar mode needs a planar graph"
+    assert rep["dump"] == (
+        "0 0 -1 [1]\n1 0-2.1 0 [2]\n2 2 1 [3]\n3 2-3.1 2 [4]\n"
+        "4 3 3 [5 9]\n5 1-3.1 4 [6]\n6 1 5 [7 8]\n7 1-2.1 6 []\n"
+        "8 0-1.1 6 []\n9 0-3.1 4 []\nd_1: 0 8\nd_2: 0 9\nd_3: 2 7")
 
 
 def test_bundles():

@@ -8,7 +8,8 @@ from graphbraids.corpus import random_topological_graph
 from graphbraids.decompose import _subgraph, _workable
 from graphbraids.graphs import (Edge, Graph, GraphError, build_graph, subdivide,
                                 betti1, segments, is_suitably_subdivided,
-                                graph_to_json, blocks, cut_vertices)
+                                graph_to_json, blocks, cut_vertices,
+                                is_planar, rotation_system)
 
 
 def test_builtin_counts():
@@ -213,3 +214,31 @@ def test_blocks_explicit_cases():
     assert cut_vertices(dumbbell, blocks(dumbbell)) == {"l0": 2, "r0": 2}
     assert sorted(map(sorted, blocks(dumbbell))) == [
         ["la", "lb", "lc"], ["mid"], ["ra", "rb", "rc"]]
+
+
+# ---------------------------------------------------------------------------
+# planarity from counts against networkx
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 7), st.integers(0, 9),
+       st.integers(0, 4), st.integers(0, 3))
+def test_planarity_from_counts_agrees_with_networkx(seed, nv, extra,
+                                                    cuts, pendants):
+    """Random subdivisions and pendant paths leave the planarity of a
+    corpus graph alone, so the counts must read through both."""
+    rng = random.Random(seed)
+    g = random_topological_graph(rng, nv, extra)
+    vs, es = list(g.vertices), [(e.id, e.u, e.v) for e in g.edges]
+    for k in range(cuts):
+        i = rng.randrange(len(es))
+        eid, u, v = es[i]
+        es[i:i + 1] = [(f"{eid}/{k}a", u, f"s{k}"), (f"{eid}/{k}b", f"s{k}", v)]
+        vs.append(f"s{k}")
+    for k in range(pendants):
+        prev = rng.choice(vs)
+        for j in range(rng.randint(1, 3)):
+            vs.append(f"p{k}.{j}")
+            es.append((f"p{k}:{j}", prev, f"p{k}.{j}"))
+            prev = f"p{k}.{j}"
+    g = Graph(vs, es)
+    assert is_planar(g) == (rotation_system(g) is not None)

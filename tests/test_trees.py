@@ -121,7 +121,7 @@ def test_planar_construction_t4():
 
 def test_planar_mode_rejects_nonplanar():
     gs, _ = subdivide(build_graph("K5"), 2, "strict")
-    with pytest.raises(TreeError):
+    with pytest.raises(TreeError, match="^planar mode needs a planar graph$"):
         choose_tree_and_order(gs, 2, "planar")
 
 
