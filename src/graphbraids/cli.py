@@ -17,8 +17,7 @@ from .fixtures import pinned_tree
 from .morse import build_morse_complex, check_closed_forms, MorseError
 from .homology import homology, classify_1cells
 from .decompose import (h1_formula, beta2_formula, invariant_bundle,
-                        decomposition_tree, is_planar,
-                        classify_beta1_characterizations)
+                        decomposition_tree, classify_beta1_characterizations)
 from .present import raw_presentation, simplify
 from . import cells as C
 from .cells import CellError
@@ -194,12 +193,13 @@ def cmd_decompose(args):
     t0 = time.perf_counter()
     g = _load_graph(args.graph)
     tree = decomposition_tree(g)
+    characterizations = classify_beta1_characterizations(g, tree)
     results = tree.to_json()
-    results["planar"] = is_planar(g)
+    results["planar"] = characterizations["planar"]
     results["beta1"] = betti1(g)
     if args.n >= 2:
         results["bundle"] = invariant_bundle(g, args.n, tree).to_json()
-    results["beta1_characterizations"] = classify_beta1_characterizations(g)
+    results["beta1_characterizations"] = characterizations
     return _report(args, "decompose", results, t0=t0), 0
 
 

@@ -32,14 +32,6 @@ def _subgraph(g: Graph, edge_ids) -> Graph:
     return Graph(vs, [g.edge(eid) for eid in edge_ids])
 
 
-def biconnected_decomposition(g: Graph):
-    """Blocks as graphs plus the cut vertices with their mu counts."""
-    work = _workable(g)
-    edge_blocks = blocks(work)
-    return ([_subgraph(work, b) for b in edge_blocks],
-            cut_vertices(work, edge_blocks))
-
-
 def _workable(g: Graph) -> Graph:
     """A copy where every topological edge has length >= 2, so vertex
     components agree with topological components and the graph is simple."""
@@ -263,9 +255,10 @@ def beta2_formula(g: Graph, flavor: str = "B2") -> int:
     raise GraphError(f"unknown flavor {flavor!r}")
 
 
-def classify_beta1_characterizations(g: Graph) -> dict:
-    """The planar/non-planar characterizations of beta1(P2) = 2 beta1 (+1)."""
-    b = invariant_bundle(g, 2)
+def classify_beta1_characterizations(g: Graph, tree: DecompositionTree) -> dict:
+    """The planar/non-planar characterizations of beta1(P2) = 2 beta1 (+1),
+    read off g's decomposition tree."""
+    b = invariant_bundle(g, 2, tree)
     planar = is_planar(g)
     beta1_p2 = h1_formula(g, 2, "P2", bundle=b).rank
     plus_one = beta1_p2 == 2 * b.beta1 + 1

@@ -26,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cells as C
-# the word algebra lives in morse and stays importable from here
-from .morse import (WORDS, MorseComplex, MorseError, Word, cell_sort_key,  # noqa: F401
-                    free_reduce, winv, wmul)
+from .morse import MorseComplex, MorseError, Word, cell_sort_key, free_reduce
 from .homology import AbelianGroup, classify_1cells
 
 

@@ -13,10 +13,14 @@ reordering of branches and the 1-cell census read it.  T2 is read off the
 ancestry instead: a vertex below tau(d) separates d exactly when tau(d) is
 not a tree ancestor of iota(d), and the lowest such vertex is their meet.
 
-Tree choice takes its bridges and cut vertices from `graphs.blocks` and,
-in planar mode, the embedding from `graphs.rotation_system`, computed
-once per choice.  Planar mode refuses a graph the counts of
-`graphs.planarity_from_counts` or the embedding show to be non-planar.
+Tree choice tries one construction at each base candidate in turn and
+keeps the first tree that passes: greedy deletions nearest the base in
+generic mode, a walk of the outer face in planar mode (on the embedding,
+then on its mirror image).  It takes its bridges and cut vertices from
+`graphs.blocks` and, in planar mode, the embedding from
+`graphs.rotation_system`, computed once per choice.  Planar mode refuses
+a graph the counts of `graphs.planarity_from_counts` or the embedding
+show to be non-planar.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ class ConditionReport:
     t4: bool | None = None
     witnesses: dict = None
 
-    def ok(self, planar: bool = False) -> bool:
-        base = self.t1 and self.t2 and self.t3
-        return base and self.t4 if planar else base
+    def ok(self) -> bool:
+        """T1-T3 hold, and T4 too wherever it was checked."""
+        return self.t1 and self.t2 and self.t3 and self.t4 is not False
 
 
 class OrderedTree:
@@ -202,9 +206,9 @@ class OrderedTree:
 # condition verification
 
 def verify_conditions(t: OrderedTree, planar: bool | None = None) -> ConditionReport:
-    """Check T1-T3 (and T4 when the tree was built in planar mode), each
-    with the first witness against it; T2 and T3 read the ancestry and the
-    census as the module docstring says."""
+    """Check T1-T3, and T4 when the tree was built in planar mode or
+    ``planar`` asks for it, each with the first witness against it; T2 and
+    T3 read the ancestry and the census as the module docstring says."""
     if planar is None:
         planar = t.mode == "planar"
     witnesses: dict[str, object] = {}
@@ -293,26 +297,6 @@ def _greedy_deletions(g: Graph, base: str):
     return deleted
 
 
-def _dfs_tree_deletions(g: Graph, base: str):
-    """Fallback Step II: take a DFS tree; all non-tree edges are back edges,
-    which forces T2 and (on strictly subdivided graphs) T1."""
-    visited = {base}
-    tree = set()
-    stack = [(base, iter(sorted(g.adjacency[base])))]
-    while stack:
-        v, it = stack[-1]
-        for eid in it:
-            w = g.edge(eid).other(v)
-            if w not in visited:
-                visited.add(w)
-                tree.add(eid)
-                stack.append((w, iter(sorted(g.adjacency[w]))))
-                break
-        else:
-            stack.pop()
-    return [e.id for e in g.edges if e.id not in tree]
-
-
 def _rooted_children(g: Graph, base: str, deleted_ids, order_hint=None):
     """Orient the surviving tree away from the base by BFS; the children of
     v are sorted by ``order_hint(parent of v, v, child)`` (the parent of the
@@ -377,22 +361,20 @@ def choose_tree_and_order(g: Graph, n: int, mode: str = "generic") -> OrderedTre
         raise TreeError(f"unknown mode {mode!r}")
     last_error = None
     for base in _base_candidates(g):
-        for strategy in (_greedy_deletions, _dfs_tree_deletions):
-            deleted = strategy(g, base)
-            children = _rooted_children(g, base, deleted)
-            t = _apply_t3(g, base, children, "generic")
-            report = verify_conditions(t)
-            if n == 1 or (report.ok() and (t.stem_length() >= n - 1
-                                           or len(g.vertices) < n)):
-                return t
-            last_error = report
+        children = _rooted_children(g, base, _greedy_deletions(g, base))
+        t = _apply_t3(g, base, children, "generic")
+        report = verify_conditions(t)
+        if n == 1 or (report.ok() and (t.stem_length() >= n - 1
+                                       or len(g.vertices) < n)):
+            return t
+        last_error = report
     raise TreeError(f"could not satisfy T1-T3 on this graph: {last_error}")
 
 
 # ---------------------------------------------------------------------------
 # planar mode
 
-def _trace_face(rot: dict, start, reverse: bool):
+def _trace_face(rot: dict, start):
     """Half-edges of the face containing the half-edge `start`."""
     face = []
     he = start
@@ -401,44 +383,43 @@ def _trace_face(rot: dict, start, reverse: bool):
         u, v = he
         nbrs = rot[v]
         i = nbrs.index(u)
-        w = nbrs[(i - 1) % len(nbrs)] if not reverse else nbrs[(i + 1) % len(nbrs)]
-        he = (v, w)
+        he = (v, nbrs[(i - 1) % len(nbrs)])
         if he == start:
             return face
 
 
 def _choose_planar(g: Graph, n: int) -> OrderedTree:
+    """One `_build_planar` per base candidate, on the embedding and then on
+    its mirror image.  The mirror matters off subdivided graphs: at n = 1
+    an unsubdivided graph may meet T1 in one orientation alone."""
     # where the counts decide non-planarity, networkx is never loaded
     rotations = None if planarity_from_counts(g) is False else rotation_system(g)
     if rotations is None:
         raise TreeError("planar mode needs a planar graph")
-    bases = _base_candidates(g)
-    for reverse in (False, True):
-        for number_reverse in (not reverse, reverse):
-            for base in bases:
-                try:
-                    t = _build_planar(g, base, rotations, reverse,
-                                      number_reverse)
-                except TreeError:
-                    continue
-                report = verify_conditions(t, planar=True)
-                if report.ok(planar=True) and (t.stem_length() >= n - 1
-                                               or len(g.vertices) < n):
-                    return t
+    mirror = {v: ns[::-1] for v, ns in rotations.items()}
+    for rot in (rotations, mirror):
+        for base in _base_candidates(g):
+            try:
+                t = _build_planar(g, base, rot)
+            except TreeError:
+                continue
+            if verify_conditions(t).ok() and (t.stem_length() >= n - 1
+                                              or len(g.vertices) < n):
+                return t
     raise TreeError("could not satisfy T1-T4; is the graph planar and subdivided?")
 
 
-def _build_planar(g: Graph, base: str, rotations: dict, reverse: bool,
-                  number_reverse: bool) -> OrderedTree:
+def _build_planar(g: Graph, base: str, rotations: dict) -> OrderedTree:
     """Delete edges met walking the outer face from the base, then number
-    the surviving tree following the rotation system (counter to it when
-    ``number_reverse``)."""
+    the surviving tree: the base's children in rotation order, every other
+    vertex's children counter to the rotation, starting from its parent.
+    Faces are walked counter to the rotation too."""
     rot = {v: list(ns) for v, ns in rotations.items()}
     # outer face: a deterministic face through the base (none on a point,
     # which has no edge to delete either)
     outer = []
     for w in rot[base]:
-        face = _trace_face(rot, (base, w), reverse)
+        face = _trace_face(rot, (base, w))
         if (len(face), face) > (len(outer), outer):
             outer = face
     outer_set = set(outer)
@@ -457,23 +438,23 @@ def _build_planar(g: Graph, base: str, rotations: dict, reverse: bool,
         if hit is None:
             raise TreeError("outer walk found no circuit edge but cycles remain")
         a, b = hit
-        inner = _trace_face(rot, (b, a), reverse)
+        inner = _trace_face(rot, (b, a))
         outer_set.discard((a, b))
         outer_set.update(he for he in inner if he != (b, a))
         deleted_ids.append(alive.pop(key(a, b)))
         rot[a].remove(b)
         rot[b].remove(a)
         start = next((base, w) for w in rot[base] if (base, w) in outer_set)
-        outer = _trace_face(rot, start, reverse)
+        outer = _trace_face(rot, start)
         outer_set = set(outer)
 
-    # rotation-respecting children order: start after the parent, cyclically
+    # children counter to the rotation, starting next to the parent
     def hint(p, v, w):
         nbrs = rot[v]
         if p is None:
             return nbrs.index(w)
         i, j = nbrs.index(p), nbrs.index(w)
-        return (i - j) % len(nbrs) if number_reverse else (j - i) % len(nbrs)
+        return (i - j) % len(nbrs)
 
     children = _rooted_children(g, base, deleted_ids, hint)
     return _apply_t3(g, base, children, "planar")

@@ -55,6 +55,45 @@ def test_decompose_command(capsys):
     assert rep["results"]["planar"] is True
 
 
+def test_decompose_builds_one_decomposition_tree(monkeypatch, capsys):
+    # one decomposition tree, and one embedding per question: the whole
+    # graph and its two non-planar triconnected pieces
+    from graphbraids import cli, decompose, graphs
+    calls = {"decomposition_tree": 0, "rotation_system": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    tree = counted(decompose, "decomposition_tree")
+    monkeypatch.setattr(cli, "decomposition_tree", tree)
+    monkeypatch.setattr(decompose, "decomposition_tree", tree)
+    monkeypatch.setattr(graphs, "rotation_system",
+                        counted(graphs, "rotation_system"))
+    status, rep = capture(capsys, ["decompose", "--graph", "FigCounterEx",
+                                   "--n", "2"])
+    assert status == 0
+    assert calls == {"decomposition_tree": 1, "rotation_system": 3}
+    results = rep["results"]
+    assert list(results) == ["cut_vertices", "segment_blocks", "blocks",
+                             "planar", "beta1", "bundle",
+                             "beta1_characterizations"]
+    assert results["planar"] is results["beta1_characterizations"]["planar"] is False
+
+
+@pytest.mark.parametrize("graph", ["K33", "K4", "Dumbbell", "Theta4", "K5"])
+def test_beta2_direct_matches_the_formula(capsys, graph):
+    status, rep = capture(capsys, ["beta2", "--graph", graph, "--direct"])
+    assert status == 0
+    results = rep["results"]
+    for flavor in ("B2", "P2"):
+        assert results[f"beta2_{flavor}_direct"] == results[f"beta2_{flavor}"]
+
+
 def test_tree_command(capsys):
     status, rep = capture(capsys, ["tree", "--graph", "K5", "--n", "4"])
     assert status == 0

@@ -16,7 +16,6 @@ from graphbraids.morse import build_morse_complex
 from graphbraids.homology import homology, AbelianGroup
 from graphbraids.decompose import (N_cut, invariant_bundle, h1_formula,
                                    beta2_formula, is_planar,
-                                   biconnected_decomposition,
                                    marked_decomposition, decomposition_tree,
                                    classify_beta1_characterizations, _workable,
                                    _subgraph)
@@ -133,19 +132,19 @@ def test_h1_formula_values():
 
 
 def test_biconnected_decomposition():
-    blocks, cuts = biconnected_decomposition(build_graph("K33"))
-    assert len(blocks) == 1 and cuts == {}
+    k33 = decomposition_tree(build_graph("K33"))
+    assert (len(k33.blocks), k33.segment_blocks, k33.cut_vertices) == (1, 0, {})
     fig = build_graph("FigB3n3")
-    blocks, cuts = biconnected_decomposition(fig)
-    assert len(blocks) == 3
-    circles = sum(1 for b in blocks
-                  if all(b.valency(v) == 2 for v in b.vertices))
+    tree = decomposition_tree(fig)
+    assert len(tree.blocks) + tree.segment_blocks == 3
+    # two blocks are circles: one leaf and no 2-cut
+    circles = sum(1 for b in tree.blocks
+                  if not b.two_cuts and [l.kind for l in b.leaves] == ["circle"])
     assert circles == 2
     a = next(v for v in fig.vertices if fig.valency(v) == 7)
-    assert cuts == {a: 3}
-    path = build_graph([("a", "b"), ("b", "c"), ("c", "d")])
-    blocks, cuts = biconnected_decomposition(path)
-    assert all(len(b.edges) <= 2 for b in blocks)
+    assert tree.cut_vertices == {a: 3}
+    path = decomposition_tree(build_graph([("a", "b"), ("b", "c"), ("c", "d")]))
+    assert (path.blocks, path.segment_blocks) == ([], 3)
 
 
 def test_marked_decomposition_theta():
@@ -207,14 +206,18 @@ def test_beta2_subdivision_invariant():
 
 
 def test_characterizations():
-    k4 = classify_beta1_characterizations(build_graph("K4"))
+    def classify(name):
+        g = build_graph(name)
+        return classify_beta1_characterizations(g, decomposition_tree(g))
+
+    k4 = classify("K4")
     assert k4["planar"] and k4["plus_one_holds"] and k4["case"] == (0, 0, 1)
-    th = classify_beta1_characterizations(build_graph("Theta3"))
+    th = classify("Theta3")
     assert th["case"] == (0, 1, 0)
-    ce = classify_beta1_characterizations(build_graph("FigCounterEx"))
+    ce = classify("FigCounterEx")
     assert not ce["planar"] and ce["plus_one_holds"]
     assert not ce["planar_characterization_applies"]
-    k33 = classify_beta1_characterizations(build_graph("K33"))
+    k33 = classify("K33")
     assert k33["equality_holds"] and k33["nonplanar_simple_triconnected"]
 
 

@@ -11,12 +11,12 @@ from graphbraids.fixtures import (k33_pinned_tree, theta4_pinned_tree,
                                   k5_pinned_tree, k4_pinned_tree, fig_b3n3_tree)
 from graphbraids.graphs import BUILTIN_GRAPHS, betti1, build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
-from graphbraids.morse import (build_morse_complex, cell_sort_key, MorseError,
-                               Reducer, check_closed_forms)
+from graphbraids.morse import (WORDS, Word, build_morse_complex, cell_sort_key,
+                               MorseError, Reducer, check_closed_forms,
+                               free_reduce, winv, wmul)
 from graphbraids.homology import AbelianGroup, homology, classify_1cells
-from graphbraids.present import (free_reduce, wmul, winv, cyclic_reduce,
-                                 WORDS, Word, raw_presentation, simplify, commutator_form,
-                                 format_word, substitute,
+from graphbraids.present import (cyclic_reduce, raw_presentation, simplify,
+                                 commutator_form, format_word, substitute,
                                  Presentation, _leading_pairs)
 from reference import (ReferenceReducer, dense_boundaries, exponent_sums,
                        matching, quadratic_genus, unblocked_vertices)

@@ -9,10 +9,10 @@ from graphbraids.graphs import subdivide, betti1, build_graph
 from graphbraids.trees import choose_tree_and_order, verify_conditions
 from graphbraids.cells import classify, phi, enumerate_cells
 from graphbraids.morse import (build_morse_complex, check_closed_forms, Reducer,
-                               morse_boundary)
+                               morse_boundary, free_reduce, winv, wmul)
 from graphbraids.homology import homology
 from graphbraids.decompose import h1_formula
-from graphbraids.present import free_reduce, winv, wmul, commutator_form
+from graphbraids.present import commutator_form
 from reference import exponent_sums, matching
 
 

@@ -1,11 +1,17 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
 
-from graphbraids.graphs import build_graph, subdivide
+import pytest
+from hypothesis import given, reject, settings, strategies as st
+
+from graphbraids.corpus import random_topological_graph
+from graphbraids.graphs import (Graph, GraphError, build_graph, subdivide,
+                                is_planar, rotation_system)
 from graphbraids.trees import (OrderedTree, TreeError, choose_tree_and_order,
-                               verify_conditions, _base_candidates)
+                               verify_conditions, _base_candidates,
+                               _build_planar)
 from graphbraids.fixtures import (PINNED_TREES, k33_pinned_tree, k5_pinned_tree,
-                                  theta4_pinned_tree, fig_b3n3_tree, pinned_tree)
+                                  k4_pinned_tree, theta4_pinned_tree,
+                                  fig_b3n3_tree, pinned_tree)
 from reference import random_ordered_tree, reference_sep_classes, reference_t2
 
 
@@ -113,10 +119,64 @@ def test_planar_construction_t4():
         gs, _ = subdivide(g, n, "strict" if n == 2 else "auto")
         t = choose_tree_and_order(gs, n, "planar")
         rep = verify_conditions(t, planar=True)
-        assert rep.ok(planar=True), (name, rep.witnesses)
+        assert rep.ok(), (name, rep.witnesses)
     k4 = choose_tree_and_order(subdivide(build_graph("K4"), 3, "auto")[0], 3,
                                "planar")
     assert len(k4.deleted) == 3
+
+
+def test_reversed_branches_break_t4():
+    # the planar K4 tree with every vertex's children reversed keeps T1-T3
+    # but orders two deleted edges against the embedding
+    t = k4_pinned_tree()
+    children = {t.ids[v]: [t.ids[c] for c in reversed(t.children[v])]
+                for v in range(t.nv)}
+    rev = OrderedTree(t.graph, t.ids[0], children, "planar")
+    rep = verify_conditions(rev)
+    assert (rep.t1, rep.t2, rep.t3, rep.t4) == (True, True, True, False)
+    assert rep.witnesses == {"t4": ((2, 9), (0, 5))}
+    assert not rep.ok()
+
+
+def test_planar_mode_tries_the_mirror_embedding():
+    # a diamond with a pendant edge, not subdivided, at n = 1: the outer
+    # face walk deletes an edge ending at a valency-3 vertex (T1 fails) on
+    # the embedding, and only its mirror image gives a T1-T4 tree
+    g = Graph([f"v{i}" for i in range(5)],
+              [("a", "v0", "v1"), ("b", "v1", "v2"), ("c", "v0", "v3"),
+               ("d", "v1", "v4"), ("e", "v3", "v2"), ("f", "v3", "v1")])
+    assert _base_candidates(g) == ["v4"]
+    first = verify_conditions(_build_planar(g, "v4", rotation_system(g)))
+    assert first.t1 is False and first.witnesses == {"t1": (1, 3)}
+    t = choose_tree_and_order(g, 1, "planar")
+    assert verify_conditions(t).ok()
+    assert t.debug_dump().splitlines() == [
+        "0 v4 -1 [1]", "1 v1 0 [2]", "2 v3 1 [3 4]", "3 v2 2 []", "4 v0 2 []",
+        "d_1: 1 3", "d_2: 1 4"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 9), st.integers(0, 12),
+       st.integers(1, 5), st.sampled_from(["auto", "strict", "uniform", 2, 3]))
+def test_one_construction_per_base_succeeds_on_corpus(seed, nv, extra, n,
+                                                      policy):
+    """Greedy deletions (generic) and the outer face walk (planar) find a
+    tree at some base candidate on every subdivided corpus graph.  Generic
+    mode takes its first tree unchecked at n = 1, where any spanning tree
+    will do."""
+    g = random_topological_graph(random.Random(seed), nv, extra)
+    try:
+        gs, _ = subdivide(g, n, policy)
+    except GraphError:
+        reject()  # k pieces per edge fall short of the cycle rule
+    modes = ("generic", "planar") if is_planar(g) else ("generic",)
+    for mode in modes:
+        t = choose_tree_and_order(gs, n, mode)
+        rep = verify_conditions(t)
+        assert (rep.t4 is True) == (mode == "planar")
+        if n > 1 or mode == "planar":
+            assert rep.ok(), (mode, rep.witnesses)
+            assert t.stem_length() >= n - 1 or len(gs.vertices) < n
 
 
 def test_planar_mode_rejects_nonplanar():
@@ -131,7 +191,7 @@ def test_t4_implies_planar_agreement():
     for name in ("K4", "Theta4", "Dumbbell"):
         gs, _ = subdivide(build_graph(name), 2, "strict")
         t = choose_tree_and_order(gs, 2, "planar")
-        assert verify_conditions(t, planar=True).ok(planar=True)
+        assert verify_conditions(t, planar=True).ok()
         assert is_planar(gs)
 
 
@@ -166,7 +226,7 @@ def test_pinned_registry():
     assert pinned_tree("K5", 3) is None
     k4 = pinned_tree("K4", 3)
     assert k4 is not None
-    assert verify_conditions(k4, planar=True).ok(planar=True)
+    assert verify_conditions(k4, planar=True).ok()
     assert k4.deleted == [(0, 8), (0, 9), (2, 7)]
 
 
