@@ -15,21 +15,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .graphs import (Graph, GraphError, betti1, blocks, cut_vertices,
+from .graphs import (Edge, Graph, GraphError, betti1, blocks, cut_vertices,
                      is_planar, subdivide, segments)
 from .homology import AbelianGroup
 
 
-def _subgraph(g: Graph, edge_ids) -> Graph:
+def _ends(edges) -> list:
+    """The endpoints of ``edges``, each once, in order of first appearance."""
     vs = []
     seen = set()
-    for eid in edge_ids:
-        e = g.edge(eid)
+    for e in edges:
         for v in (e.u, e.v):
             if v not in seen:
                 seen.add(v)
                 vs.append(v)
-    return Graph(vs, [g.edge(eid) for eid in edge_ids])
+    return vs
+
+
+def _subgraph(g: Graph, edge_ids) -> Graph:
+    """The subgraph of a valid g on ``edge_ids``, which the callers take
+    connected (a block), so it is built without re-validation."""
+    edges = [g.edge(eid) for eid in edge_ids]
+    return Graph._derived(_ends(edges), edges)
 
 
 def _workable(g: Graph) -> Graph:
@@ -147,16 +154,21 @@ def marked_decomposition(block: Graph) -> BlockDecomposition:
         out.two_cuts.append(((x, y), mu))
         for comp in comps:
             keep = comp | {x, y}
-            edge_ids = [e.id for e in piece.edges
-                        if e.u in keep and e.v in keep
-                        and (e.u in comp or e.v in comp)]
-            sub = _subgraph(piece, edge_ids)
-            fresh[0] += 1
-            mid = f"__virt{fresh[0]}"
-            marked = Graph(list(sub.vertices) + [mid],
-                           list(sub.edges) + [(f"__ve{fresh[0]}a", x, mid),
-                                              (f"__ve{fresh[0]}b", mid, y)])
-            rec(marked)
+            edges = [e for e in piece.edges
+                     if e.u in keep and e.v in keep
+                     and (e.u in comp or e.v in comp)]
+            # the virtual path x - mid - y, under names the piece does not
+            # use; comp is connected and meets both x and y, so the marked
+            # piece is connected
+            ids = {e.id for e in edges}
+            while True:
+                fresh[0] += 1
+                mid = f"__virt{fresh[0]}"
+                virtual = [Edge(f"__ve{fresh[0]}a", x, mid),
+                           Edge(f"__ve{fresh[0]}b", mid, y)]
+                if mid not in keep and ids.isdisjoint(e.id for e in virtual):
+                    break
+            rec(Graph._derived(_ends(edges) + [mid], edges + virtual))
 
     rec(block)
     return out

@@ -2,7 +2,12 @@
 
 Vertices and edges carry opaque string ids.  Multi-edges are allowed, loops
 are not: a loop must be subdivided by the caller before construction.
-Graphs are immutable after construction and safe to share.
+Graphs are immutable after construction and safe to share.  `Graph`
+validates every input; the graphs the package derives from a valid graph
+(a subdivision, a block, a marked 2-cut piece) are built by the private
+`Graph._derived`, which skips the checks that hold by construction.
+`segments` computes a graph's topological segments the first time they
+are asked for and keeps them on the graph, immutable.
 
 `blocks` is the package's one block (biconnected component) routine: the
 bridges, cut vertices and component counts mu(x) used by tree choice and
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class GraphError(ValueError):
@@ -74,19 +80,38 @@ class Graph:
                     f"loop edge {eid!r} at {u!r}; subdivide loops before building"
                 )
             norm.append(e)
-        self.vertices = vertices
-        self.edges = tuple(norm)
         vset = set(vertices)
-        adjacency: dict[str, list[str]] = {v: [] for v in vertices}
-        for e in self.edges:
+        for e in norm:
             if e.u not in vset or e.v not in vset:
                 raise GraphError(f"edge {e.id!r} references unknown vertex")
+        self._index(vertices, tuple(norm))
+        if not self._is_connected():
+            raise GraphError("graph is not connected")
+
+    @classmethod
+    def _derived(cls, vertices, edges) -> Graph:
+        """A graph the package derives from a valid one (a subdivision, a
+        block, a marked piece), built without validation: ``edges`` are
+        `Edge` objects with distinct ids, no loops and endpoints among the
+        distinct ``vertices``, and the graph is connected, by construction
+        of the caller."""
+        g = cls.__new__(cls)
+        g._index(tuple(vertices), tuple(edges))
+        return g
+
+    def _index(self, vertices: tuple, edges: tuple) -> None:
+        self.vertices = vertices
+        self.edges = edges
+        adjacency: dict[str, list[str]] = {v: [] for v in vertices}
+        for e in edges:
             adjacency[e.u].append(e.id)
             adjacency[e.v].append(e.id)
         self.adjacency = {v: tuple(ids) for v, ids in adjacency.items()}
-        self._edge_by_id = {e.id: e for e in self.edges}
-        if not self._is_connected():
-            raise GraphError("graph is not connected")
+        self._edge_by_id = {e.id: e for e in edges}
+
+    @cached_property
+    def _segments(self) -> tuple:
+        return _find_segments(self)
 
     def _is_connected(self) -> bool:
         if not self.vertices:
@@ -237,7 +262,7 @@ def is_planar(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # topological segments
 
-@dataclass
+@dataclass(frozen=True)
 class Segment:
     """Maximal path whose interior vertices all have valency 2.
 
@@ -248,22 +273,28 @@ class Segment:
 
     u: str
     v: str
-    edge_ids: list[str]
-    inner: list[str]
+    edge_ids: tuple[str, ...]
+    inner: tuple[str, ...]
 
     def __len__(self):
         return len(self.edge_ids)
 
 
-def segments(g: Graph) -> list[Segment]:
-    """Decompose the graph into topological segments between essential vertices."""
+def segments(g: Graph) -> tuple[Segment, ...]:
+    """Decompose the graph into topological segments between essential
+    vertices.  Computed the first time a graph is asked, and kept on it:
+    graphs are immutable, and so are the tuple and its segments."""
+    return g._segments
+
+
+def _find_segments(g: Graph) -> tuple[Segment, ...]:
     ess = set(g.essential_vertices())
     segs: list[Segment] = []
     used: set[str] = set()
     if not ess:
         # topological circle: walk the unique cycle from the smallest vertex
         if not g.edges:
-            return []
+            return ()
         start = min(g.vertices)
         eid = g.adjacency[start][0]
         path, inner, cur = [eid], [], g.edge(eid).other(start)
@@ -272,7 +303,7 @@ def segments(g: Graph) -> list[Segment]:
             nxt = next(i for i in g.adjacency[cur] if i != path[-1])
             path.append(nxt)
             cur = g.edge(nxt).other(cur)
-        return [Segment(start, start, path, inner)]
+        return (Segment(start, start, tuple(path), tuple(inner)),)
     for v in sorted(ess):
         for eid in g.adjacency[v]:
             if eid in used:
@@ -285,9 +316,9 @@ def segments(g: Graph) -> list[Segment]:
                 path.append(nxt)
                 prev, cur = cur, g.edge(nxt).other(cur)
             used.update(path)
-            segs.append(Segment(v, cur, path, inner))
+            segs.append(Segment(v, cur, tuple(path), tuple(inner)))
     segs.sort(key=lambda s: (s.u, s.v, s.edge_ids))
-    return segs
+    return tuple(segs)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +422,12 @@ def subdivide(g: Graph, n: int, policy="auto"):
             edges.append(Edge(ids[i], chain[i], chain[i + 1]))
         record.replacements[e.id] = ids
         record.inserted[e.id] = chain[1:-1]
-    out = Graph(vertices, edges)
+    # the new names are distinct and the pieces of an edge form a path, so
+    # only a clash with the graph's own names can spoil the output
+    if (len(set(vertices)) != len(vertices)
+            or len({e.id for e in edges}) != len(edges)):
+        raise GraphError("a subdivision vertex or edge id is already taken")
+    out = Graph._derived(vertices, edges)
     if not is_suitably_subdivided(out, n, strict=(policy == "strict")):
         raise GraphError("subdivision policy produced an unsuitable graph")
     return out, record

@@ -84,6 +84,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
 from typing import Callable
 
@@ -427,31 +428,33 @@ def format_name(t: OrderedTree, name: CriticalName | None, cell=None,
     return body
 
 
-_UNNAMED = object()
+class LazyMapping(Mapping):
+    """A read-only mapping over ``keys`` whose value at a key is
+    ``compute(key)``, computed the first time it is read and kept.
+    Membership, iteration (in the order of ``keys``) and ``len`` compute
+    nothing.  ``keys`` (a dict or set) is kept, not copied."""
 
+    def __init__(self, keys, compute: Callable):
+        self._keys = keys
+        self._compute = compute
+        self._values: dict = {}
 
-class CriticalNames(Mapping):
-    """Unordered critical cell -> its `CriticalName` (None where the cell
-    fits no standard form), named the first time it is read and kept."""
+    def __getitem__(self, key):
+        if key in self._values:
+            return self._values[key]
+        if key not in self._keys:
+            raise KeyError(key)
+        value = self._values[key] = self._compute(key)
+        return value
 
-    def __init__(self, t: OrderedTree, cells):
-        self._tree = t
-        self._names = dict.fromkeys(cells, _UNNAMED)
-
-    def __getitem__(self, cell):
-        name = self._names[cell]
-        if name is _UNNAMED:
-            name = self._names[cell] = name_critical_cell(self._tree, cell)
-        return name
-
-    def __contains__(self, cell):
-        return cell in self._names
+    def __contains__(self, key):
+        return key in self._keys
 
     def __iter__(self):
-        return iter(self._names)
+        return iter(self._keys)
 
     def __len__(self):
-        return len(self._names)
+        return len(self._keys)
 
 
 # ---------------------------------------------------------------------------
@@ -709,10 +712,11 @@ class MorseComplex:
     # dim -> one sparse row {column: nonzero coefficient} per cell of
     # critical[dim], in that order; a column is a row index of dim - 1
     boundaries: dict
-    # unordered critical cell -> CriticalName, computed when first read:
-    # one name per orbit, under its representative (the identity
-    # labelling); ``name_of`` adds the sigma
-    names: CriticalNames
+    # unordered critical cell -> its `CriticalName` (None where the cell
+    # fits no standard form), computed when first read: one name per
+    # orbit, under its representative (the identity labelling); ``name_of``
+    # adds the sigma
+    names: LazyMapping
     # S_n in lexicographic order, the labellings of each orbit in basis
     # order; [None] unordered
     sigmas: list
@@ -861,8 +865,9 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
                     relators.append(tuple((faces[j], -x) for j, x in moved))
                 rows.append(row)
         boundaries[d] = rows
-    return MorseComplex(t, n, flavor, critical, index, boundaries,
-                        CriticalNames(t, reps), sigmas, relators=relators)
+    names = LazyMapping(dict.fromkeys(reps), partial(name_critical_cell, t))
+    return MorseComplex(t, n, flavor, critical, index, boundaries, names,
+                        sigmas, relators=relators)
 
 
 def _product_table(sigmas) -> list:

@@ -23,10 +23,12 @@ generator; a move rewrites only the relators the index lists.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import cells as C
-from .morse import MorseComplex, MorseError, Word, cell_sort_key, free_reduce
+from .morse import (LazyMapping, MorseComplex, MorseError, Word, cell_sort_key,
+                    free_reduce)
 from .homology import AbelianGroup, classify_1cells
 
 
@@ -85,7 +87,9 @@ def _inverse(w) -> tuple:
 class Presentation:
     generators: list
     relators: list
-    names: dict = field(default_factory=dict)
+    # generator -> its display name; `raw_presentation` formats each name
+    # the first time it is read
+    names: Mapping = field(default_factory=dict)
     history: list = field(default_factory=list)
 
     def abelianization(self) -> AbelianGroup:
@@ -106,7 +110,7 @@ class Presentation:
         }
 
 
-def format_word(w, names: dict) -> str:
+def format_word(w, names: Mapping) -> str:
     if not w:
         return "1"
     com = commutator_form(w)
@@ -127,11 +131,13 @@ def raw_presentation(mc: MorseComplex) -> Presentation:
     every name subscripted ``_id``.  At n = 2, when the complex has two
     critical 0-cells, the fundamental group of the Morse complex with them
     identified is P_2 * Z, so one generator joining the two 0-cells is
-    killed.  (D_2 of a single vertex is empty and has no critical cells.)"""
+    killed.  (D_2 of a single vertex is empty and has no critical cells.)
+    ``names`` formats a generator's name with ``mc.name_of`` the first
+    time it is read, so a job formats only the names it shows."""
     if mc.ordered and mc.n > 2:
         raise MorseError("presentations of pure braid groups need n <= 2")
     gens = list(mc.critical.get(1, ()))
-    names = {c: mc.name_of(c) for c in gens}
+    names = LazyMapping(mc.index.get(1, {}), mc.name_of)
     pres = Presentation(gens, list(mc.relators), names)
     if mc.ordered and len(mc.critical.get(0, ())) == 2:
         join = None
@@ -188,7 +194,7 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
 
     `audit`, when given, is called with the presentation after every Tietze
     move (used by tests to confirm the abelianization never changes)."""
-    out = Presentation(list(pres.generators), [], dict(pres.names),
+    out = Presentation(list(pres.generators), [], pres.names,
                        list(pres.history))
     tags = classify_1cells(mc)
     pairs = _leading_pairs(mc)

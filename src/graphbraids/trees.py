@@ -392,6 +392,9 @@ def _choose_planar(g: Graph, n: int) -> OrderedTree:
     """One `_build_planar` per base candidate, on the embedding and then on
     its mirror image.  The mirror matters off subdivided graphs: at n = 1
     an unsubdivided graph may meet T1 in one orientation alone."""
+    # the rotation system and the outer-face walk know edges by their ends
+    if len({frozenset(e.endpoints()) for e in g.edges}) != len(g.edges):
+        raise TreeError("ordered trees require a simple graph; subdivide first")
     # where the counts decide non-planarity, networkx is never loaded
     rotations = None if planarity_from_counts(g) is False else rotation_system(g)
     if rotations is None:

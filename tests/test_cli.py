@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -339,6 +341,41 @@ def test_planar_mode_names_a_nonplanar_graph(capsys, graph):
     _one_line_error(capsys, ["check", "--graph", graph, "--n", "2",
                              "--mode", "planar"],
                     "error: planar mode needs a planar graph\n")
+
+
+def test_planar_mode_refuses_a_multigraph_in_one_line(capsys):
+    # parallel edges l0a-l0b and v0-l0a; at n = 1 with --subdivide none
+    # they reach tree choice unsubdivided
+    doc = json.dumps({"vertices": ["v0", "v1", "l0a", "l0b"],
+                      "edges": [["v0", "v1"], ["v0", "l0a"], ["l0a", "l0b"],
+                                ["l0b", "v0"], ["l0a", "v0"], ["l0a", "l0b"],
+                                ["v1", "l0a"]]})
+    argv = ["tree", "--graph", doc, "--n", "1", "--subdivide", "none"]
+    message = "error: ordered trees require a simple graph; subdivide first\n"
+    _one_line_error(capsys, argv, message)
+    _one_line_error(capsys, argv + ["--mode", "planar"], message)
+
+
+K2221 = json.dumps({"vertices": [f"v{i}" for i in range(7)],
+                    "edges": [[f"v{a}", f"v{b}"]
+                              for a, b in itertools.combinations(range(7), 2)
+                              if (a, b) not in ((0, 1), (2, 3), (4, 5))]})
+
+
+# digests of the reports, less timing_ms, from the code that formatted
+# every generator's name in raw_presentation
+@pytest.mark.parametrize("argv, digest", [
+    (["--graph", "K5", "--n", "4"], "da3e3fe04ff4b0e0"),
+    (["--graph", "K33", "--n", "2", "--flavor", "ordered"], "ec4339985e49da68"),
+    (["--graph", "K33", "--n", "1", "--flavor", "ordered"], "be37b0f6e80d50c9"),
+    (["--graph", K2221, "--n", "3", "--subdivide", "auto"], "0c5ab50dfdf2d523"),
+], ids=["K5-n4", "K33-n2-ordered", "K33-n1-ordered", "K2221-n3"])
+def test_present_reports_are_unchanged(capsys, argv, digest):
+    status, rep = capture(capsys, ["present"] + argv)
+    assert status == 0
+    del rep["timing_ms"]
+    text = json.dumps(rep, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest()[:16] == digest
 
 
 def test_graph_path_that_is_a_directory_is_one_line(tmp_path, capsys):

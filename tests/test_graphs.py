@@ -1,15 +1,18 @@
+import dataclasses
 import random
+import re
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphbraids.corpus import random_topological_graph
-from graphbraids.decompose import _subgraph, _workable
-from graphbraids.graphs import (Edge, Graph, GraphError, build_graph, subdivide,
-                                betti1, segments, is_suitably_subdivided,
-                                graph_to_json, blocks, cut_vertices,
-                                is_planar, rotation_system)
+from graphbraids import graphs
+from graphbraids.decompose import _subgraph, _workable, decomposition_tree
+from graphbraids.graphs import (BUILTIN_GRAPHS, Edge, Graph, GraphError,
+                                build_graph, subdivide, betti1, segments,
+                                is_suitably_subdivided, graph_to_json, blocks,
+                                cut_vertices, is_planar, rotation_system)
 
 
 def test_builtin_counts():
@@ -242,3 +245,106 @@ def test_planarity_from_counts_agrees_with_networkx(seed, nv, extra,
             prev = f"p{k}.{j}"
     g = Graph(vs, es)
     assert is_planar(g) == (rotation_system(g) is not None)
+
+
+# ---------------------------------------------------------------------------
+# derived graphs skip validation; their segments are computed once
+
+def _check_derived(g: Graph):
+    """g equals its validated rebuild, and its kept segments a fresh
+    computation."""
+    rebuilt = Graph(g.vertices, g.edges)
+    assert g.vertices == rebuilt.vertices
+    assert g.edges == rebuilt.edges
+    assert g.adjacency == rebuilt.adjacency
+    assert g._edge_by_id == rebuilt._edge_by_id
+    assert segments(g) is segments(g)
+    assert segments(g) == graphs._find_segments(rebuilt)
+
+
+def _derived_graphs(g: Graph) -> list[Graph]:
+    """Every graph derived from g: its subdivisions under each policy at
+    n = 1-4, and each graph `decomposition_tree` builds (the workable
+    copy, its blocks and every marked piece)."""
+    made = []
+    derive = Graph._derived.__func__
+
+    def record(cls, vertices, edges):
+        made.append(derive(cls, vertices, edges))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Graph, "_derived", classmethod(record))
+        for n in range(1, 5):
+            for policy in ("auto", "strict", "uniform", 2, 3):
+                try:
+                    subdivide(g, n, policy)
+                except GraphError as exc:
+                    assert "unsuitable" in str(exc)
+        decomposition_tree(g)
+    return made
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 6), st.integers(0, 5))
+def test_derived_graphs_equal_their_validated_rebuild(seed, nv, extra):
+    g = random_topological_graph(random.Random(seed), nv, extra)
+    for d in _derived_graphs(g):
+        _check_derived(d)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GRAPHS))
+def test_derived_graphs_of_named_graphs(name):
+    g = build_graph(name)
+    made = _derived_graphs(g)
+    # marked pieces are among them wherever a block splits at a 2-cut
+    assert any(b.two_cuts for b in decomposition_tree(g).blocks) == any(
+        v.startswith("__virt") for d in made for v in d.vertices)
+    for d in made:
+        _check_derived(d)
+
+
+def test_marked_pieces_take_fresh_virtual_names():
+    # three u-v paths, one through a vertex named like the first virtual
+    # vertex and one along an edge named like the second virtual edge
+    g = build_graph({"vertices": ["u", "v", "__virt1", "b", "c"],
+                     "edges": [["p", "u", "__virt1"], ["q", "__virt1", "v"],
+                               ["__ve2a", "u", "b"], ["r", "b", "v"],
+                               ["s", "u", "c"], ["t", "c", "v"]]})
+    plain = build_graph("u a\na v\nu b\nb v\nu c\nc v")
+    assert decomposition_tree(g).to_json() == decomposition_tree(plain).to_json()
+    for d in _derived_graphs(g):
+        _check_derived(d)
+
+
+def test_subdivision_names_that_are_taken_are_refused():
+    g = build_graph("a b\nb e0.1\ne0.1 a")
+    with pytest.raises(GraphError, match="already taken"):
+        subdivide(g, 3, "uniform")
+
+
+def test_segments_are_kept_and_immutable():
+    g = build_graph("FigB3n3")
+    segs = segments(g)
+    assert isinstance(segs, tuple) and segs is segments(g)
+    assert all(isinstance(s.edge_ids, tuple) and isinstance(s.inner, tuple)
+               for s in segs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        segs[0].u = "x"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"vertices": ["a", "a", "b"], "edges": [["a", "b"]]},
+     "duplicate vertex ids"),
+    ({"vertices": ["a", "b"], "edges": [["e", "a", "b"], ["e", "b", "a"]]},
+     "duplicate edge id 'e'"),
+    ([("a", "b"), ("b", "b")],
+     "loop edge 'e1' at 'b'; subdivide loops before building"),
+    ({"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "c"]]},
+     "edge 'e1' references unknown vertex"),
+    ({"vertices": ["a", "b", "c"], "edges": [["a", "b"]]},
+     "graph is not connected"),
+])
+def test_inputs_are_still_validated(spec, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        build_graph(spec)

@@ -12,8 +12,8 @@ from graphbraids.fixtures import (k33_pinned_tree, theta4_pinned_tree,
 from graphbraids.graphs import BUILTIN_GRAPHS, betti1, build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
 from graphbraids.morse import (WORDS, Word, build_morse_complex, cell_sort_key,
-                               MorseError, Reducer, check_closed_forms,
-                               free_reduce, winv, wmul)
+                               MorseComplex, MorseError, Reducer,
+                               check_closed_forms, free_reduce, winv, wmul)
 from graphbraids.homology import AbelianGroup, homology, classify_1cells
 from graphbraids.present import (cyclic_reduce, raw_presentation, simplify,
                                  commutator_form, format_word, substitute,
@@ -614,6 +614,70 @@ def test_simplify_audits_every_move_without_touching_its_input(make):
     assert len(seen) == len(got.history) - len(raw.history) > 0
     assert seen == want
     assert raw == before
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_morse_complex(k33_pinned_tree(), 2, "unordered"),
+    lambda: build_morse_complex(k33_pinned_tree(), 2, "ordered"),
+], ids=["K33-n2", "K33-n2-ordered"])
+def test_deep_copies_keep_their_names(make):
+    mc = make()
+    raw = raw_presentation(mc)
+    mc_copy, raw_copy = copy.deepcopy(mc), copy.deepcopy(raw)
+    assert [mc_copy.name_of(c) for c in mc.critical[1]] == \
+        [mc.name_of(c) for c in mc.critical[1]]
+    assert dict(raw_copy.names) == dict(raw.names)
+    assert simplify(raw_copy, mc_copy).display() == simplify(raw, mc).display()
+
+
+# ---------------------------------------------------------------------------
+# a job formats only the names it reads
+
+def _check_formats_only_what_it_reads(mc):
+    """raw_presentation formats no name but the killed joining generator's,
+    simplify only those of the generators it eliminates, each once, and
+    the display and history equal those of eagerly formatted names."""
+    named = []
+    name_of = MorseComplex.name_of
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MorseComplex, "name_of",
+                   lambda self, c: named.append(c) or name_of(self, c))
+        raw = raw_presentation(mc)
+        killed = [g for g in mc.critical.get(1, ()) if g not in raw.generators]
+        assert named == killed
+        out = simplify(raw, mc)
+        eliminated = {g for g in raw.generators if g not in out.generators}
+        assert len(named) == len(set(named))
+        assert set(named) == set(killed) | eliminated
+        shown = out.display()
+    eager = {c: mc.name_of(c) for c in mc.critical.get(1, ())}
+    assert shown == Presentation(out.generators, out.relators, eager,
+                                 out.history).display()
+    want = reference_simplify(Presentation(raw.generators, raw.relators,
+                                           eager, raw.history), mc)
+    assert out.history == want.history
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_morse_complex(k5_pinned_tree(), 4, "unordered"),
+    lambda: build_morse_complex(k33_pinned_tree(), 2, "ordered"),
+    lambda: _generic_complex(build_graph(K2221), 3, "unordered"),
+], ids=["K5-n4", "K33-n2-ordered", "K2221-n3"])
+def test_a_job_formats_only_the_names_it_reads(make):
+    _check_formats_only_what_it_reads(make())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(
+    [(2, "unordered"), (2, "ordered"), (3, "unordered")]))
+def test_a_job_formats_only_the_names_it_reads_on_corpus(seed, setting):
+    n, flavor = setting
+    mc = _generic_complex(corpus(seed, 1)[0], n, flavor)
+    try:
+        _check_formats_only_what_it_reads(mc)
+    except MorseError:
+        # a topological segment has no joining generator to kill
+        assert flavor == "ordered"
 
 
 def test_simplify_rewrites_relators_that_lost_a_generator(monkeypatch):
