@@ -14,8 +14,9 @@ from pathlib import Path
 from .graphs import build_graph, subdivide, betti1, GraphError
 from .trees import choose_tree_and_order, verify_conditions, TreeError
 from .fixtures import pinned_tree
-from .morse import build_morse_complex, check_closed_forms, MorseError
-from .homology import homology, classify_1cells
+from .morse import build_morse_complex, MorseError
+from .homology import homology
+from .closedforms import check_closed_forms, classify_1cells
 from .decompose import (h1_formula, beta2_formula, invariant_bundle,
                         decomposition_tree, classify_beta1_characterizations)
 from .present import raw_presentation, simplify
@@ -36,12 +37,14 @@ def _load_graph(spec: str):
 
 
 def _prepare_tree(args):
-    """Pinned example tree when one exists for (graph, n), otherwise subdivide
-    and construct; returns (tree, provenance string, the graph as given)."""
+    """Pinned example tree when one exists for (graph, n) and suits the mode
+    (any pinned tree in generic mode, a planar-mode one in planar mode),
+    otherwise subdivide and construct; returns (tree, provenance string,
+    the graph as given)."""
     g = _load_graph(args.graph)
     if args.subdivide == "pinned":
         t = pinned_tree(args.graph, args.n)
-        if t is not None:
+        if t is not None and args.mode in ("generic", t.mode):
             return t, "pinned", g
         policy = "strict" if args.n == 2 else "auto"
     else:

@@ -359,6 +359,30 @@ def is_suitably_subdivided(g: Graph, n: int, strict: bool = False) -> bool:
     return True
 
 
+def _split_edges(g: Graph, pieces: dict, tag: str):
+    """(vertices, edges, record) of g with each edge e cut into
+    ``pieces[e.id]`` edges (at least one): inner vertices "<e.id>.<i>" and
+    pieces "<e.id>:<i>", each name followed by ``tag``."""
+    record = SubdivisionRecord()
+    vertices = list(g.vertices)
+    edges = []
+    for e in g.edges:
+        k = max(1, pieces.get(e.id, 1))
+        if k == 1:
+            edges.append(e)
+            record.replacements[e.id] = [e.id]
+            record.inserted[e.id] = []
+            continue
+        chain = [e.u] + [f"{e.id}.{i}{tag}" for i in range(1, k)] + [e.v]
+        vertices.extend(chain[1:-1])
+        ids = [f"{e.id}:{i}{tag}" for i in range(k)]
+        for i in range(k):
+            edges.append(Edge(ids[i], chain[i], chain[i + 1]))
+        record.replacements[e.id] = ids
+        record.inserted[e.id] = chain[1:-1]
+    return vertices, edges, record
+
+
 def subdivide(g: Graph, n: int, policy="auto"):
     """Subdivide so the discrete configuration space of n points is valid.
 
@@ -379,25 +403,13 @@ def subdivide(g: Graph, n: int, policy="auto"):
     elif policy == "uniform":
         pieces = {e.id: n + 1 for e in g.edges}
     elif policy in ("auto", "strict"):
+        # every segment gets at least max(n - 1, 2) edges, so any two
+        # parallel segments already have the n + 1 the pair rule asks for
         floor = max(n - 1, 2)
         cycle = max(n, 2) + 1  # a cycle of n + 1 edges, and simple
-        targets: dict[str, int] = {}
-        segs = segments(g)
-        by_pair: dict[tuple[str, str], list[Segment]] = {}
-        for s in segs:
-            targets[id(s)] = max(len(s), floor)
-            if s.u == s.v:
-                targets[id(s)] = max(targets[id(s)], cycle)
-            else:
-                by_pair.setdefault(tuple(sorted((s.u, s.v))), []).append(s)
-        for fam in by_pair.values():
-            if len(fam) >= 2:
-                fam.sort(key=lambda s: (targets[id(s)], s.edge_ids))
-                while targets[id(fam[0])] + targets[id(fam[1])] < n + 1:
-                    targets[id(fam[0])] += 1
         pieces = {}
-        for s in segs:
-            need, have = targets[id(s)], len(s)
+        for s in segments(g):
+            need, have = max(len(s), cycle if s.u == s.v else floor), len(s)
             # spread the extra edges over the segment's pieces
             base, rem = divmod(need, have)
             for i, eid in enumerate(s.edge_ids):
@@ -405,28 +417,17 @@ def subdivide(g: Graph, n: int, policy="auto"):
     else:
         raise GraphError(f"unknown subdivision policy {policy!r}")
 
-    record = SubdivisionRecord()
-    vertices = list(g.vertices)
-    edges = []
-    for e in g.edges:
-        k = max(1, pieces.get(e.id, 1))
-        if k == 1:
-            edges.append(e)
-            record.replacements[e.id] = [e.id]
-            record.inserted[e.id] = []
-            continue
-        chain = [e.u] + [f"{e.id}.{i}" for i in range(1, k)] + [e.v]
-        vertices.extend(chain[1:-1])
-        ids = [f"{e.id}:{i}" for i in range(k)]
-        for i in range(k):
-            edges.append(Edge(ids[i], chain[i], chain[i + 1]))
-        record.replacements[e.id] = ids
-        record.inserted[e.id] = chain[1:-1]
-    # the new names are distinct and the pieces of an edge form a path, so
-    # only a clash with the graph's own names can spoil the output
+    vertices, edges, record = _split_edges(g, pieces, "")
+    # the new names are distinct, as an id ends at its last separator, so
+    # only a name the graph keeps can clash with them; then every new name
+    # takes a suffix ~j that ends none of the graph's names
     if (len(set(vertices)) != len(vertices)
             or len({e.id for e in edges}) != len(edges)):
-        raise GraphError("a subdivision vertex or edge id is already taken")
+        ends = [x.rpartition("~") for x in g.vertices]
+        ends += [e.id.rpartition("~") for e in g.edges]
+        j = 1 + max((int(tail) for _, sep, tail in ends
+                     if sep and tail.isdecimal()), default=0)
+        vertices, edges, record = _split_edges(g, pieces, f"~{j}")
     out = Graph._derived(vertices, edges)
     if not is_suitably_subdivided(out, n, strict=(policy == "strict")):
         raise GraphError("subdivision policy produced an unsuitable graph")

@@ -1,4 +1,4 @@
-"""Homology of Morse complexes and the pivotal/separating/free census.
+"""Homology of Morse complexes.
 
 H_d = ker d_d / im d_(d+1) computed exactly.  Since ker d_d is a direct
 summand of the chain group, H_d is Z^(c_d - rank d_d - rank d_(d+1)) plus
@@ -8,6 +8,11 @@ They come from one pass down the degrees over the sparse boundary rows:
 of the core left over gives the rest of the rank and the torsion.  The rows
 of d_d whose cells were pivot columns of d_(d+1) are dropped first (after
 Kaczynski, Mrozek and Slusarek's coupled reduction of a chain complex).
+
+Of a `MorseComplex`, `homology` reads only each degree's basis size,
+``len(critical[d])``, and the sparse rows of ``boundaries``: any chain
+complex given as sizes and rows goes through the same pass.  The census of
+critical 1-cells lives in `closedforms`.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from dataclasses import dataclass
 # kernel_coordinates here, so the two unused ones stay
 from .intlinalg import (smith_normal_form, kernel_basis, kernel_coordinates,
                         densify, unit_pivots)
-from .morse import MorseComplex, MorseError, wedge_cell, bare_fill
-from . import cells as C
+from .morse import MorseComplex, MorseError
 
 
 @dataclass(frozen=True)
@@ -85,109 +89,3 @@ def homology(mc: MorseComplex) -> dict[int, AbelianGroup]:
             raise MorseError(f"rank H_{d} comes out negative: {free}")
         out[d] = AbelianGroup(free, torsion.get(d + 1, ()))
     return out
-
-
-# ---------------------------------------------------------------------------
-# pivotal / separating / free
-
-def separating_families(t):
-    """Triples feeding rows with two +-1 entries: for each deleted edge d
-    with k = g(tau(d), iota(d)) >= 1, the deleted edges d' with smaller tau,
-    separated by tau(d), disjoint from d, and g(tau(d), iota(d')) = k: the
-    census ``t.sep_classes[tau(d)][k]`` cut to those."""
-    fams = []
-    for d in t.deleted:
-        a = d[0]
-        k = t.branch(a, d[1])
-        partners = [dp for dp in t.sep_classes.get(a, {}).get(k, ())
-                    if dp[0] < a and len({*d, *dp}) == 4]
-        if k and len(partners) >= 2:
-            fams.append((d, partners))
-    return fams
-
-
-def separating_cells(t, n: int):
-    """Critical 1-cells of the form wedge(d, d') arising from some family."""
-    out = set()
-    for d, partners in separating_families(t):
-        for dp in partners:
-            w = wedge_cell(t, d, dp, n - 2, strict=False)
-            if w is not None:
-                out.add(w)
-    return out
-
-
-def classify_1cells(mc: MorseComplex) -> dict:
-    """Tag each critical 1-cell pivotal, separating, or free from the
-    geometric characterizations (not from the matrix)."""
-    t = mc.tree
-    if mc.ordered and mc.n > 2:
-        raise ValueError("1-cell classification needs unordered flavor or n <= 2")
-    sep_unordered = separating_cells(t, mc.n)
-    tags = {}
-    for cell in mc.critical.get(1, ()):
-        rep, _ = mc.orbit(cell)
-        if rep in sep_unordered:
-            tags[cell] = "separating"
-            continue
-        pivotal = False
-        name = mc.names[rep]
-        if name is not None and name.canonical and len(name.terms) == 1:
-            tm = name.terms[0]
-            a = tm.tau
-            classes = t.sep_classes.get(a, {})
-            hit = any(tm.vec[m - 1] >= 1 for m in classes)
-            if tm.kind == "deleted":
-                pivotal = hit
-            else:
-                pivotal = hit and sum(tm.vec) >= 2
-        tags[cell] = "pivotal" if pivotal else "free"
-    return tags
-
-
-def undetermined_block(mc: MorseComplex):
-    """Rows d u d' - d u d_ref over the separating 1-cells, the block left
-    after removing pivotal rows/columns and free columns, read off the d2
-    rows of the complex.
-
-    Returns (matrix, row_labels, column_cells); for the ordered flavor each
-    family row appears once per labelling, for sigma in ``mc.sigmas``.  At
-    n = 1 there are no 2-cells, so the block has no rows.
-    """
-    t = mc.tree
-    tags = classify_1cells(mc)
-    sep = [c for c in mc.critical.get(1, ()) if tags[c] == "separating"]
-    if mc.n < 2:
-        return [], [], sep
-    col_index = {mc.index[1][c]: i for i, c in enumerate(sep)}
-    index2 = mc.index.get(2, {})
-
-    def d2_row(edges, sigma):
-        cell = bare_fill(t, edges, mc.n - 2)
-        if sigma is not None:
-            cell = C.phi_inverse(cell, sigma)
-        if cell not in index2:
-            raise MorseError(f"family cell {C.format_cell(cell, mc.ordered)} "
-                             f"is not a critical 2-cell")
-        return mc.boundaries[2][index2[cell]]
-
-    rows, labels = [], []
-    for d, partners in sorted(separating_families(t), reverse=True):
-        ref = partners[0]
-        for dp in sorted(partners[1:], reverse=True):
-            for sigma in mc.sigmas:
-                label = (d, dp, ref) if sigma is None else (d, dp, ref, sigma)
-                chain = dict(d2_row([d, dp], sigma))
-                for j, x in d2_row([d, ref], sigma).items():
-                    chain[j] = chain.get(j, 0) - x
-                row = [0] * len(sep)
-                for j, x in chain.items():
-                    if j in col_index:
-                        row[col_index[j]] = x
-                    elif x:
-                        raise MorseError(
-                            f"block row {label} leaks outside separating "
-                            f"columns: {C.format_cell(mc.critical[1][j], mc.ordered)}")
-                rows.append(row)
-                labels.append(label)
-    return rows, labels, sep

@@ -1,5 +1,5 @@
 """The Morse engine: the reduction onto critical cells, Morse boundaries,
-critical cell names, and the closed boundary formulas as a check of d2.
+critical cell names and basis sort keys, and the build of the complex.
 
 `Reducer` is the one reduction engine.  It follows the matching W cellwise
 with memoization and writes every cell in a coefficient `Algebra`: Z-chains
@@ -15,10 +15,8 @@ at every n: it rewrites the 2-cell's boundary word with `WORDS` and keeps
 the word as a relator.  The word's abelianization is minus the cubical
 boundary, and rewriting abelianizes to the Z-chain reduction, so the d2
 row is minus the relator's exponent sums.  This is the only way d2 is
-built.  The closed boundary formulas (`fast_morse_boundary` and
-`fast_morse_boundary_ordered`) state d2 independently on a tree satisfying
-T1-T3, unordered or ordered n <= 2, and `check_closed_forms` compares the
-built complex with them.  Degrees 1 and >= 3 are Z-chains.
+built; the paper's closed boundary formulas, in `closedforms`, state it
+independently as a check.  Degrees 1 and >= 3 are Z-chains.
 
 D_n is the n!-sheeted cover of UD_n and its matching is the lift of the one
 on UD_n, so the ordered reduction commutes with relabelling the points: a
@@ -89,7 +87,7 @@ from itertools import permutations
 from typing import Callable
 
 from . import cells as C
-from .trees import OrderedTree, verify_conditions
+from .trees import OrderedTree
 
 
 class MorseError(RuntimeError):
@@ -304,7 +302,6 @@ class Term:
 class CriticalName:
     terms: tuple     # Terms sorted by descending tau
     s0: int          # length of the 0_s prefix
-    canonical: bool = True
 
 
 def _prefix_length(t: OrderedTree, vset) -> int:
@@ -347,7 +344,8 @@ def _cell_shape(t: OrderedTree, cell):
 
 def name_critical_cell(t: OrderedTree, cell):
     """Structured name of a sorted critical cell, or None when the cell does
-    not fit the standard forms (possible on trees violating T1/T2)."""
+    not fit the standard forms: the name would not materialize back to the
+    cell (possible on trees violating T1/T2)."""
     s0, rest, edges, owner = _cell_shape(t, cell)
     vecs = {e: [0] * t.branch_count(e[0]) for e in edges}
     for v in rest:
@@ -358,8 +356,8 @@ def name_critical_cell(t: OrderedTree, cell):
         vecs[e][k - 1] += 1
     terms = tuple(Term("deleted" if e in t.deleted_set else "tree", e,
                        tuple(vecs[e])) for e in edges)
-    back = materialize_name(t, CriticalName(terms, s0))
-    return CriticalName(terms, s0, canonical=back == tuple(cell))
+    name = CriticalName(terms, s0)
+    return name if materialize_name(t, name) == tuple(cell) else None
 
 
 def _branch_chain(t: OrderedTree, a: int, k: int, skip_first: bool, count: int):
@@ -407,7 +405,7 @@ def format_name(t: OrderedTree, name: CriticalName | None, cell=None,
                 ordered: bool = False, sigma=None) -> str:
     """The name of a critical cell; an ordered labelling's carries its
     permutation ``sigma`` as a subscript."""
-    if name is None or not name.canonical:
+    if name is None:
         return C.format_cell(cell, ordered=ordered) if cell is not None else "?"
     parts = []
     for tm in name.terms:
@@ -501,205 +499,6 @@ def cell_sort_key(t: OrderedTree, cell, sigma=None):
 
 
 # ---------------------------------------------------------------------------
-# closed-form boundary formulas
-
-def _p(vec):
-    for i, a in enumerate(vec, start=1):
-        if a:
-            return i
-    return 0
-
-
-def _vec_minus_alpha(vec, alpha):
-    out = list(vec)
-    for _ in range(alpha):
-        i = _p(out)
-        if not i:
-            return None
-        out[i - 1] -= 1
-    return tuple(out)
-
-
-def _delta(mu, k):
-    out = [0] * mu
-    out[k - 1] += 1
-    return tuple(out)
-
-
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def bold_A(t: OrderedTree, a_vertex: int, vec, ell: int, n: int):
-    """The reduction of the staircase sum: surviving critical 1-cells of
-    A_{p(vec-alpha)}((vec-alpha) - delta_p + delta_ell), alpha = 0..|vec|;
-    a term survives exactly when ell < p(vec-alpha)."""
-    out: dict = {}
-    cur = tuple(vec)
-    while True:
-        p = _p(cur)
-        if p == 0:
-            break
-        if ell < p:
-            v = list(cur)
-            v[p - 1] -= 1
-            v[ell - 1] += 1
-            edge = (a_vertex, t.children[a_vertex][p - 1])
-            s0 = n - 1 - sum(v)
-            name = CriticalName((Term("tree", edge, tuple(v)),), s0)
-            cell = materialize_name(t, name)
-            if cell is None:
-                raise MorseError("bold-A term failed to materialize")
-            out[cell] = out.get(cell, 0) + 1
-        cur = _vec_minus_alpha(cur, 1)
-    return out
-
-
-def wedge_cell(t: OrderedTree, d, dp, s0: int, strict: bool = True):
-    """The critical 1-cell at the meet of the initial vertices of two
-    deleted edges: C_max(delta_min).  Degenerate configurations (possible
-    only when T2 fails) return None unless strict."""
-    c = t.meet(d[1], dp[1])
-    if c in (d[1], dp[1]):
-        if strict:
-            raise MorseError("wedge undefined: one initial vertex is an "
-                             "ancestor of the other")
-        return None
-    ga, gb = t.branch(c, d[1]), t.branch(c, dp[1])
-    ell, k = min(ga, gb), max(ga, gb)
-    edge = (c, t.children[c][k - 1])
-    name = CriticalName((Term("tree", edge, _delta(t.branch_count(c), ell)),), s0)
-    cell = materialize_name(t, name)
-    if cell is None:
-        if strict:
-            raise MorseError("wedge cell failed to materialize")
-        return None
-    return cell
-
-
-def bare_fill(t: OrderedTree, items, count: int):
-    """Complete items with `count` blocked vertices packed as low as the
-    closures allow (the 0_s prefix, shifted past any occupied endpoint)."""
-    used = set()
-    for it in items:
-        used.update(C.closure_vertices(it))
-    verts = set(C.cell_vertices(items))
-    ends = used - verts
-    out = list(items)
-    v = 0
-    while count > 0 and v < t.nv:
-        if v not in used and (v == 0 or t.parent[v] in verts or t.parent[v] in ends):
-            out.append(C.vertex(v))
-            verts.add(v)
-            used.add(v)
-            count -= 1
-        v += 1
-    if count:
-        raise MorseError("could not complete cell with blocked vertices")
-    return tuple(sorted(out))
-
-
-def fast_morse_boundary(t: OrderedTree, cell) -> dict:
-    """Closed-form Morse boundary of an unordered critical 2-cell on a tree
-    satisfying T1-T3.  Raises for shapes outside the three standard forms.
-
-    Both formulas share one skeleton over the edge e carrying the blocked
-    vector: e(a) - e(a + delta_ell) - boldA(a, ell) + boldA(a + delta_k, ell)
-    with k the branch of e itself and ell the branch toward the other edge,
-    plus a wedge term when both edges are deleted and k = ell, signed -1
-    exactly when e has the smaller initial vertex.
-    """
-    n = len(cell)
-    name = name_critical_cell(t, cell)
-    if name is None or not name.canonical or len(name.terms) != 2:
-        raise MorseError(f"unsupported 2-cell shape {C.format_cell(cell)}")
-    hi, lo = name.terms
-    kinds = (hi.kind, lo.kind)
-    if kinds == ("tree", "tree"):
-        return {}
-    if kinds == ("deleted", "tree"):
-        # the tree edge's vertex sits above tau of the deleted edge; under
-        # T2 the deleted edge is not separated there, so the image vanishes
-        own, other = lo, hi
-    elif kinds == ("tree", "deleted"):
-        own, other = hi, lo
-    else:
-        own, other = hi, lo
-    a = own.tau
-    if not t.separates(other.edge, a):
-        return {}
-    mu = t.branch_count(a)
-    k = t.branch(a, own.edge[1])
-    ell = t.branch(a, other.edge[1])
-    avec = own.vec
-
-    def one_cell(vec):
-        s0 = n - 1 - sum(vec)
-        nm = CriticalName((Term(own.kind, own.edge, tuple(vec)),), s0)
-        cc = materialize_name(t, nm)
-        if cc is None:
-            raise MorseError("boundary term failed to materialize")
-        return cc
-
-    out: dict = {}
-
-    def add(cellv, coeff):
-        if coeff:
-            out[cellv] = out.get(cellv, 0) + coeff
-            if not out[cellv]:
-                del out[cellv]
-
-    add(one_cell(avec), 1)
-    add(one_cell(_vec_add(avec, _delta(mu, ell))), -1)
-    for cc, x in bold_A(t, a, avec, ell, n).items():
-        add(cc, -x)
-    for cc, x in bold_A(t, a, _vec_add(avec, _delta(mu, k)), ell, n).items():
-        add(cc, x)
-    if own.kind == "deleted" and k == ell:
-        eps = -1 if own.edge[1] < other.edge[1] else 1
-        add(wedge_cell(t, own.edge, other.edge, n - 2), eps)
-    return out
-
-
-def fast_morse_boundary_ordered(t: OrderedTree, cell_tuple) -> dict:
-    """Closed-form Morse boundary of an ordered critical 2-cell, n = 2 only."""
-    if len(cell_tuple) != 2:
-        raise MorseError("ordered closed forms exist only for n = 2")
-    sc, sigma = C.phi(cell_tuple)
-    dp, d = sc  # sorted: tau(dp) < tau(d)
-    if d not in t.deleted_set or dp not in t.deleted_set:
-        raise MorseError("ordered critical 2-cells must be pairs of deleted edges")
-    a = d[0]
-    out: dict = {}
-    if not t.separates(dp, a):
-        return out
-    k = t.branch(a, d[1])
-    ell = t.branch(a, dp[1])
-    rho = (2, 1)
-    ident = (1, 2)
-
-    def emit(sorted_cell, tau, coeff):
-        sub = tau if sigma == ident else (rho if tau == ident else ident)
-        tup = C.phi_inverse(sorted_cell, sub)
-        out[tup] = out.get(tup, 0) + coeff
-        if not out[tup]:
-            del out[tup]
-
-    bare = materialize_name(t, CriticalName((Term("deleted", d, (0,) * t.branch_count(a)),), 1))
-    dvec = materialize_name(t, CriticalName((Term("deleted", d, _delta(t.branch_count(a), ell)),), 0))
-    if bare is None or dvec is None:
-        raise MorseError("ordered boundary term failed to materialize")
-    emit(bare, ident, 1)
-    emit(dvec, rho, -1)
-    if d[1] < dp[1]:
-        if k == ell:
-            emit(wedge_cell(t, d, dp, 0), ident, -1)
-    else:
-        emit(wedge_cell(t, d, dp, 0), rho, 1)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the Morse complex
 
 @dataclass
@@ -785,8 +584,9 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
 
     The reduction of degree 2 is the rewriting of each critical 2-cell's
     boundary word: the words are kept as ``relators`` and the d2 row is
-    minus their exponent sums.  `check_closed_forms` compares the rows with
-    the closed formulas.  ``path`` accepts only "generic", the one route.
+    minus their exponent sums.  `closedforms.check_closed_forms` compares
+    the rows with the closed formulas.  ``path`` accepts only "generic",
+    the one route.
     """
     # the benchmark harness still passes path="generic"; ROADMAP item 1
     # removes the keyword
@@ -876,30 +676,3 @@ def _product_table(sigmas) -> list:
     rank = {s: r for r, s in enumerate(sigmas)}
     return [[rank[tuple(s[i - 1] for i in tau)] for tau in sigmas]
             for s in sigmas]
-
-
-def _fast_for(t: OrderedTree, cell, ordered: bool) -> dict:
-    if ordered:
-        return fast_morse_boundary_ordered(t, cell)
-    return fast_morse_boundary(t, cell)
-
-
-def check_closed_forms(mc: MorseComplex) -> None:
-    """Compare every d2 row of ``mc``, read off its relator words, with the
-    closed boundary formulas, an independent statement of d2.  Raises
-    `MorseError` at the first critical 2-cell where they disagree, and for
-    a complex the formulas do not cover: ordered n >= 3, or a tree that
-    fails T1-T3."""
-    if mc.ordered and mc.n >= 3:
-        raise MorseError("no closed boundary formulas for ordered n >= 3")
-    if not verify_conditions(mc.tree).ok():
-        raise MorseError("the closed boundary formulas need a tree "
-                         "satisfying T1-T3")
-    faces = mc.critical.get(1, [])
-    for cell, row in zip(mc.critical.get(2, ()), mc.boundaries.get(2, ())):
-        closed = _fast_for(mc.tree, cell, mc.ordered)
-        chain = {faces[j]: row[j] for j in sorted(row)}
-        if closed != chain:
-            raise MorseError(
-                f"the closed forms and the rewriting disagree on "
-                f"{C.format_cell(cell, mc.ordered)}: {closed} vs {chain}")

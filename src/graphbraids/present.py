@@ -27,9 +27,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import cells as C
-from .morse import (LazyMapping, MorseComplex, MorseError, Word, cell_sort_key,
-                    free_reduce)
-from .homology import AbelianGroup, classify_1cells
+from .morse import LazyMapping, MorseComplex, MorseError, Word, free_reduce
+from .homology import AbelianGroup
+from .closedforms import classify_1cells
 
 
 def cyclic_reduce(w) -> Word:
@@ -168,14 +168,15 @@ def _leading_pairs(mc: MorseComplex):
 
 
 def _modified_pivotal_key(mc: MorseComplex, cell):
-    """Order used only when eliminating pivotal generators: deleted edges
-    outrank tree edges at equal terminal vertex."""
-    t = mc.tree
-    rep, sigma = mc.orbit(cell)
+    """Order used only when eliminating pivotal generators: the basis order
+    with deleted edges outranking tree edges at equal terminal vertex; ties
+    at an equal edge fall in basis order.  A pivotal cell always has a name,
+    which gives its count of blocked vertices off the 0_s prefix."""
+    rep, _ = mc.orbit(cell)
     e = C.cell_edges(rep)[0]
-    base = cell_sort_key(t, rep, sigma)
-    mod_edge = (e[0], 1 if e in t.deleted_set else 0, e[1])
-    return (base[0], mod_edge) + tuple(base[2:])
+    rest = mc.n - 1 - mc.names[rep].s0
+    return (rest, (e[0], 1 if e in mc.tree.deleted_set else 0, e[1]),
+            -mc.index[1][cell])
 
 
 def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:

@@ -9,12 +9,12 @@ from graphbraids.cells import (Classification, boundary, cell_edges,
                                cell_vertices, classify, matched_cell)
 from graphbraids.corpus import random_topological_graph
 from graphbraids.graphs import Graph, subdivide
-from graphbraids.homology import (AbelianGroup, classify_1cells,
-                                  separating_families)
+from graphbraids.closedforms import (bare_fill, classify_1cells,
+                                     separating_families)
+from graphbraids.homology import AbelianGroup
 from graphbraids.intlinalg import copy_matrix, smith_normal_form, zeros
-from graphbraids.morse import (WORDS, MorseError, Reducer, bare_fill,
-                               cell_sort_key, morse_boundary,
-                               name_critical_cell)
+from graphbraids.morse import (WORDS, MorseError, Reducer, cell_sort_key,
+                               morse_boundary, name_critical_cell)
 from graphbraids.present import cyclic_reduce
 from graphbraids.trees import OrderedTree
 

@@ -10,9 +10,10 @@ from graphbraids.graphs import build_graph, subdivide, betti1
 from graphbraids.trees import choose_tree_and_order
 from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
                                   theta4_pinned_tree, fig_b3n3_tree)
-from graphbraids.morse import build_morse_complex, check_closed_forms
-from graphbraids.homology import (AbelianGroup, homology, classify_1cells,
-                                  undetermined_block)
+from graphbraids.morse import build_morse_complex
+from graphbraids.homology import AbelianGroup, homology
+from graphbraids.closedforms import (check_closed_forms, classify_1cells,
+                                     undetermined_block)
 from graphbraids.decompose import (h1_formula, beta2_formula, N_cut, is_planar,
                                    invariant_bundle)
 from graphbraids.intlinalg import smith_normal_form

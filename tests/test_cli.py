@@ -110,6 +110,18 @@ def test_present_command(capsys):
     assert len(rep["results"]["relators"]) == 1
 
 
+@pytest.mark.parametrize("policy", ["auto", "uniform", "3"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_check_a_graph_using_subdivision_names(capsys, n, policy):
+    # a triangle with a vertex named as subdivision names its edge e0:
+    # subdivided, it is a circle, whose braid groups are Z
+    triangle = "a b\nb e0.1\ne0.1 a"
+    status, rep = capture(capsys, ["check", "--graph", triangle, "--n",
+                                   str(n), "--subdivide", policy])
+    assert status == 0 and rep["verdict"] == "match"
+    assert rep["results"]["formula_H1"] == {"rank": 1, "torsion": []}
+
+
 def test_check_runs_the_closed_forms(capsys):
     # the pinned Theta4 n=3 tree satisfies T1-T3
     status, rep = capture(capsys, ["check", "--graph", "Theta4", "--n", "3"])
@@ -119,9 +131,9 @@ def test_check_runs_the_closed_forms(capsys):
 
 
 def test_check_reports_a_closed_form_mismatch(capsys, monkeypatch):
-    from graphbraids import morse
-    formula = morse.fast_morse_boundary
-    monkeypatch.setattr(morse, "fast_morse_boundary",
+    from graphbraids import closedforms
+    formula = closedforms.fast_morse_boundary
+    monkeypatch.setattr(closedforms, "fast_morse_boundary",
                         lambda t, c: {k: -x for k, x in formula(t, c).items()})
     assert run(["check", "--graph", "Theta4", "--n", "3"]) == 2
     captured = capsys.readouterr()
@@ -335,10 +347,14 @@ def _one_line_error(capsys, argv, start="error: "):
     assert captured.err.startswith(start) and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("graph", ["K5", "FigCounterEx"])
-def test_planar_mode_names_a_nonplanar_graph(capsys, graph):
+@pytest.mark.parametrize("graph, n", [
+    pytest.param("K5", 2, id="K5"),
+    pytest.param("FigCounterEx", 2, id="FigCounterEx"),
+    # these two have generic pinned trees, which planar mode passes over
+    ("K5", 4), ("K33", 2)])
+def test_planar_mode_names_a_nonplanar_graph(capsys, graph, n):
     # K5 is decided by the counts, FigCounterEx by the embedding
-    _one_line_error(capsys, ["check", "--graph", graph, "--n", "2",
+    _one_line_error(capsys, ["check", "--graph", graph, "--n", str(n),
                              "--mode", "planar"],
                     "error: planar mode needs a planar graph\n")
 
@@ -449,8 +465,8 @@ def test_ordered_formulas_refuse_a_tree_failing_t1_to_t3(capsys, method):
     # asked for alone ("fast") they refuse it, and `check`, which compares
     # them with the rewritten d2 ("both"), skips them there
     from graphbraids.fixtures import k33_pinned_tree
-    from graphbraids.morse import (MorseError, build_morse_complex,
-                                   check_closed_forms)
+    from graphbraids.morse import MorseError, build_morse_complex
+    from graphbraids.closedforms import check_closed_forms
     for flavor in ("unordered", "ordered"):
         if method == "fast":
             mc = build_morse_complex(k33_pinned_tree(), 2, flavor)

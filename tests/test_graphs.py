@@ -317,10 +317,20 @@ def test_marked_pieces_take_fresh_virtual_names():
         _check_derived(d)
 
 
-def test_subdivision_names_that_are_taken_are_refused():
-    g = build_graph("a b\nb e0.1\ne0.1 a")
-    with pytest.raises(GraphError, match="already taken"):
-        subdivide(g, 3, "uniform")
+def test_subdivision_names_that_are_taken_are_avoided():
+    # vertex e0.1 is the name edge e0's first inner vertex would get, so
+    # every new name takes the suffix ~3, past the ~2 of vertex e0.1~2; a
+    # graph without such a clash keeps the plain names
+    g = build_graph("a b\nb e0.1~2\ne0.1~2 a\na e0.1")
+    gs, record = subdivide(g, 3, "uniform")
+    assert record.inserted["e0"] == ["e0.1~3", "e0.2~3", "e0.3~3"]
+    assert record.replacements["e0"] == ["e0:0~3", "e0:1~3", "e0:2~3",
+                                         "e0:3~3"]
+    assert set(g.vertices) < set(gs.vertices)
+    assert len(set(gs.vertices)) == len(gs.vertices)
+    assert is_suitably_subdivided(gs, 3)
+    _, record = subdivide(build_graph("a b\nb c\nc a"), 3, "uniform")
+    assert record.inserted["e0"] == ["e0.1", "e0.2", "e0.3"]
 
 
 def test_segments_are_kept_and_immutable():

@@ -9,9 +9,10 @@ from graphbraids.fixtures import (PINNED_TREES, k33_pinned_tree, k5_pinned_tree,
                                   theta4_pinned_tree, fig_b3n3_tree)
 from graphbraids.graphs import build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
-from graphbraids.morse import build_morse_complex, check_closed_forms
-from graphbraids.homology import (AbelianGroup, homology, classify_1cells,
-                                  separating_families, undetermined_block)
+from graphbraids.morse import build_morse_complex
+from graphbraids.homology import AbelianGroup, homology
+from graphbraids.closedforms import (check_closed_forms, classify_1cells,
+                                     separating_families, undetermined_block)
 from graphbraids.intlinalg import (smith_normal_form, kernel_basis,
                                    kernel_coordinates)
 from graphbraids.morse import MorseError
@@ -279,6 +280,20 @@ def test_random_trees_have_separating_families():
     assert sum(bool(separating_families(t)) for t in trees) >= 15
 
 
+def test_pivotal_test_skips_the_base_side_of_the_census():
+    # a tree failing T2: vertex 1 separates d_2 only on its base side,
+    # branch 0, which the blocked-vertex vector of d_1(1) does not hold, so
+    # d_1(1) is free; reading branch 0 as vec[-1] made it pivotal.  With no
+    # critical 2-cell, no relator could eliminate a pivotal cell anyway.
+    t = random_ordered_tree(105)
+    assert t.sep_classes[1] == {0: [(2, 5)]}
+    mc = build_morse_complex(t, 2, "unordered")
+    assert not mc.critical.get(2)
+    tags = {mc.name_of(c): tag for c, tag in classify_1cells(mc).items()}
+    assert tags == {"d_1(1)": "free", "A_2(1,0)": "free", "d_2": "free",
+                    "d_1": "free"}
+
+
 @pytest.mark.parametrize("key", sorted(PINNED_TREES))
 def test_separating_families_match_reference_on_pinned_trees(key):
     t = PINNED_TREES[key]()
@@ -328,7 +343,7 @@ def test_classification_requires_supported_flavor():
 
 
 def test_block_row_leaking_outside_separating_columns_raises():
-    from graphbraids.morse import bare_fill
+    from graphbraids.closedforms import bare_fill
     mc = build_morse_complex(k5_pinned_tree(), 4, "unordered")
     tags = classify_1cells(mc)
     free = mc.index[1][next(c for c, tag in tags.items() if tag == "free")]

@@ -13,8 +13,9 @@ from graphbraids.graphs import BUILTIN_GRAPHS, betti1, build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
 from graphbraids.morse import (WORDS, Word, build_morse_complex, cell_sort_key,
                                MorseComplex, MorseError, Reducer,
-                               check_closed_forms, free_reduce, winv, wmul)
-from graphbraids.homology import AbelianGroup, homology, classify_1cells
+                               free_reduce, winv, wmul)
+from graphbraids.homology import AbelianGroup, homology
+from graphbraids.closedforms import check_closed_forms, classify_1cells
 from graphbraids.present import (cyclic_reduce, raw_presentation, simplify,
                                  commutator_form, format_word, substitute,
                                  Presentation, _leading_pairs)

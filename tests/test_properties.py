@@ -8,8 +8,9 @@ from graphbraids.corpus import corpus, random_topological_graph
 from graphbraids.graphs import subdivide, betti1, build_graph
 from graphbraids.trees import choose_tree_and_order, verify_conditions
 from graphbraids.cells import classify, phi, enumerate_cells
-from graphbraids.morse import (build_morse_complex, check_closed_forms, Reducer,
-                               morse_boundary, free_reduce, winv, wmul)
+from graphbraids.morse import (build_morse_complex, Reducer, morse_boundary,
+                               free_reduce, winv, wmul)
+from graphbraids.closedforms import check_closed_forms
 from graphbraids.homology import homology
 from graphbraids.decompose import h1_formula
 from graphbraids.present import commutator_form
