@@ -316,23 +316,13 @@ def boundary(cell, ordered: bool = False):
 def boundary_word(cell, ordered: bool = False):
     """Read the square boundary of a 2-cell as a word in its faces, letters
     (face, +-1): with e the edge of larger terminal vertex and e' the other,
-    the word is [e'->iota][e->tau][e'->tau]^-1[e->iota]^-1.  Its
-    abelianization is minus the cubical boundary."""
-    positions = [(i, it) for i, it in enumerate(cell) if it[1] != -1]
-    if len(positions) != 2:
+    the word is [e'->iota][e->tau][e'->tau]^-1[e->iota]^-1, faces 0, 3, 1, 2
+    of `boundary`.  Its abelianization is minus the cubical boundary."""
+    faces = boundary(cell, ordered)
+    if len(faces) != 4:
         raise CellError("boundary words are defined for 2-cells")
-    positions.sort(key=lambda p: p[1][0])
-    (pos_lo, e_lo), (pos_hi, e_hi) = positions
-
-    def face(pos, repl):
-        out = list(cell)
-        out[pos] = vertex(repl)
-        if not ordered:
-            out.sort()
-        return tuple(out)
-
-    return ((face(pos_lo, e_lo[1]), 1), (face(pos_hi, e_hi[0]), 1),
-            (face(pos_lo, e_lo[0]), -1), (face(pos_hi, e_hi[1]), -1))
+    return ((faces[0][0], 1), (faces[3][0], 1),
+            (faces[1][0], -1), (faces[2][0], -1))
 
 
 def phi(cell):

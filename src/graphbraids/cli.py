@@ -1,6 +1,7 @@
 """Command-line interface: build configuration spaces, run both homology
 routes, cross-validate them (and d2 against the closed boundary formulas),
-and emit presentations and decompositions."""
+and emit presentations and decompositions.  Each command returns (results,
+verdict, status); `run` times it and builds the one report."""
 
 from __future__ import annotations
 
@@ -57,21 +58,6 @@ def _prepare_tree(args):
     return t, f"subdivide={policy},mode={mode}", g
 
 
-def _report(args, command, results, verdict=None, t0=None):
-    rep = {
-        "command": command,
-        "inputs": {"graph": args.graph, "n": args.n,
-                   "flavor": getattr(args, "flavor", None),
-                   "mode": getattr(args, "mode", None)},
-        "results": results,
-    }
-    if verdict is not None:
-        rep["verdict"] = verdict
-    if t0 is not None:
-        rep["timing_ms"] = round(1000 * (time.perf_counter() - t0), 1)
-    return rep
-
-
 def _emit(args, report):
     if args.format == "json":
         print(json.dumps(report, indent=2, default=str))
@@ -95,7 +81,6 @@ def _print_text(rep, indent=0):
 
 
 def cmd_homology(args):
-    t0 = time.perf_counter()
     tree, prov, _ = _prepare_tree(args)
     mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
     h = homology(mc)
@@ -105,11 +90,10 @@ def cmd_homology(args):
         "euler_characteristic": mc.euler_characteristic(),
         "homology": [{"degree": d, **g.to_json()} for d, g in sorted(h.items())],
     }
-    return _report(args, "homology", results, t0=t0), 0
+    return results, None, 0
 
 
 def cmd_formula(args):
-    t0 = time.perf_counter()
     g = _load_graph(args.graph)
     flavor = "P2" if args.flavor == "ordered" else "B"
     if flavor == "P2" and args.n > 2:
@@ -121,7 +105,7 @@ def cmd_formula(args):
     else:
         results["notice"] = ("n = 1 braid groups are fundamental groups of "
                              "the graph itself; returning its abelianization")
-    return _report(args, "formula", results, t0=t0), 0
+    return results, None, 0
 
 
 def _covering_failure(pn, bn, h_p, h_b):
@@ -151,7 +135,7 @@ def _covering_failure(pn, bn, h_p, h_b):
     return None
 
 
-def _check_covering(args, tree, prov, t0):
+def _check_covering(args, tree, prov):
     """graphbraids check for ordered n >= 3, where no formula exists."""
     pn = build_morse_complex(tree, args.n, "ordered", cap=args.cap)
     bn = build_morse_complex(tree, args.n, "unordered", cap=args.cap)
@@ -165,18 +149,16 @@ def _check_covering(args, tree, prov, t0):
                                       for d, g in sorted(h_b.items())],
                "closed_forms": False}
     verdict = "match" if failure is None else f"mismatch({failure})"
-    return (_report(args, "check", results, verdict=verdict, t0=t0),
-            0 if failure is None else 1)
+    return results, verdict, 0 if failure is None else 1
 
 
 def cmd_check(args):
     """H1 of the Morse complex against the formula route, and, on a tree
     satisfying T1-T3, d2 against the closed boundary formulas: a
     disagreement there raises `MorseError`."""
-    t0 = time.perf_counter()
     tree, prov, g = _prepare_tree(args)
     if args.flavor == "ordered" and args.n >= 3:
-        return _check_covering(args, tree, prov, t0)
+        return _check_covering(args, tree, prov)
     mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
     closed_forms = verify_conditions(tree).ok()
     if closed_forms:
@@ -189,11 +171,10 @@ def cmd_check(args):
         f"mismatch(morse={h}, formula={hf})"
     results = {"tree": prov, "morse_H1": h.to_json(), "formula_H1": hf.to_json(),
                "closed_forms": closed_forms}
-    return _report(args, "check", results, verdict=verdict, t0=t0), (0 if match else 1)
+    return results, verdict, 0 if match else 1
 
 
 def cmd_decompose(args):
-    t0 = time.perf_counter()
     g = _load_graph(args.graph)
     tree = decomposition_tree(g)
     characterizations = classify_beta1_characterizations(g, tree)
@@ -203,11 +184,10 @@ def cmd_decompose(args):
     if args.n >= 2:
         results["bundle"] = invariant_bundle(g, args.n, tree).to_json()
     results["beta1_characterizations"] = characterizations
-    return _report(args, "decompose", results, t0=t0), 0
+    return results, None, 0
 
 
 def cmd_cells(args):
-    t0 = time.perf_counter()
     tree, prov, _ = _prepare_tree(args)
     mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
     crit = {}
@@ -229,13 +209,12 @@ def cmd_cells(args):
                      f"{mc.name_of(lower[j])}" for j, x in sorted(row.items())]
             chains[mc.name_of(c2)] = " ".join(terms) if terms else "0"
         results["boundaries"] = chains
-    return _report(args, "cells", results, t0=t0), 0
+    return results, None, 0
 
 
 def cmd_tree(args):
-    t0 = time.perf_counter()
     tree, prov, _ = _prepare_tree(args)
-    rep = verify_conditions(tree, planar=(args.mode == "planar"))
+    rep = verify_conditions(tree)
     results = {
         "tree": prov,
         "dump": tree.debug_dump().splitlines(),
@@ -243,11 +222,10 @@ def cmd_tree(args):
                        "t4": rep.t4, "witnesses": rep.witnesses},
         "stem_length": tree.stem_length(),
     }
-    return _report(args, "tree", results, t0=t0), 0
+    return results, None, 0
 
 
 def cmd_present(args):
-    t0 = time.perf_counter()
     tree, prov, _ = _prepare_tree(args)
     mc = build_morse_complex(tree, args.n, args.flavor, cap=args.cap)
     pres = raw_presentation(mc)
@@ -256,11 +234,10 @@ def cmd_present(args):
     results = {"tree": prov}
     results.update(pres.display())
     results["abelianization"] = pres.abelianization().to_json()
-    return _report(args, "present", results, t0=t0), 0
+    return results, None, 0
 
 
 def cmd_beta2(args):
-    t0 = time.perf_counter()
     g = _load_graph(args.graph)
     results = {"beta2_B2": beta2_formula(g, "B2"),
                "beta2_P2": beta2_formula(g, "P2")}
@@ -271,7 +248,7 @@ def cmd_beta2(args):
             build_morse_complex(t, 2, "unordered"))[2].rank
         results["beta2_P2_direct"] = homology(
             build_morse_complex(t, 2, "ordered"))[2].rank
-    return _report(args, "beta2", results, t0=t0), 0
+    return results, None, 0
 
 
 def make_parser():
@@ -322,11 +299,22 @@ def make_parser():
 
 def run(argv):
     args = make_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        report, status = args.fn(args)
+        results, verdict, status = args.fn(args)
     except (GraphError, TreeError, MorseError, CellError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = {
+        "command": args.command,
+        "inputs": {"graph": args.graph, "n": args.n,
+                   "flavor": getattr(args, "flavor", None),
+                   "mode": getattr(args, "mode", None)},
+        "results": results,
+    }
+    if verdict is not None:
+        report["verdict"] = verdict
+    report["timing_ms"] = round(1000 * (time.perf_counter() - t0), 1)
     try:
         _emit(args, report)
         sys.stdout.flush()

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .graphs import (Edge, Graph, GraphError, betti1, blocks, cut_vertices,
-                     is_planar, subdivide, segments)
+from .graphs import (Edge, Graph, GraphError, betti1, blocks, components,
+                     cut_vertices, is_planar, subdivide, segments)
 from .homology import AbelianGroup
 
 
@@ -105,27 +105,6 @@ def marked_decomposition(block: Graph) -> BlockDecomposition:
     out = BlockDecomposition()
     fresh = [0]
 
-    def _sides(piece: Graph, x, y):
-        banned = {x, y}
-        seen: set[str] = set()
-        comps = []
-        for start in piece.vertices:
-            if start in banned or start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                for eid in piece.adjacency[v]:
-                    w = piece.edge(eid).other(v)
-                    if w not in banned and w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(comp)
-        return comps
-
     def rec(piece: Graph):
         if _is_circle(piece):
             out.leaves.append(MarkedComponent("circle", True, []))
@@ -134,7 +113,7 @@ def marked_decomposition(block: Graph) -> BlockDecomposition:
         cut = None
         for i in range(len(ess)):
             for j in range(i + 1, len(ess)):
-                comps = _sides(piece, ess[i], ess[j])
+                comps = components(piece, {ess[i], ess[j]})
                 mu = len(comps)
                 if mu >= 3 or (mu == 2 and all(
                         any(piece.valency(v) >= 3 for v in comp)
@@ -254,8 +233,11 @@ def beta2_formula(g: Graph, flavor: str = "B2") -> int:
     The B2 value follows the Euler-characteristic derivation
     beta2 = beta1(B_2) - beta1 - (1/2) sum (nu-1)(nu-2) + (1/2) beta1 (beta1-1);
     the printed closed form carries a stray "+2" that contradicts both the
-    derivation and the direct computations, so it is not used.
+    derivation and the direct computations, so it is not used.  The
+    derivation needs UD_2 nonempty; on one vertex it is empty, and beta2 is 0.
     """
+    if len(g.vertices) < 2 and flavor in ("B2", "P2"):
+        return 0
     b = invariant_bundle(g, 2)
     vsum = _valency_sum(g)
     if flavor == "B2":

@@ -85,7 +85,7 @@ class Graph:
             if e.u not in vset or e.v not in vset:
                 raise GraphError(f"edge {e.id!r} references unknown vertex")
         self._index(vertices, tuple(norm))
-        if not self._is_connected():
+        if len(components(self)) != 1:
             raise GraphError("graph is not connected")
 
     @classmethod
@@ -113,20 +113,6 @@ class Graph:
     def _segments(self) -> tuple:
         return _find_segments(self)
 
-    def _is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for eid in self.adjacency[v]:
-                w = self._edge_by_id[eid].other(v)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
-
     def edge(self, eid: str) -> Edge:
         return self._edge_by_id[eid]
 
@@ -144,6 +130,28 @@ class Graph:
 def betti1(g: Graph) -> int:
     """First Betti number |E| - |V| + 1 of a connected graph."""
     return len(g.edges) - len(g.vertices) + 1
+
+
+def components(g: Graph, removed=frozenset()) -> list[set[str]]:
+    """The vertex sets of the components of g minus the vertices
+    ``removed``, each found from its first vertex in ``g.vertices``."""
+    seen = set(removed)
+    out = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for eid in g.adjacency[v]:
+                w = g.edge(eid).other(v)
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        out.append(comp)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +275,8 @@ class Segment:
     """Maximal path whose interior vertices all have valency 2.
 
     ``u == v`` means the segment closes up into a cycle attached at ``u``;
-    a graph that is itself a topological circle yields one such segment with
-    an arbitrary anchor vertex.
+    a graph that is itself a topological circle yields one such segment,
+    anchored at its smallest vertex.
     """
 
     u: str
@@ -292,29 +300,19 @@ def _find_segments(g: Graph) -> tuple[Segment, ...]:
     segs: list[Segment] = []
     used: set[str] = set()
     if not ess:
-        # topological circle: walk the unique cycle from the smallest vertex
-        if not g.edges:
-            return ()
-        start = min(g.vertices)
-        eid = g.adjacency[start][0]
-        path, inner, cur = [eid], [], g.edge(eid).other(start)
-        while cur != start:
-            inner.append(cur)
-            nxt = next(i for i in g.adjacency[cur] if i != path[-1])
-            path.append(nxt)
-            cur = g.edge(nxt).other(cur)
-        return (Segment(start, start, tuple(path), tuple(inner)),)
+        # a topological circle: walk its one segment from the smallest vertex
+        ess = {min(g.vertices)}
     for v in sorted(ess):
         for eid in g.adjacency[v]:
             if eid in used:
                 continue
             path, inner = [eid], []
-            prev, cur = v, g.edge(eid).other(v)
+            cur = g.edge(eid).other(v)
             while cur not in ess:
                 inner.append(cur)
                 nxt = next(i for i in g.adjacency[cur] if i != path[-1])
                 path.append(nxt)
-                prev, cur = cur, g.edge(nxt).other(cur)
+                cur = g.edge(nxt).other(cur)
             used.update(path)
             segs.append(Segment(v, cur, tuple(path), tuple(inner)))
     segs.sort(key=lambda s: (s.u, s.v, s.edge_ids))

@@ -205,12 +205,10 @@ class OrderedTree:
 # ---------------------------------------------------------------------------
 # condition verification
 
-def verify_conditions(t: OrderedTree, planar: bool | None = None) -> ConditionReport:
-    """Check T1-T3, and T4 when the tree was built in planar mode or
-    ``planar`` asks for it, each with the first witness against it; T2 and
-    T3 read the ancestry and the census as the module docstring says."""
-    if planar is None:
-        planar = t.mode == "planar"
+def verify_conditions(t: OrderedTree) -> ConditionReport:
+    """Check T1-T3, and T4 exactly when the tree was built in planar mode,
+    each with the first witness against it; T2 and T3 read the ancestry and
+    the census as the module docstring says."""
     witnesses: dict[str, object] = {}
     t1 = True
     for d in t.deleted:
@@ -230,7 +228,7 @@ def verify_conditions(t: OrderedTree, planar: bool | None = None) -> ConditionRe
             t3, witnesses["t3"] = False, (v, marked.index(False, k) + 1, k + 1)
             break
     t4: bool | None = None
-    if planar:
+    if t.mode == "planar":
         t4 = True
         for d in t.deleted:
             for dp in t.deleted:

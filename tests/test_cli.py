@@ -87,7 +87,8 @@ def test_decompose_builds_one_decomposition_tree(monkeypatch, capsys):
     assert results["planar"] is results["beta1_characterizations"]["planar"] is False
 
 
-@pytest.mark.parametrize("graph", ["K33", "K4", "Dumbbell", "Theta4", "K5"])
+@pytest.mark.parametrize("graph", ["K33", "K4", "Dumbbell", "Theta4", "K5",
+                                   "K(1)"])
 def test_beta2_direct_matches_the_formula(capsys, graph):
     status, rep = capture(capsys, ["beta2", "--graph", graph, "--direct"])
     assert status == 0
@@ -101,6 +102,13 @@ def test_tree_command(capsys):
     assert status == 0
     conds = rep["results"]["conditions"]
     assert conds["t1"] and conds["t2"] and conds["t3"]
+
+
+def test_tree_reports_t4_on_a_planar_mode_tree(capsys):
+    # generic mode takes the pinned K4 n=3 tree, which is a planar-mode tree
+    status, rep = capture(capsys, ["tree", "--graph", "K4", "--n", "3"])
+    assert status == 0 and rep["results"]["tree"] == "pinned"
+    assert rep["results"]["conditions"]["t4"] is True
 
 
 def test_present_command(capsys):

@@ -118,7 +118,7 @@ def test_planar_construction_t4():
         g = build_graph(name)
         gs, _ = subdivide(g, n, "strict" if n == 2 else "auto")
         t = choose_tree_and_order(gs, n, "planar")
-        rep = verify_conditions(t, planar=True)
+        rep = verify_conditions(t)
         assert rep.ok(), (name, rep.witnesses)
     k4 = choose_tree_and_order(subdivide(build_graph("K4"), 3, "auto")[0], 3,
                                "planar")
@@ -191,7 +191,7 @@ def test_t4_implies_planar_agreement():
     for name in ("K4", "Theta4", "Dumbbell"):
         gs, _ = subdivide(build_graph(name), 2, "strict")
         t = choose_tree_and_order(gs, 2, "planar")
-        assert verify_conditions(t, planar=True).ok()
+        assert verify_conditions(t).ok()
         assert is_planar(gs)
 
 
@@ -226,7 +226,7 @@ def test_pinned_registry():
     assert pinned_tree("K5", 3) is None
     k4 = pinned_tree("K4", 3)
     assert k4 is not None
-    assert verify_conditions(k4, planar=True).ok()
+    assert verify_conditions(k4).ok()
     assert k4.deleted == [(0, 8), (0, 9), (2, 7)]
 
 
