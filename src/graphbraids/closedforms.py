@@ -5,10 +5,11 @@ separating and free cells.
 `morse.build_morse_complex` reads d2 off the rewritten relator words.  The
 closed boundary formulas (`fast_morse_boundary`, and
 `fast_morse_boundary_ordered` for ordered n = 2) state d2 independently,
-and `check_closed_forms` compares the built complex with them.  The census
-(`classify_1cells`) is read off the cells' names and the tree's separation
-census ``sep_classes``, not off the matrix; `undetermined_block` reads the
-block the census leaves undetermined off the complex's d2 rows.
+reading separation and its branch off the tree's census ``sep_classes``,
+and `check_closed_forms` compares the built complex with them.  The 1-cell
+census (`classify_1cells`) is read off the cells' names and ``sep_classes``,
+not off the matrix; `undetermined_block` reads the block the census leaves
+undetermined off the complex's d2 rows.
 """
 
 from __future__ import annotations
@@ -120,13 +121,15 @@ def fast_morse_boundary(t: OrderedTree, cell) -> dict:
     if hi.kind == lo.kind == "tree":
         return {}
     # a lower tree edge's vertex sits above tau of the deleted edge; under
-    # T2 the deleted edge is not separated there, so the image vanishes
+    # T2 the deleted edge is not separated there, so the image vanishes.
+    # The other edge is always deleted, so the census holds it, keyed by ell
     own, other = (lo, hi) if lo.kind == "tree" else (hi, lo)
     a = own.tau
-    if not t.separates(other.edge, a):
+    ell = next((m for m, ds in t.sep_classes.get(a, {}).items()
+                if other.edge in ds), None)
+    if ell is None:
         return {}
     k = t.branch(a, own.edge[1])
-    ell = t.branch(a, other.edge[1])
     avec = own.vec
 
     def one_cell(vec):
@@ -164,10 +167,11 @@ def fast_morse_boundary_ordered(t: OrderedTree, cell_tuple) -> dict:
         raise MorseError("ordered critical 2-cells must be pairs of deleted edges")
     a = d[0]
     out: dict = {}
-    if not t.separates(dp, a):
+    ell = next((m for m, ds in t.sep_classes.get(a, {}).items() if dp in ds),
+               None)
+    if ell is None:
         return out
     k = t.branch(a, d[1])
-    ell = t.branch(a, dp[1])
     rho = (2, 1)
     ident = (1, 2)
 

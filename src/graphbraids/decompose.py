@@ -95,10 +95,6 @@ class DecompositionTree:
         }
 
 
-def _is_circle(g: Graph) -> bool:
-    return all(g.valency(v) == 2 for v in g.vertices)
-
-
 def marked_decomposition(block: Graph) -> BlockDecomposition:
     """Iterative 2-cut splitting with virtual-edge marking until every piece
     is topologically triconnected or a circle."""
@@ -106,7 +102,7 @@ def marked_decomposition(block: Graph) -> BlockDecomposition:
     fresh = [0]
 
     def rec(piece: Graph):
-        if _is_circle(piece):
+        if not piece.essential_vertices():
             out.leaves.append(MarkedComponent("circle", True, []))
             return
         ess = sorted(v for v in piece.vertices if piece.valency(v) >= 3)

@@ -7,8 +7,8 @@ its vertices so that the order number equals the integer vertex id.
 
 from __future__ import annotations
 
-from .graphs import Graph, build_graph
-from .trees import OrderedTree
+from .graphs import Graph, build_graph, subdivide
+from .trees import OrderedTree, choose_tree_and_order
 
 
 def _chain_children(parent_pairs):
@@ -18,6 +18,16 @@ def _chain_children(parent_pairs):
     return children
 
 
+def _numbered_tree(nv: int, tree, deleted, sep: str = "") -> OrderedTree:
+    """The graph on vertices "0".."nv-1" with tree edges t<a><b> and deleted
+    edges d<a><b> (``sep`` between a and b), and its tree based at "0" with
+    children in pair order."""
+    es = [(f"t{a}{sep}{b}", str(a), str(b)) for a, b in tree]
+    es += [(f"d{a}{sep}{b}", str(a), str(b)) for a, b in deleted]
+    g = Graph([str(i) for i in range(nv)], es)
+    return OrderedTree(g, "0", _chain_children(tree), "generic")
+
+
 def k33_pinned_tree() -> OrderedTree:
     """K(3,3) on six vertices 0..5 with the warm-up example's tree: path
     0-1-2-3 with branch 2-4-5, deleted edges 0-3, 0-4, 1-5, 3-5.
@@ -25,27 +35,15 @@ def k33_pinned_tree() -> OrderedTree:
     Not suitably subdivided in the strict n=2 sense, so T1/T2 fail; the
     generic Morse machinery is still valid on it.
     """
-    vs = [str(i) for i in range(6)]
-    tree = [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)]
-    deleted = [(0, 3), (0, 4), (1, 5), (3, 5)]
-    es = [(f"t{a}{b}", str(a), str(b)) for a, b in tree]
-    es += [(f"d{a}{b}", str(a), str(b)) for a, b in deleted]
-    g = Graph(vs, es)
-    children = _chain_children([(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)])
-    return OrderedTree(g, "0", children, "generic")
+    return _numbered_tree(6, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)],
+                          [(0, 3), (0, 4), (1, 5), (3, 5)])
 
 
 def theta4_pinned_tree() -> OrderedTree:
     """Theta_4 subdivided for n=3 (6 vertices): star tree at vertex 2 with
     stem 0-1-2 and deleted edges (0,3), (0,4), (0,5)."""
-    vs = [str(i) for i in range(6)]
-    tree = [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5)]
-    deleted = [(0, 3), (0, 4), (0, 5)]
-    es = [(f"t{a}{b}", str(a), str(b)) for a, b in tree]
-    es += [(f"d{a}{b}", str(a), str(b)) for a, b in deleted]
-    g = Graph(vs, es)
-    children = _chain_children(tree)
-    return OrderedTree(g, "0", children, "generic")
+    return _numbered_tree(6, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5)],
+                          [(0, 3), (0, 4), (0, 5)])
 
 
 def k5_pinned_tree() -> OrderedTree:
@@ -55,18 +53,13 @@ def k5_pinned_tree() -> OrderedTree:
     Essential vertices 6, 11, 18 are the A, B, C of the worked examples and
     the deleted edges sort to d1=(0,8) ... d6=(6,20).
     """
-    parent_pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
-                    (6, 7), (7, 8), (6, 9), (9, 10), (10, 11),
-                    (11, 12), (12, 13), (11, 14), (14, 15),
-                    (11, 16), (16, 17), (17, 18),
-                    (18, 19), (19, 20), (18, 21), (21, 22), (18, 23), (23, 24)]
+    tree = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+            (6, 7), (7, 8), (6, 9), (9, 10), (10, 11),
+            (11, 12), (12, 13), (11, 14), (14, 15),
+            (11, 16), (16, 17), (17, 18),
+            (18, 19), (19, 20), (18, 21), (21, 22), (18, 23), (23, 24)]
     deleted = [(0, 8), (0, 15), (0, 24), (3, 13), (3, 22), (6, 20)]
-    vs = [str(i) for i in range(25)]
-    es = [(f"t{a}-{b}", str(a), str(b)) for a, b in parent_pairs]
-    es += [(f"d{a}-{b}", str(a), str(b)) for a, b in deleted]
-    g = Graph(vs, es)
-    children = _chain_children(parent_pairs)
-    return OrderedTree(g, "0", children, "generic")
+    return _numbered_tree(25, tree, deleted, "-")
 
 
 def k4_pinned_tree() -> OrderedTree:
@@ -75,8 +68,6 @@ def k4_pinned_tree() -> OrderedTree:
     The construction is deterministic, so freezing the call is enough to
     make the fixture reproducible.
     """
-    from .graphs import build_graph, subdivide
-    from .trees import choose_tree_and_order
     g, _ = subdivide(build_graph("K4"), 3, "auto")
     return choose_tree_and_order(g, 3, "planar")
 

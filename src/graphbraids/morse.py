@@ -363,19 +363,14 @@ def name_critical_cell(t: OrderedTree, cell):
 def _branch_chain(t: OrderedTree, a: int, k: int, skip_first: bool, count: int):
     """The first `count` blocked-vertex slots along branch k of a, optionally
     skipping the branch's first vertex (occupied by an edge end)."""
-    out = []
     cur = t.children[a][k - 1]
-    if skip_first:
+    out = [cur]
+    for _ in range(skip_first + count - 1):
         if len(t.children[cur]) != 1:
             return None
         cur = t.children[cur][0]
-    for i in range(count):
         out.append(cur)
-        if i + 1 < count:
-            if len(t.children[cur]) != 1:
-                return None
-            cur = t.children[cur][0]
-    return out
+    return out[1:] if skip_first else out
 
 
 def materialize_name(t: OrderedTree, name: CriticalName):

@@ -131,11 +131,15 @@ def raw_presentation(mc: MorseComplex) -> Presentation:
     every name subscripted ``_id``.  At n = 2, when the complex has two
     critical 0-cells, the fundamental group of the Morse complex with them
     identified is P_2 * Z, so one generator joining the two 0-cells is
-    killed.  (D_2 of a single vertex is empty and has no critical cells.)
+    killed.  An empty configuration space (more points than vertices) has
+    no critical 0-cell and no fundamental group, so it is refused.
     ``names`` formats a generator's name with ``mc.name_of`` the first
     time it is read, so a job formats only the names it shows."""
     if mc.ordered and mc.n > 2:
         raise MorseError("presentations of pure braid groups need n <= 2")
+    if not mc.critical.get(0):
+        raise MorseError("the configuration space is empty, so it has no "
+                         "fundamental group")
     gens = list(mc.critical.get(1, ()))
     names = LazyMapping(mc.index.get(1, {}), mc.name_of)
     pres = Presentation(gens, list(mc.relators), names)

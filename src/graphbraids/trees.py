@@ -2,16 +2,17 @@
 
 An OrderedTree numbers the vertices 0..|V|-1 by a clockwise traversal of a
 regular neighborhood of an embedded spanning tree.  Every edge is oriented
-with tau(e) < iota(e) under that order, and all navigation (meet, branch
-numbers, separation) is answered from subtree intervals.
+with tau(e) < iota(e) under that order, and navigation (meet, branch
+numbers) is answered from subtree intervals.
 
 The tree owns its separation census, ``sep_classes``: which deleted edges
 each vertex separates, and on which of its branches.  A vertex separates a
 deleted edge exactly when it lies strictly inside the edge's tree path, so
 the census is built once, by walking each deleted edge's path; T3, the T3
-reordering of branches and the 1-cell census read it.  T2 is read off the
-ancestry instead: a vertex below tau(d) separates d exactly when tau(d) is
-not a tree ancestor of iota(d), and the lowest such vertex is their meet.
+reordering of branches, the closed boundary formulas and the 1-cell census
+read it.  T2 is read off the ancestry instead: a vertex below tau(d)
+separates d exactly when tau(d) is not a tree ancestor of iota(d), and the
+lowest such vertex is their meet.
 
 Tree choice tries one construction at each base candidate in turn and
 keeps the first tree that passes: greedy deletions nearest the base in
@@ -138,23 +139,11 @@ class OrderedTree:
                 return k
         raise TreeError(f"no child of {v} is an ancestor of {w}")
 
-    def separates(self, edge: tuple, v: int) -> bool:
-        """True iff the endpoints of edge lie in distinct components of T - v."""
-        a, b = edge
-        if v == a or v == b:
-            return False
-        m = self.meet(a, b)
-        return self.is_ancestor(m, v) and (
-            self.is_ancestor(v, a) or self.is_ancestor(v, b))
-
     def tree_valency(self, v: int) -> int:
         return len(self.children[v]) + (0 if v == 0 else 1)
 
     def branch_count(self, v: int) -> int:
         return len(self.children[v])
-
-    def graph_valency(self, v: int) -> int:
-        return self.graph.valency(self.ids[v])
 
     def all_edge_pairs(self):
         return sorted(self._edge_id_of_pair)
@@ -212,7 +201,7 @@ def verify_conditions(t: OrderedTree) -> ConditionReport:
     witnesses: dict[str, object] = {}
     t1 = True
     for d in t.deleted:
-        if t.graph_valency(d[1]) != 2:
+        if t.graph.valency(t.ids[d[1]]) != 2:
             t1, witnesses["t1"] = False, d
             break
     t2 = True

@@ -8,7 +8,7 @@ from graphbraids import cells as C
 from graphbraids.cells import (Classification, boundary, cell_edges,
                                cell_vertices, classify, matched_cell)
 from graphbraids.corpus import random_topological_graph
-from graphbraids.graphs import Graph, subdivide
+from graphbraids.graphs import Graph, build_graph, subdivide
 from graphbraids.closedforms import (bare_fill, classify_1cells,
                                      separating_families)
 from graphbraids.homology import AbelianGroup
@@ -131,13 +131,49 @@ def random_ordered_tree(seed: int, max_vertices: int = 6,
     return OrderedTree(g, base, children)
 
 
+def separates(t: OrderedTree, edge: tuple, v: int) -> bool:
+    """True iff the endpoints of edge lie in distinct components of T - v,
+    read off the tree path through the meet."""
+    a, b = edge
+    if v == a or v == b:
+        return False
+    m = t.meet(a, b)
+    return t.is_ancestor(m, v) and (t.is_ancestor(v, a) or t.is_ancestor(v, b))
+
+
+def planted_graph(seed: int) -> Graph:
+    """A seeded graph for the planarity corollary: a `random_topological_graph`
+    and, two times in three, a copy of K5 or K33 planted in it, either wedged
+    at a vertex (a cut vertex) or glued along an edge (a 2-cut).  A planted
+    copy keeps the graph non-planar."""
+    rng = random.Random(seed)
+    g = random_topological_graph(rng, 5, 3)
+    how = rng.choice(["none", "wedge", "glue"])
+    if how == "none":
+        return g
+    k = build_graph(rng.choice(["K5", "K33"]))
+    kedges = [(e.u, e.v) for e in k.edges]
+    # identify k's vertices a (and b) with g's vertices u (and v)
+    if how == "wedge":
+        glued = {rng.choice(k.vertices): rng.choice(g.vertices)}
+    else:
+        e = rng.choice(g.edges)
+        a, b = kedges.pop(rng.randrange(len(kedges)))
+        glued = {a: e.u, b: e.v}
+    name = lambda v: glued.get(v, f"p{v}")
+    vs = list(g.vertices) + [name(v) for v in k.vertices if v not in glued]
+    es = [(e.id, e.u, e.v) for e in g.edges]
+    es += [(f"p{i}", name(a), name(b)) for i, (a, b) in enumerate(kedges)]
+    return Graph(vs, es)
+
+
 def reference_sep_classes(t: OrderedTree) -> dict:
     """The separation census pair by pair: every vertex v against every
     deleted edge d through `separates`, keyed by g(v, iota(d))."""
     out: dict = {}
     for v in range(t.nv):
         for d in t.deleted:
-            if t.separates(d, v):
+            if separates(t, d, v):
                 out.setdefault(v, {}).setdefault(t.branch(v, d[1]), []).append(d)
     return out
 
@@ -147,7 +183,7 @@ def reference_t2(t: OrderedTree):
     (True, None), or (False, (d, v)) at the first v separating d."""
     for d in t.deleted:
         for v in range(d[0]):
-            if t.separates(d, v):
+            if separates(t, d, v):
                 return False, (d, v)
     return True, None
 
@@ -165,7 +201,7 @@ def reference_separating_families(t: OrderedTree) -> list:
             continue
         partners = [dp for dp in t.deleted
                     if dp[0] < a and len({*d, *dp}) == 4
-                    and t.separates(dp, a) and t.branch(a, dp[1]) == k]
+                    and separates(t, dp, a) and t.branch(a, dp[1]) == k]
         if len(partners) >= 2:
             fams.append((d, partners))
     return fams

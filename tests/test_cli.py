@@ -303,13 +303,12 @@ def test_single_vertex_has_no_configurations(capsys, n, flavor):
 
 @pytest.mark.parametrize("flavor", ["unordered", "ordered"])
 def test_single_vertex_presentation_is_empty(capsys, flavor):
-    # two points on one vertex: no configurations, so no generators
-    status, rep = capture(capsys, ["present", "--graph", json.dumps(POINT),
-                                   "--n", "2", "--flavor", flavor])
-    assert status == 0
-    res = rep["results"]
-    assert (res["generators"], res["relators"], res["history"]) == ([], [], [])
-    assert res["abelianization"] == {"rank": 0, "torsion": []}
+    # two points on one vertex: no configurations, so no fundamental group
+    argv = ["present", "--graph", json.dumps(POINT), "--n", "2",
+            "--flavor", flavor]
+    for extra in ([], ["--raw"]):
+        _one_line_error(capsys, argv + extra,
+                        "error: the configuration space is empty")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -153,6 +153,19 @@ def test_h2_values():
                                         "unordered"))[2] == AbelianGroup(0)
     assert homology(build_morse_complex(k33_pinned_tree(), 2,
                                         "ordered"))[2] == AbelianGroup(1)
+    # Abrams: UD_2 of K5 and of K33 is a closed non-orientable surface and
+    # D_2 its orientable double cover (K5: Z^6 + Z_2, then Z^12 and Z)
+    for name in ("K5", "K33"):
+        g, _ = subdivide(build_graph(name), 2, "strict")
+        t = choose_tree_and_order(g, 2)
+        mc = build_morse_complex(t, 2, "unordered")
+        h = homology(mc)
+        assert h[2] == AbelianGroup(0)
+        assert h[1] == AbelianGroup(1 - mc.euler_characteristic(), (2,))
+        mc = build_morse_complex(t, 2, "ordered")
+        h = homology(mc)
+        assert h[2] == AbelianGroup(1)
+        assert h[1] == AbelianGroup(2 - mc.euler_characteristic())
 
 
 def test_relative_trick():

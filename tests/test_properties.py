@@ -5,7 +5,7 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 from graphbraids.corpus import corpus, random_topological_graph
-from graphbraids.graphs import subdivide, betti1, build_graph
+from graphbraids.graphs import subdivide, betti1, build_graph, is_planar
 from graphbraids.trees import choose_tree_and_order, verify_conditions
 from graphbraids.cells import classify, phi, enumerate_cells
 from graphbraids.morse import (build_morse_complex, Reducer, morse_boundary,
@@ -14,7 +14,7 @@ from graphbraids.closedforms import check_closed_forms
 from graphbraids.homology import homology
 from graphbraids.decompose import h1_formula
 from graphbraids.present import commutator_form
-from reference import exponent_sums, matching
+from reference import exponent_sums, matching, planted_graph
 
 
 def test_generic_trees_self_validate_on_corpus():
@@ -141,16 +141,24 @@ def test_check_matches_for_all_builtins():
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.integers(0, 10_000), st.integers(2, 4),
+@given(st.integers(0, 10_000), st.integers(2, 6),
        st.sampled_from(["generic", "planar"]))
 # critical 2-cells are rare on these trees; seeds 163 and 2831 have 18 at n=4
 @example(163, 4, "generic")
 @example(2831, 4, "planar")
+# critical 3-cells are rarer; seeds 24 and 103 have one at n=6
+@example(24, 6, "generic")
+@example(103, 6, "planar")
 def test_tree_braid_groups_have_zero_morse_boundaries(seed, n, mode):
     """Farley; Farley-Sabalka: on a suitably ordered tree every Morse
     boundary vanishes, so H_i(UD_n T) is free on the critical i-cells.
     Every row is checked, so a reducer fault that leaves a nonzero
-    coefficient fails here even where the Euler characteristics agree."""
+    coefficient fails here even where the Euler characteristics agree.
+
+    n runs over 2-6.  On a tree each of the d disjoint edges of a critical
+    d-cell is blocked by its own cell vertex on an earlier sibling branch,
+    so a critical d-cell needs n >= 2d: degree 3, where d3 reads the
+    cubical boundary rather than the words, starts at n = 6."""
     g = random_topological_graph(random.Random(seed), 9, 0)
     assert betti1(g) == 0
     gs, _ = subdivide(g, n, "auto")
@@ -159,3 +167,17 @@ def test_tree_braid_groups_have_zero_morse_boundaries(seed, n, mode):
     for d, h in homology(mc).items():
         assert h.to_json() == {"rank": len(mc.critical.get(d, ())),
                                "torsion": []}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_planar_iff_h1_is_torsion_free(seed):
+    """The paper's planarity corollary, both ways: a graph is planar iff
+    H1(B_n) of the Morse route is torsion-free, at n = 2 (strict) and n = 3
+    (auto), on graphs with a K5 or K33 planted two times in three."""
+    g = planted_graph(seed)
+    planar = is_planar(g)
+    for n, policy in ((2, "strict"), (3, "auto")):
+        gs, _ = subdivide(g, n, policy)
+        h1 = homology(build_morse_complex(choose_tree_and_order(gs, n), n))[1]
+        assert (not h1.torsion) == planar

@@ -21,11 +21,12 @@ def test_k33_navigation_examples():
     assert t.meet(0, 4) == 0 and t.meet(4, 4) == 4
     assert t.branch(2, 3) == 1 and t.branch(2, 5) == 2
     assert all(t.branch(v, 0) == 0 for v in range(1, 6))
-    assert t.separates((0, 4), 2) is True
-    assert t.separates((0, 3), 5) is False
-    # tree edges are never separated
-    assert all(not t.separates((t.parent[v], v), w)
-               for v in range(1, 6) for w in range(6))
+    # the census: 2 separates (0, 4) on its branch toward 4, 5 separates
+    # nothing, and only deleted edges are ever separated
+    assert (0, 4) in t.sep_classes[2][t.branch(2, 4)]
+    assert 5 not in t.sep_classes
+    assert all(d in t.deleted_set for classes in t.sep_classes.values()
+               for ds in classes.values() for d in ds)
     with pytest.raises(TreeError):
         t.branch(3, 3)
 
