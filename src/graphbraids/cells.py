@@ -8,7 +8,6 @@ positions.  Closures of distinct items in a cell are disjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 from math import comb, factorial
 
@@ -228,14 +227,17 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
 # ---------------------------------------------------------------------------
 # classification and the Morse matching
 
-@dataclass(slots=True)
 class Classification:
-    kind: str  # critical | redundant | collapsible
-    witness: object = None
-    unblocked: list = field(default_factory=list)  # unblocked cell vertices
-    # cell vertices and edge ends; at most 2n of them, so a list is scanned
-    # as fast as a set is hashed
-    occupied: list = field(default_factory=list)
+    __slots__ = ("kind", "witness", "unblocked", "occupied")
+
+    def __init__(self, kind, witness=None, unblocked=None, occupied=None):
+        self.kind = kind  # critical | redundant | collapsible
+        self.witness = witness
+        # unblocked cell vertices
+        self.unblocked = [] if unblocked is None else unblocked
+        # cell vertices and edge ends; at most 2n of them, so a list is
+        # scanned as fast as a set is hashed
+        self.occupied = [] if occupied is None else occupied
 
 
 def classify(t: OrderedTree, cell) -> Classification:

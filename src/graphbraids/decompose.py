@@ -12,7 +12,6 @@ and valency counts and asks networkx only about the pieces they leave open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 from .graphs import (Edge, Graph, GraphError, betti1, blocks, components,
@@ -51,25 +50,26 @@ def _workable(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # marked decomposition of a biconnected piece
 
-@dataclass
 class MarkedComponent:
-    kind: str                 # "circle" | "triconnected"
-    planar: bool | None
-    vertices: list
+    def __init__(self, kind: str, planar: bool | None, vertices: list):
+        self.kind = kind                # "circle" | "triconnected"
+        self.planar = planar
+        self.vertices = vertices
 
 
-@dataclass
 class BlockDecomposition:
-    two_cuts: list = field(default_factory=list)   # ({x, y}, mu)
-    leaves: list = field(default_factory=list)     # MarkedComponent
+    def __init__(self):
+        self.two_cuts: list = []        # ({x, y}, mu)
+        self.leaves: list = []          # MarkedComponent
 
 
-@dataclass
 class DecompositionTree:
-    graph: Graph
-    cut_vertices: dict
-    blocks: list                                    # per-block BlockDecomposition
-    segment_blocks: int = 0
+    def __init__(self, graph: Graph, cut_vertices: dict, blocks: list,
+                 segment_blocks: int):
+        self.graph = graph
+        self.cut_vertices = cut_vertices
+        self.blocks = blocks            # per-block BlockDecomposition
+        self.segment_blocks = segment_blocks
 
     def n3(self) -> int:
         return sum(1 for b in self.blocks for l in b.leaves
@@ -173,14 +173,15 @@ def N_cut(n: int, mu: int, nu: int) -> int:
     return comb(n + mu - 2, n - 1) * (nu - 2) - comb(n + mu - 2, n) - (nu - mu - 1)
 
 
-@dataclass
 class InvariantBundle:
-    beta1: int
-    n1: int
-    n2: int
-    n3: int
-    n3prime: int
-    n: int
+    def __init__(self, beta1: int, n1: int, n2: int, n3: int, n3prime: int,
+                 n: int):
+        self.beta1 = beta1
+        self.n1 = n1
+        self.n2 = n2
+        self.n3 = n3
+        self.n3prime = n3prime
+        self.n = n
 
     def to_json(self):
         return {"beta1": self.beta1, "N1": self.n1, "N2": self.n2,

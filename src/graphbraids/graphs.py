@@ -25,7 +25,7 @@ networkx is imported there, when first needed, not when the package loads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 
@@ -33,11 +33,8 @@ class GraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    u: str
-    v: str
+class Edge(namedtuple("Edge", "id u v")):
+    __slots__ = ()
 
     def endpoints(self):
         return (self.u, self.v)
@@ -270,19 +267,17 @@ def is_planar(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # topological segments
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(namedtuple("Segment", "u v edge_ids inner")):
     """Maximal path whose interior vertices all have valency 2.
 
     ``u == v`` means the segment closes up into a cycle attached at ``u``;
     a graph that is itself a topological circle yields one such segment,
-    anchored at its smallest vertex.
+    anchored at its smallest vertex.  ``edge_ids`` and ``inner`` are tuples
+    of ids.  ``len`` is the edge count, so ``_make`` and ``_replace``, which
+    read ``len``, must not be called on a segment.
     """
 
-    u: str
-    v: str
-    edge_ids: tuple[str, ...]
-    inner: tuple[str, ...]
+    __slots__ = ()
 
     def __len__(self):
         return len(self.edge_ids)
@@ -322,12 +317,14 @@ def _find_segments(g: Graph) -> tuple[Segment, ...]:
 # ---------------------------------------------------------------------------
 # subdivision
 
-@dataclass
 class SubdivisionRecord:
-    """Maps each original edge id to its replacement path after subdivision."""
+    """Maps each original edge id to its replacement path after subdivision
+    (``replacements``) and to the vertices inserted along it (``inserted``)."""
 
-    replacements: dict[str, list[str]] = field(default_factory=dict)
-    inserted: dict[str, list[str]] = field(default_factory=dict)
+    def __init__(self, replacements=None, inserted=None):
+        self.replacements: dict[str, list[str]] = (
+            {} if replacements is None else replacements)
+        self.inserted: dict[str, list[str]] = {} if inserted is None else inserted
 
     def trivial(self) -> bool:
         return all(len(v) == 1 for v in self.replacements.values())
@@ -507,10 +504,16 @@ BUILTIN_GRAPHS = {
 }
 
 
-# parametrized families: (prefix, usage, {argument count: constructor})
+# parametrized families: (prefix, usage, {argument count: (constructor,
+# (vertex count, edge count) of the graph it builds)})
 FAMILIES = (("K(", "K(m) or K(m,n) with integers m, n",
-             {1: complete_graph, 2: complete_bipartite}),
-            ("Theta(", "Theta(m) with an integer m", {1: theta_graph}))
+             {1: (complete_graph, lambda m: (m, m * (m - 1) // 2)),
+              2: (complete_bipartite, lambda m, n: (m + n, m * n))}),
+            ("Theta(", "Theta(m) with an integer m",
+             {1: (theta_graph, lambda m: (2, m))}))
+# a family member is refused before it is built when it has more vertices
+# or edges than this, the size of the default cell cap
+FAMILY_CAP = 1_000_000
 
 
 def build_graph(spec) -> Graph:
@@ -530,7 +533,13 @@ def build_graph(spec) -> Graph:
                     args = []
                 if len(args) not in makers:
                     raise GraphError(f"bad graph family {name!r}: expected {usage}")
-                return makers[len(args)](*args)
+                make, size = makers[len(args)]
+                nv, ne = size(*(max(a, 0) for a in args))
+                if max(nv, ne) > FAMILY_CAP:
+                    raise GraphError(
+                        f"graph family {name!r} has {nv:,} vertices and {ne:,} "
+                        f"edges; the limit is {FAMILY_CAP:,} of each")
+                return make(*args)
         if name.startswith("{"):
             try:
                 doc = json.loads(name)

@@ -17,7 +17,7 @@ critical 1-cells lives in `closedforms`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 # perfbench/tracer.py wraps smith_normal_form, kernel_basis and
 # kernel_coordinates here, so the two unused ones stay
@@ -26,10 +26,8 @@ from .intlinalg import (smith_normal_form, kernel_basis, kernel_coordinates,
 from .morse import MorseComplex, MorseError
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    rank: int
-    torsion: tuple = ()
+class AbelianGroup(namedtuple("AbelianGroup", "rank torsion", defaults=((),))):
+    __slots__ = ()
 
     @staticmethod
     def from_presentation(n_generators: int, relation_matrix) -> "AbelianGroup":

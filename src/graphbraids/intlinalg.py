@@ -16,7 +16,6 @@ form throughout.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 
 def zeros(rows: int, cols: int):
@@ -34,16 +33,17 @@ def copy_matrix(m):
     return [row[:] for row in m]
 
 
-@dataclass
 class SmithForm:
     """U * A * V = D with U, V unimodular; diag holds the invariant factors."""
 
-    diag: list
-    rows: int
-    cols: int
-    U: list | None = None
-    V: list | None = None
-    Uinv: list | None = None
+    def __init__(self, diag: list, rows: int, cols: int, U: list | None = None,
+                 V: list | None = None, Uinv: list | None = None):
+        self.diag = diag
+        self.rows = rows
+        self.cols = cols
+        self.U = U
+        self.V = V
+        self.Uinv = Uinv
 
     @property
     def rank(self) -> int:

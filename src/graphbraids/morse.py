@@ -80,11 +80,10 @@ Each cell c' the slide passes, c with v moved to p:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Mapping
 from functools import partial
 from itertools import permutations
-from typing import Callable
 
 from . import cells as C
 from .trees import OrderedTree
@@ -97,8 +96,7 @@ class MorseError(RuntimeError):
 # ---------------------------------------------------------------------------
 # reduction
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(namedtuple("Algebra", "zero unit combine relation")):
     """What a `Reducer` writes reduced cells in.
 
     A critical cell is ``unit(cell)`` and a collapsible one ``zero``.
@@ -107,10 +105,7 @@ class Algebra:
     cell is solved out of the relation of its matched cell, and
     ``combine(terms)`` turns the solution, as (value, coefficient) pairs of
     the other faces, into the cell's value, one call per cell."""
-    zero: object
-    unit: Callable
-    combine: Callable
-    relation: Callable
+    __slots__ = ()
 
 
 def _combine_chains(terms) -> dict:
@@ -287,21 +282,20 @@ def morse_boundary(red: Reducer, cell):
 # ---------------------------------------------------------------------------
 # names of critical cells
 
-@dataclass(frozen=True)
-class Term:
-    kind: str        # "tree" | "deleted"
-    edge: tuple      # (tau, iota)
-    vec: tuple       # blocked-vertex counts over branches of tau(edge)
+class Term(namedtuple("Term", "kind edge vec")):
+    """``kind`` is "tree" or "deleted", ``edge`` is (tau, iota), and ``vec``
+    counts the blocked vertices over the branches of tau(edge)."""
+    __slots__ = ()
 
     @property
     def tau(self):
         return self.edge[0]
 
 
-@dataclass(frozen=True)
-class CriticalName:
-    terms: tuple     # Terms sorted by descending tau
-    s0: int          # length of the 0_s prefix
+class CriticalName(namedtuple("CriticalName", "terms s0")):
+    """``terms`` are `Term`s sorted by descending tau; ``s0`` is the length
+    of the 0_s prefix."""
+    __slots__ = ()
 
 
 def _prefix_length(t: OrderedTree, vset) -> int:
@@ -496,27 +490,29 @@ def cell_sort_key(t: OrderedTree, cell, sigma=None):
 # ---------------------------------------------------------------------------
 # the Morse complex
 
-@dataclass
 class MorseComplex:
-    tree: OrderedTree
-    n: int
-    flavor: str
-    critical: dict          # dim -> list of cells, largest basis key first
-    index: dict             # dim -> {cell: row index}
-    # dim -> one sparse row {column: nonzero coefficient} per cell of
-    # critical[dim], in that order; a column is a row index of dim - 1
-    boundaries: dict
-    # unordered critical cell -> its `CriticalName` (None where the cell
-    # fits no standard form), computed when first read: one name per
-    # orbit, under its representative (the identity labelling); ``name_of``
-    # adds the sigma
-    names: LazyMapping
-    # S_n in lexicographic order, the labellings of each orbit in basis
-    # order; [None] unordered
-    sigmas: list
-    # the rewritten boundary words of the critical 2-cells, in critical[2]
-    # order
-    relators: list
+    def __init__(self, tree: OrderedTree, n: int, flavor: str, critical: dict,
+                 index: dict, boundaries: dict, names: LazyMapping,
+                 sigmas: list, relators: list):
+        self.tree = tree
+        self.n = n
+        self.flavor = flavor
+        self.critical = critical    # dim -> list of cells, largest basis key first
+        self.index = index          # dim -> {cell: row index}
+        # dim -> one sparse row {column: nonzero coefficient} per cell of
+        # critical[dim], in that order; a column is a row index of dim - 1
+        self.boundaries = boundaries
+        # unordered critical cell -> its `CriticalName` (None where the cell
+        # fits no standard form), computed when first read: one name per
+        # orbit, under its representative (the identity labelling);
+        # ``name_of`` adds the sigma
+        self.names = names
+        # S_n in lexicographic order, the labellings of each orbit in basis
+        # order; [None] unordered
+        self.sigmas = sigmas
+        # the rewritten boundary words of the critical 2-cells, in
+        # critical[2] order
+        self.relators = relators
 
     @property
     def ordered(self) -> bool:

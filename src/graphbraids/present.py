@@ -24,7 +24,6 @@ generator; a move rewrites only the relators the index lists.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 from . import cells as C
 from .morse import LazyMapping, MorseComplex, MorseError, Word, free_reduce
@@ -83,14 +82,21 @@ def _inverse(w) -> tuple:
 # ---------------------------------------------------------------------------
 # presentations
 
-@dataclass
 class Presentation:
-    generators: list
-    relators: list
-    # generator -> its display name; `raw_presentation` formats each name
-    # the first time it is read
-    names: Mapping = field(default_factory=dict)
-    history: list = field(default_factory=list)
+    def __init__(self, generators: list, relators: list, names: Mapping,
+                 history: list | None = None):
+        self.generators = generators
+        self.relators = relators
+        # generator -> its display name; `raw_presentation` formats each
+        # name the first time it is read
+        self.names = names
+        self.history = [] if history is None else history
+
+    def __eq__(self, other):
+        if not isinstance(other, Presentation):
+            return NotImplemented
+        return (self.generators, self.relators, self.names, self.history) == \
+            (other.generators, other.relators, other.names, other.history)
 
     def abelianization(self) -> AbelianGroup:
         index = {g: i for i, g in enumerate(self.generators)}

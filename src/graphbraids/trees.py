@@ -27,7 +27,6 @@ show to be non-planar.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import (Graph, blocks, cut_vertices, is_suitably_subdivided,
@@ -38,13 +37,14 @@ class TreeError(ValueError):
     pass
 
 
-@dataclass
 class ConditionReport:
-    t1: bool
-    t2: bool
-    t3: bool
-    t4: bool | None = None
-    witnesses: dict = None
+    def __init__(self, t1: bool, t2: bool, t3: bool, t4: bool | None,
+                 witnesses: dict):
+        self.t1 = t1
+        self.t2 = t2
+        self.t3 = t3
+        self.t4 = t4
+        self.witnesses = witnesses
 
     def ok(self) -> bool:
         """T1-T3 hold, and T4 too wherever it was checked."""

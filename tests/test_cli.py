@@ -537,3 +537,23 @@ def test_closed_stdout_exits_141_without_a_traceback():
     finally:
         os.close(w)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # -S: no site hooks, which may load typing before the package does
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(graphbraids.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import graphbraids, graphbraids.cli, sys; "
+         "print([m for m in ('dataclasses', 'inspect', 'typing') "
+         "if m in sys.modules])"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("spec", ["K(99999)", "K(1415)", "K(1001,1000)",
+                                  "Theta(1000001)"])
+def test_a_huge_graph_family_is_one_line(capsys, spec):
+    _one_line_error(capsys, ["homology", "--graph", spec, "--n", "2"],
+                    f"error: graph family {spec!r} has ")

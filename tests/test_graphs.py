@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 import random
 import re
 
@@ -10,9 +11,12 @@ from graphbraids.corpus import random_topological_graph
 from graphbraids import graphs
 from graphbraids.decompose import _subgraph, _workable, decomposition_tree
 from graphbraids.graphs import (BUILTIN_GRAPHS, Edge, Graph, GraphError,
-                                build_graph, subdivide, betti1, segments,
-                                is_suitably_subdivided, graph_to_json, blocks,
-                                cut_vertices, is_planar, rotation_system)
+                                Segment, build_graph, subdivide, betti1,
+                                segments, is_suitably_subdivided,
+                                graph_to_json, blocks, cut_vertices, is_planar,
+                                rotation_system)
+from graphbraids.homology import AbelianGroup
+from graphbraids.morse import CriticalName, Term
 
 
 def test_builtin_counts():
@@ -339,8 +343,56 @@ def test_segments_are_kept_and_immutable():
     assert isinstance(segs, tuple) and segs is segments(g)
     assert all(isinstance(s.edge_ids, tuple) and isinstance(s.inner, tuple)
                for s in segs)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         segs[0].u = "x"
+
+
+@pytest.mark.parametrize("make, other, field", [
+    (lambda: Edge("e", "a", "b"), Edge("e", "b", "a"), "u"),
+    (lambda: Segment("a", "b", ("e0", "e1"), ("m",)),
+     Segment("a", "b", ("e0", "e2"), ("m",)), "edge_ids"),
+    (lambda: Term("tree", (1, 2), (0, 1)), Term("deleted", (1, 2), (0, 1)),
+     "kind"),
+    (lambda: CriticalName((Term("deleted", (3, 5), (1, 0)),), 1),
+     CriticalName((Term("deleted", (3, 5), (1, 0)),), 2), "s0"),
+    (lambda: AbelianGroup(4, (2,)), AbelianGroup(4), "torsion"),
+], ids=["Edge", "Segment", "Term", "CriticalName", "AbelianGroup"])
+def test_value_types_compare_copy_and_refuse_assignment(make, other, field):
+    """Equal fields give equal values with equal hashes; deep copies and
+    pickle round trips give equal values of the same type; no field can be
+    set, and no attribute added."""
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other
+    for back in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(back) is type(a) and back == a and hash(back) == hash(a)
+        assert repr(back) == repr(a)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+
+
+def test_segment_length_is_its_edge_count():
+    s = Segment("a", "a", ("e0", "e1", "e2"), ("m", "n"))
+    assert len(s) == len(copy.deepcopy(s)) == len(pickle.loads(pickle.dumps(s))) == 3
+
+
+@pytest.mark.parametrize("spec, built", [
+    ("K(5)", True), ("K(6)", False), ("K(2,5)", True), ("K(3,4)", False),
+    ("Theta(10)", True), ("Theta(11)", False), ("K(11,0)", False),
+])
+def test_a_family_above_the_cap_is_refused_before_it_is_built(
+        monkeypatch, spec, built):
+    """The cap bounds a family member's vertex and edge counts, read off
+    its parameters: K(m) has m(m-1)/2 edges, K(m,n) m*n and Theta(m) m."""
+    monkeypatch.setattr(graphs, "FAMILY_CAP", 10)
+    if built:
+        assert isinstance(build_graph(spec), Graph)
+    else:
+        with pytest.raises(GraphError, match="the limit is 10 of each"):
+            build_graph(spec)
 
 
 @pytest.mark.parametrize("spec, message", [

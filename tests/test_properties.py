@@ -8,12 +8,12 @@ from graphbraids.corpus import corpus, random_topological_graph
 from graphbraids.graphs import subdivide, betti1, build_graph, is_planar
 from graphbraids.trees import choose_tree_and_order, verify_conditions
 from graphbraids.cells import classify, phi, enumerate_cells
-from graphbraids.morse import (build_morse_complex, Reducer, morse_boundary,
-                               free_reduce, winv, wmul)
+from graphbraids.morse import (build_morse_complex, MorseError, Reducer,
+                               morse_boundary, free_reduce, winv, wmul)
 from graphbraids.closedforms import check_closed_forms
 from graphbraids.homology import homology
 from graphbraids.decompose import h1_formula
-from graphbraids.present import commutator_form
+from graphbraids.present import commutator_form, raw_presentation, simplify
 from reference import exponent_sums, matching, planted_graph
 
 
@@ -181,3 +181,35 @@ def test_planar_iff_h1_is_torsion_free(seed):
         gs, _ = subdivide(g, n, policy)
         h1 = homology(build_morse_complex(choose_tree_and_order(gs, n), n))[1]
         assert (not h1.torsion) == planar
+
+
+# the known refusal of a P_2 presentation whose two 0-cells no critical
+# 1-cell joins (a topological segment in the graph)
+NO_JOIN = "no critical 1-cell joins the two 0-cells"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_relators_are_words_in_commutators(seed):
+    """The paper's commutator characteristics on the simplified
+    presentations: every relator of B_n (n = 2 strict, n = 3 auto) has all
+    exponent sums 0 iff the graph is planar, and so does every relator of
+    P_2 over any graph; on a planar graph every nonempty B_2 and P_2
+    relator is a single commutator [u, v]."""
+    g = planted_graph(seed)
+    planar = is_planar(g)
+    for n, policy, flavor in ((2, "strict", "unordered"), (3, "auto", "unordered"),
+                              (2, "strict", "ordered")):
+        gs, _ = subdivide(g, n, policy)
+        mc = build_morse_complex(choose_tree_and_order(gs, n), n, flavor)
+        try:
+            raw = raw_presentation(mc)
+        except MorseError as exc:
+            if flavor == "ordered" and str(exc) == NO_JOIN:
+                continue
+            raise
+        relators = simplify(raw, mc).relators
+        balanced = all(not exponent_sums(r) for r in relators)
+        assert balanced == (planar or flavor == "ordered")
+        if planar and n == 2:
+            assert all(commutator_form(r) is not None for r in relators if r)
