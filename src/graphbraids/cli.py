@@ -135,25 +135,38 @@ def _covering_failure(pn, bn, h_p, h_b):
     return None
 
 
+def _euler_failure(*complexes):
+    """How the critical cells of one of the Morse complexes miss the Euler
+    characteristic of the whole complex, read off Gal's series, or None."""
+    for mc in complexes:
+        chi, full = mc.euler_characteristic(), mc.full_euler_characteristic()
+        if chi != full:
+            return (f"the {mc.flavor} critical cells give Euler "
+                    f"characteristic {chi}, Gal's series {full}")
+    return None
+
+
 def _check_covering(args, tree, prov):
     """graphbraids check for ordered n >= 3, where no formula exists."""
     pn = build_morse_complex(tree, args.n, "ordered", cap=args.cap)
     bn = build_morse_complex(tree, args.n, "unordered", cap=args.cap)
     h_p, h_b = homology(pn), homology(bn)
-    failure = _covering_failure(pn, bn, h_p, h_b)
+    euler = _euler_failure(pn, bn)
+    failure = _covering_failure(pn, bn, h_p, h_b) or euler
     results = {"tree": prov,
                "critical_cells": {d: len(cs) for d, cs in pn.critical.items()},
                "ordered_homology": [{"degree": d, **g.to_json()}
                                     for d, g in sorted(h_p.items())],
                "unordered_homology": [{"degree": d, **g.to_json()}
                                       for d, g in sorted(h_b.items())],
-               "closed_forms": False}
+               "closed_forms": False, "euler": euler is None}
     verdict = "match" if failure is None else f"mismatch({failure})"
     return results, verdict, 0 if failure is None else 1
 
 
 def cmd_check(args):
-    """H1 of the Morse complex against the formula route, and, on a tree
+    """H1 of the Morse complex against the formula route, its critical
+    cells' Euler characteristic against Gal's series, and, on a tree
     satisfying T1-T3, d2 against the closed boundary formulas: a
     disagreement there raises `MorseError`."""
     tree, prov, g = _prepare_tree(args)
@@ -166,12 +179,14 @@ def cmd_check(args):
     h = homology(mc)[1]
     flavor = "P2" if args.flavor == "ordered" else "B"
     hf = h1_formula(g, args.n, flavor)
-    match = (h.rank, h.torsion) == (hf.rank, hf.torsion)
-    verdict = "match" if match else \
-        f"mismatch(morse={h}, formula={hf})"
+    euler = _euler_failure(mc)
+    if (h.rank, h.torsion) != (hf.rank, hf.torsion):
+        verdict = f"mismatch(morse={h}, formula={hf})"
+    else:
+        verdict = "match" if euler is None else f"mismatch({euler})"
     results = {"tree": prov, "morse_H1": h.to_json(), "formula_H1": hf.to_json(),
-               "closed_forms": closed_forms}
-    return results, verdict, 0 if match else 1
+               "closed_forms": closed_forms, "euler": euler is None}
+    return results, verdict, 0 if verdict == "match" else 1
 
 
 def cmd_decompose(args):

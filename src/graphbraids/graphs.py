@@ -533,8 +533,14 @@ def build_graph(spec) -> Graph:
                     args = []
                 if len(args) not in makers:
                     raise GraphError(f"bad graph family {name!r}: expected {usage}")
+                for param, a in zip("mn", args):
+                    if a < 0:
+                        raise GraphError(f"graph family {name!r}: the "
+                                         f"parameter {param} = {a} is negative")
                 make, size = makers[len(args)]
-                nv, ne = size(*(max(a, 0) for a in args))
+                nv, ne = size(*args)
+                if nv == 0:
+                    raise GraphError(f"graph family {name!r} has no vertices")
                 if max(nv, ne) > FAMILY_CAP:
                     raise GraphError(
                         f"graph family {name!r} has {nv:,} vertices and {ne:,} "

@@ -4,13 +4,12 @@ Matrices are plain lists of lists of Python ints, so all arithmetic is
 arbitrary precision.  Row convention throughout: a chain is a row vector and
 a boundary matrix has one row per generator of the source.
 
-Invariant factors alone (``smith_normal_form`` without transforms, ``rank``)
-come from ``unit_pivots``, which takes the +-1 pivots on sparse rows
-{column: coefficient} in one pass, followed by a dense Smith form of the
-small core left over; Morse boundary matrices are almost all +-1, and
-``homology`` calls ``unit_pivots`` on the sparse rows the build writes.  The
-unimodular transforms, and the kernel helpers built on them, use the dense
-form throughout.
+Invariant factors (``smith_normal_form``, ``rank``) come from
+``unit_pivots``, which takes the +-1 pivots on sparse rows {column:
+coefficient} in one pass, followed by the dense Smith loop on the small core
+left over; Morse boundary matrices are almost all +-1, and ``homology``
+calls ``unit_pivots`` on the sparse rows the build writes.  The kernel
+helpers, a reference for the tests, take one row echelon of their own.
 """
 
 from __future__ import annotations
@@ -18,32 +17,14 @@ from __future__ import annotations
 import heapq
 
 
-def zeros(rows: int, cols: int):
-    return [[0] * cols for _ in range(rows)]
-
-
-def identity(n: int):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
-
-
-def copy_matrix(m):
-    return [row[:] for row in m]
-
-
 class SmithForm:
-    """U * A * V = D with U, V unimodular; diag holds the invariant factors."""
+    """The invariant factors of a rows x cols integer matrix: diag is the
+    divisibility chain d1 | d2 | ... of positive entries."""
 
-    def __init__(self, diag: list, rows: int, cols: int, U: list | None = None,
-                 V: list | None = None, Uinv: list | None = None):
+    def __init__(self, diag: list, rows: int, cols: int):
         self.diag = diag
         self.rows = rows
         self.cols = cols
-        self.U = U
-        self.V = V
-        self.Uinv = Uinv
 
     @property
     def rank(self) -> int:
@@ -53,21 +34,16 @@ class SmithForm:
         return [d for d in self.diag if abs(d) > 1]
 
 
-def smith_normal_form(a, transforms: bool = False) -> SmithForm:
-    """Diagonalize an integer matrix by unimodular row/column operations.
+def smith_normal_form(a) -> SmithForm:
+    """The invariant factors of an integer matrix.
 
-    Without transforms, the +-1 pivots are taken first on sparse rows
-    (``unit_pivots``), each one an invariant factor 1, and only the core
-    left over goes through the dense loop.  With transforms, the whole
-    matrix goes through the dense loop, which records U, Uinv and V.  The
-    returned diagonal is the divisibility chain d1 | d2 | ... with positive
-    entries.
+    The +-1 pivots are taken first on sparse rows (``unit_pivots``), each
+    one an invariant factor 1, and only the core left over goes through the
+    dense loop (``_dense_smith_form``).
     """
-    if transforms:
-        return _dense_smith_form(copy_matrix(a), transforms=True)
     pivots, core = unit_pivots([{j: x for j, x in enumerate(r) if x}
                                 for r in a])
-    diag = [1] * len(pivots) + _dense_smith_form(densify(core)).diag
+    diag = [1] * len(pivots) + _dense_smith_form(densify(core))
     return SmithForm(diag, len(a), len(a[0]) if a else 0)
 
 
@@ -150,58 +126,15 @@ def unit_pivots(rows):
             return pivots, core
 
 
-def _dense_smith_form(m, transforms: bool = False) -> SmithForm:
-    """The dense Smith loop on m, which it overwrites.
+def _dense_smith_form(m) -> list:
+    """The invariant factors of m, which it overwrites, by unimodular row
+    and column operations.
 
     Pivots are chosen by smallest nonzero magnitude, which keeps entries
     small at the scales this library meets.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    U = identity(rows) if transforms else None
-    Uinv = identity(rows) if transforms else None
-    V = identity(cols) if transforms else None
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        if transforms:
-            U[i], U[j] = U[j], U[i]
-            for r in Uinv:
-                r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, q):
-        # row[dst] += q * row[src]
-        md, ms = m[dst], m[src]
-        for t in range(cols):
-            md[t] += q * ms[t]
-        if transforms:
-            ud, us = U[dst], U[src]
-            for t in range(rows):
-                ud[t] += q * us[t]
-            for r in Uinv:
-                r[src] -= q * r[dst]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        if transforms:
-            U[i] = [-x for x in U[i]]
-            for r in Uinv:
-                r[i] = -r[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        if transforms:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
-
-    def add_col(dst, src, q):
-        for r in m:
-            r[dst] += q * r[src]
-        if transforms:
-            for r in V:
-                r[dst] += q * r[src]
-
     s = 0
     while s < rows and s < cols:
         # locate smallest nonzero entry in the remaining block
@@ -219,25 +152,28 @@ def _dense_smith_form(m, transforms: bool = False) -> SmithForm:
         if best is None:
             break
         _, pi, pj = best
-        swap_rows(s, pi)
-        swap_cols(s, pj)
+        m[s], m[pi] = m[pi], m[s]
+        for r in m:
+            r[s], r[pj] = r[pj], r[s]
+        ms = m[s]
         dirty = False
         for i in range(s + 1, rows):
             if m[i][s]:
-                q = m[i][s] // m[s][s]
-                add_row(i, s, -q)
-                if m[i][s]:
+                q = m[i][s] // ms[s]
+                m[i] = mi = [x - q * y for x, y in zip(m[i], ms)]
+                if mi[s]:
                     dirty = True
         for j in range(s + 1, cols):
-            if m[s][j]:
-                q = m[s][j] // m[s][s]
-                add_col(j, s, -q)
-                if m[s][j]:
+            if ms[j]:
+                q = ms[j] // ms[s]
+                for r in m:
+                    r[j] -= q * r[s]
+                if ms[j]:
                     dirty = True
         if dirty:
             continue
         # pivot divides its row and column; enforce divisibility of the rest
-        piv = m[s][s]
+        piv = ms[s]
         offender = None
         for i in range(s + 1, rows):
             mi = m[i]
@@ -248,13 +184,12 @@ def _dense_smith_form(m, transforms: bool = False) -> SmithForm:
             if offender is not None:
                 break
         if offender is not None:
-            add_row(s, offender, 1)
+            m[s] = [x + y for x, y in zip(ms, m[offender])]
             continue
         if piv < 0:
-            negate_row(s)
+            m[s] = [-x for x in ms]
         s += 1
-    diag = [m[i][i] for i in range(min(rows, cols)) if m[i][i]]
-    return SmithForm(diag, rows, cols, U=U, V=V, Uinv=Uinv)
+    return [m[i][i] for i in range(min(rows, cols)) if m[i][i]]
 
 
 def rank(a) -> int:
@@ -262,22 +197,50 @@ def rank(a) -> int:
 
 
 def kernel_basis(a):
-    """Rows spanning the left kernel {x : x * A = 0} over the integers.
+    """(rows spanning the left kernel {x : x * A = 0} over the integers,
+    the state ``kernel_coordinates`` reads).
 
-    The basis generates a direct summand of Z^rows, so any kernel vector has
-    integer coordinates in it (see kernel_coordinates).
+    One row echelon of [A | I] by unimodular row operations: the I part
+    becomes U with U * A in echelon form, and the rows of U whose A part is
+    zero, the last rows - rank(A), span the kernel.  They are rows of a
+    unimodular matrix, so they generate a direct summand of Z^rows and any
+    kernel vector has integer coordinates in them.  U^-1 is tracked as the
+    rows are combined.
     """
-    if not a:
-        return []
-    snf = smith_normal_form(a, transforms=True)
-    return [snf.U[i][:] for i in range(snf.rank, snf.rows)], snf
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [list(r) + [int(i == k) for k in range(rows)] for i, r in enumerate(a)]
+    uinv = [[int(i == k) for k in range(rows)] for i in range(rows)]
+    r = 0  # the rows above r are in echelon form
+    for j in range(cols):
+        while True:
+            live = [i for i in range(r, rows) if m[i][j]]
+            if not live:
+                break
+            p = min(live, key=lambda i: abs(m[i][j]))
+            if len(live) == 1:
+                m[r], m[p] = m[p], m[r]
+                for u in uinv:
+                    u[r], u[p] = u[p], u[r]
+                r += 1
+                break
+            # row i -= q * row p, so column p of U^-1 += q * column i
+            for i in live:
+                if i != p:
+                    q = m[i][j] // m[p][j]
+                    m[i] = [x - q * y for x, y in zip(m[i], m[p])]
+                    for u in uinv:
+                        u[p] += q * u[i]
+    return [row[cols:] for row in m[r:]], (r, uinv)
 
 
-def kernel_coordinates(snf: SmithForm, x):
-    """Coordinates of a left-kernel vector x in the kernel_basis rows."""
-    coords = [sum(x[t] * snf.Uinv[t][i] for t in range(snf.rows))
-              for i in range(snf.rows)]
-    for i in range(snf.rank):
-        if coords[i] != 0:
-            raise ValueError("vector is not in the kernel")
-    return coords[snf.rank:]
+def kernel_coordinates(state, x):
+    """Coordinates of a left-kernel vector x in the kernel_basis rows: x *
+    U^-1 is x in the rows of U, and its first rank(A) entries are zero
+    exactly when x is in the kernel."""
+    r, uinv = state
+    coords = [sum(x[t] * uinv[t][i] for t in range(len(uinv)))
+              for i in range(len(uinv))]
+    if any(coords[:r]):
+        raise ValueError("vector is not in the kernel")
+    return coords[r:]

@@ -275,8 +275,10 @@ class Reducer:
 
 
 def morse_boundary(red: Reducer, cell):
-    """The Morse boundary: reduce the cubical boundary onto critical cells."""
-    return red.reduce(C.boundary(cell, ordered=red.ordered))
+    """The Morse boundary: reduce the cell's relation in the reducer's
+    algebra onto critical cells (the cubical boundary for chains, the
+    boundary word for words)."""
+    return red.reduce(red.algebra.relation(cell, red.ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +632,8 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
         # coefficient) per term; relabelling by sigma_s moves only the rank
         for i in range(0, len(basis), m):
             if d == 2:
-                word = words.reduce(C.boundary_word(basis[i], ordered))
                 # d2 is minus the relator's exponent sums
-                chain = [(g, -e) for g, e in word]
+                chain = [(g, -e) for g, e in morse_boundary(words, basis[i])]
             else:
                 chain = morse_boundary(red, basis[i]).items()
             terms = [(j - j % m, j % m, x)

@@ -12,7 +12,7 @@ from graphbraids.graphs import Graph, build_graph, subdivide
 from graphbraids.closedforms import (bare_fill, classify_1cells,
                                      separating_families)
 from graphbraids.homology import AbelianGroup
-from graphbraids.intlinalg import copy_matrix, smith_normal_form, zeros
+from graphbraids.intlinalg import smith_normal_form
 from graphbraids.morse import (WORDS, MorseError, Reducer, cell_sort_key,
                                morse_boundary, name_critical_cell)
 from graphbraids.present import cyclic_reduce
@@ -348,7 +348,7 @@ def mat_mul(a, b):
         return []
     n, k = len(a), len(a[0])
     cols = len(b[0]) if b else 0
-    out = zeros(n, cols)
+    out = [[0] * cols for _ in range(n)]
     for i in range(n):
         ai, oi = a[i], out[i]
         for t in range(k):
@@ -393,7 +393,7 @@ def naive_invariant_factors(a):
     Exhaustively reduces with the smallest pivot by Euclidean steps; used in
     tests to cross-check smith_normal_form.
     """
-    m = copy_matrix(a)
+    m = [row[:] for row in a]
     factors = []
     while m and m[0]:
         entries = [(abs(m[i][j]), i, j)

@@ -151,6 +151,24 @@ def test_check_reports_a_closed_form_mismatch(capsys, monkeypatch):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--graph", "Theta4", "--n", "3"],
+    ["check", "--graph", "K33", "--n", "3", "--flavor", "ordered"],
+], ids=["formula", "covering"])
+def test_check_reports_an_euler_characteristic_mismatch(capsys, monkeypatch,
+                                                        argv):
+    status, rep = capture(capsys, argv)
+    assert status == 0 and rep["results"]["euler"] is True
+    from graphbraids import cells
+    series = cells.euler_characteristic
+    monkeypatch.setattr(cells, "euler_characteristic",
+                        lambda t, n, flavor: series(t, n, flavor) + 1)
+    status, rep = capture(capsys, argv)
+    assert status == 1 and rep["results"]["euler"] is False
+    assert rep["verdict"].startswith("mismatch(the ")
+    assert "Gal's series" in rep["verdict"]
+
+
 def test_method_is_no_option(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["present", "--graph", "Theta4", "--n", "3", "--method", "both"])
@@ -490,11 +508,13 @@ def test_ordered_formulas_refuse_a_tree_failing_t1_to_t3(capsys, method):
 @pytest.mark.parametrize("argv, results", [
     (["--graph", "K33", "--n", "2"],
      {"tree": "pinned", "morse_H1": {"rank": 4, "torsion": [2]},
-      "formula_H1": {"rank": 4, "torsion": [2]}, "closed_forms": False}),
+      "formula_H1": {"rank": 4, "torsion": [2]}, "closed_forms": False,
+      "euler": True}),
     (["--graph", "Theta4", "--n", "3", "--subdivide", "auto"],
      {"tree": "subdivide=auto,mode=generic",
       "morse_H1": {"rank": 6, "torsion": []},
-      "formula_H1": {"rank": 6, "torsion": []}, "closed_forms": True}),
+      "formula_H1": {"rank": 6, "torsion": []}, "closed_forms": True,
+      "euler": True}),
 ], ids=["K33-n2-pinned", "Theta4-n3-subdivided"])
 def test_check_reads_the_graph_once(monkeypatch, capsys, argv, results):
     from graphbraids import cli
@@ -550,6 +570,19 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
          "if m in sys.modules])"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("spec, start", [
+    ("K(0)", "error: graph family 'K(0)' has no vertices"),
+    ("K(0,0)", "error: graph family 'K(0,0)' has no vertices"),
+    ("K(-1)", "error: graph family 'K(-1)': the parameter m = -1"),
+    ("K(-99999)", "error: graph family 'K(-99999)': the parameter m = -99999"),
+    ("K(2,-1)", "error: graph family 'K(2,-1)': the parameter n = -1"),
+    ("Theta(-3)", "error: graph family 'Theta(-3)': the parameter m = -3"),
+])
+def test_an_empty_or_negative_graph_family_is_named_in_one_line(
+        capsys, spec, start):
+    _one_line_error(capsys, ["homology", "--graph", spec, "--n", "2"], start)
 
 
 @pytest.mark.parametrize("spec", ["K(99999)", "K(1415)", "K(1001,1000)",

@@ -396,6 +396,26 @@ def test_a_family_above_the_cap_is_refused_before_it_is_built(
 
 
 @pytest.mark.parametrize("spec, message", [
+    ("K(-1)", "graph family 'K(-1)': the parameter m = -1 is negative"),
+    ("K(2,-1)", "graph family 'K(2,-1)': the parameter n = -1 is negative"),
+    ("Theta(-3)", "graph family 'Theta(-3)': the parameter m = -3 is negative"),
+    ("K(0)", "graph family 'K(0)' has no vertices"),
+    ("K(0,0)", "graph family 'K(0,0)' has no vertices"),
+    ("K(0,3)", "graph is not connected"),
+    ("Theta(0)", "graph is not connected"),
+])
+def test_an_empty_or_negative_family_member_is_named(spec, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        build_graph(spec)
+
+
+@pytest.mark.parametrize("spec", ["K(1)", "K(1,0)"])
+def test_a_one_vertex_family_member_is_a_graph(spec):
+    g = build_graph(spec)
+    assert len(g.vertices) == 1 and not g.edges
+
+
+@pytest.mark.parametrize("spec, message", [
     ({"vertices": ["a", "a", "b"], "edges": [["a", "b"]]},
      "duplicate vertex ids"),
     ({"vertices": ["a", "b"], "edges": [["e", "a", "b"], ["e", "b", "a"]]},

@@ -30,9 +30,9 @@ def test_abelian_group_canonical():
 
 
 def reference_homology(mc):
-    """Homology the long way: an integer basis of ker d_d from the Smith
-    form with transforms, im d_(d+1) rewritten in kernel coordinates, and a
-    second Smith form for the quotient."""
+    """Homology the long way: an integer basis of ker d_d from a row
+    echelon of [d_d | I], im d_(d+1) rewritten in kernel coordinates, and a
+    Smith form for the quotient."""
     out = {}
     boundaries = dense_boundaries(mc)
     for d in sorted(set(mc.critical) | {0, 1, 2}):

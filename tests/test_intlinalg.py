@@ -1,8 +1,9 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphbraids.intlinalg import (smith_normal_form, identity, kernel_basis,
+from graphbraids.intlinalg import (smith_normal_form, kernel_basis,
                                    kernel_coordinates, rank, unit_pivots,
                                    densify)
 
@@ -33,18 +34,6 @@ def test_zero_and_empty():
 def test_divisibility_chain():
     m = [[2, 0], [0, 3]]
     assert smith_normal_form(m).diag == [1, 6]
-
-
-def test_transforms_reconstruct():
-    rng = random.Random(7)
-    for _ in range(20):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        s = smith_normal_form(m, transforms=True)
-        d = mat_mul(mat_mul(s.U, m), s.V)
-        assert [d[i][i] for i in range(min(rows, cols)) if d[i][i]] == s.diag
-        assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
-        assert mat_mul(s.U, s.Uinv) == identity(rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,3 +154,39 @@ def test_kernel_basis_and_coordinates():
             rec = [sum(c * basis[k][i] for k, c in enumerate(coords))
                    for i in range(rows)]
             assert rec == list(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+           st.lists(st.integers(-5, 5), min_size=cols, max_size=cols),
+           min_size=1, max_size=6)),
+       st.data())
+def test_kernel_basis_is_a_direct_summand_with_integer_coordinates(m, data):
+    rows = len(m)
+    basis, state = kernel_basis(m)
+    assert len(basis) == rows - rank(m)
+    assert all(x == 0 for row in mat_mul(basis, m) for x in row)
+    if basis:
+        # the basis extends to a basis of Z^rows
+        assert smith_normal_form(basis).diag == [1] * len(basis)
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=len(basis),
+                                max_size=len(basis)))
+    x = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(rows)]
+    assert kernel_coordinates(state, x) == coeffs
+    outside = data.draw(st.lists(st.integers(-5, 5), min_size=rows,
+                                 max_size=rows))
+    if any(mat_mul([outside], m)[0]):
+        with pytest.raises(ValueError):
+            kernel_coordinates(state, outside)
+
+
+def test_kernel_basis_of_empty_and_zero_matrices():
+    basis, state = kernel_basis([])
+    assert basis == [] and kernel_coordinates(state, []) == []
+    basis, state = kernel_basis([[0, 0], [0, 0]])
+    assert basis == [[1, 0], [0, 1]]
+    assert kernel_coordinates(state, [3, -2]) == [3, -2]
+    basis, state = kernel_basis([[2], [3]])
+    assert basis == [[3, -2]] or basis == [[-3, 2]]
+    with pytest.raises(ValueError):
+        kernel_coordinates(state, [1, 0])
