@@ -4,6 +4,10 @@ A cell is a tuple of items; an item is ``(v, -1)`` for the vertex v or
 ``(tau, iota)`` for an edge.  Unordered cells are kept sorted (this matches
 comparison by vertex number / terminal vertex); ordered cells keep tuple
 positions.  Closures of distinct items in a cell are disjoint.
+
+The Farley-Sabalka matching is not here: `critical_cells` generates the
+critical cells directly, and `morse.Reducer._plan` classifies each cell it
+reduces and builds its matched cell, once per plan.
 """
 
 from __future__ import annotations
@@ -225,77 +229,7 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
 
 
 # ---------------------------------------------------------------------------
-# classification and the Morse matching
-
-class Classification:
-    __slots__ = ("kind", "witness", "unblocked", "occupied")
-
-    def __init__(self, kind, witness=None, unblocked=None, occupied=None):
-        self.kind = kind  # critical | redundant | collapsible
-        self.witness = witness
-        # unblocked cell vertices
-        self.unblocked = [] if unblocked is None else unblocked
-        # cell vertices and edge ends; at most 2n of them, so a list is
-        # scanned as fast as a set is hashed
-        self.occupied = [] if occupied is None else occupied
-
-
-def classify(t: OrderedTree, cell) -> Classification:
-    """Critical / redundant / collapsible per the matching on UD_n; ordered
-    cells classify exactly like their unordered projections.
-
-    A vertex v != 0 is unblocked when parent[v] is free, and a tree edge
-    (tau, iota) is order respecting when no cell vertex u has parent[u] ==
-    tau and u < iota.  A cell without either is critical; otherwise it is
-    redundant, witnessed by its smallest unblocked vertex, when that lies
-    below the terminal vertex of every order-respecting edge, and else
-    collapsible, witnessed by the order-respecting edge with the smallest
-    terminal vertex.  One pass over the items collects the vertices, the
-    edges and the occupied vertices."""
-    parent = t.parent
-    verts = []
-    edges = []
-    occupied = []
-    for it in cell:
-        a, b = it
-        occupied.append(a)
-        if b == -1:
-            verts.append(a)
-        else:
-            edges.append(it)
-            occupied.append(b)
-    unb = [v for v in verts if v and parent[v] not in occupied]
-    # only an order-respecting edge below every unblocked vertex matters
-    bound = min(unb) if unb else t.nv
-    best = None
-    deleted = t.deleted_set
-    for e in edges:
-        tau, iota = e
-        if iota >= bound or e in deleted:
-            continue
-        for u in verts:
-            if u < iota and parent[u] == tau:
-                break
-        else:
-            best = e
-            bound = iota
-    if best is not None:
-        return Classification("collapsible", best, unb, occupied)
-    if unb:
-        return Classification("redundant", min(unb), unb, occupied)
-    return Classification("critical", None, unb, occupied)
-
-
-def matched_cell(t: OrderedTree, cell, v: int, ordered: bool = False):
-    """W(cell) for a redundant cell whose smallest unblocked vertex is v
-    (the witness of `classify`): the collapsible cell one dimension up that
-    replaces v by the tree edge below it."""
-    e = (t.parent[v], v)
-    out = [e if it == (v, -1) else it for it in cell]
-    if not ordered:
-        out.sort()
-    return tuple(out)
-
+# boundaries and labellings
 
 def boundary(cell, ordered: bool = False):
     """Signed cubical boundary: faces of the k-th edge in terminal-vertex

@@ -7,8 +7,11 @@ with memoization and writes every cell in a coefficient `Algebra`: Z-chains
 critical 1-cells (`WORDS`) give the rewriting homomorphism that
 presentations are read from.  A critical cell is itself, a collapsible cell
 is zero, and a redundant cell c is solved out of the boundary of W(c): the
-cubical boundary for chains, the square's boundary word for words.  Each
-cell is classified once per plan.
+cubical boundary for chains, the square's boundary word for words.  The
+matching lives in ``Reducer._plan``: each cell is classified once per plan,
+in one pass over its items, and a redundant cell's plan is its slide's end
+or its matched cell's relation solved for it.  ``Reducer.reduce`` walks all
+the faces of a boundary on one stack, so each boundary is walked once.
 
 `build_morse_complex` walks each critical 2-cell once, in both flavors and
 at every n: it rewrites the 2-cell's boundary word with `WORDS` and keeps
@@ -61,7 +64,7 @@ the full expansion.  On a subdivided graph the move repeats down a run of
 the tree, so the reducer takes the whole run in one plan, the shortcut
 slide: after the first step it keeps moving the vertex from p to parent[p]
 while p != 0, parent[p] is free and no vertex or edge end lies strictly
-between parent[p] and p, all read off the classification of c itself.  The
+between parent[p] and p, all read off the items of c itself.  The
 slide ends where the iterated one-step move ends, so the value is
 unchanged; only the start and the end of a run are planned and memoized.
 Each cell c' the slide passes, c with v moved to p:
@@ -170,24 +173,80 @@ class Reducer:
         self.ordered = ordered
         self.algebra = algebra
         self.memo: dict = {}
+        self.parent = tree.parent
+        self.deleted = tree.deleted_set
+        self.nv = tree.nv
 
     def _plan(self, cell):
         """("critical" | "collapsible", None), or ("redundant", [(face,
         coefficient)]) with the cell's value the combination of the faces'
-        values."""
-        cls = C.classify(self.t, cell)
-        if cls.kind != "redundant":
-            return cls.kind, None
-        move = self._shortcut_move(cell, cls)
-        if move is not None:
-            return "redundant", [(move, 1)]
-        matched = C.matched_cell(self.t, cell, cls.witness, self.ordered)
-        rel = self.algebra.relation(matched, self.ordered)
+        values.
+
+        One pass over the items collects the cell's vertices and occupied
+        vertices (cell vertices and edge ends).  A vertex v != 0 is
+        unblocked when parent[v] is free, and a tree edge (tau, iota) is
+        order respecting when no cell vertex u has parent[u] == tau and u <
+        iota.  The cell is collapsible when an order-respecting edge ends
+        below its smallest unblocked vertex (or it has none), critical when
+        it has neither, and otherwise redundant: the end of its shortcut
+        slide, or solved out of the relation of its matched cell W(c),
+        which replaces the smallest unblocked vertex v by the tree edge
+        (parent[v], v)."""
+        parent = self.parent
+        verts = []
+        occupied = []
+        edges = []
+        for it in cell:
+            a, b = it
+            occupied.append(a)
+            if b == -1:
+                verts.append(a)
+            else:
+                edges.append(it)
+                occupied.append(b)
+        unblocked = [v for v in verts if v and parent[v] not in occupied]
+        bound = min(unblocked) if unblocked else self.nv
+        deleted = self.deleted
+        for e in edges:
+            tau, iota = e
+            if iota >= bound or e in deleted:
+                continue
+            for u in verts:
+                if u < iota and parent[u] == tau:
+                    break
+            else:
+                return "collapsible", None
+        if not unblocked:
+            return "critical", None
+        ordered = self.ordered
+        # the shortcut slide (see the module docstring): occupied vertices
+        # are distinct, and the vertex v slides to each parent above the
+        # largest occupied vertex below v, as no step passes one
+        occupied.sort()
+        for v in sorted(unblocked):
+            i = occupied.index(v)
+            below = occupied[i - 1] if i else -1
+            end = v
+            while end and parent[end] > below:
+                end = parent[end]
+            if end != v:
+                out = list(cell)
+                out[cell.index((v, -1))] = (end, -1)
+                if not ordered:
+                    out.sort()
+                return "redundant", [(tuple(out), 1)]
+        # W(c): the smallest unblocked vertex becomes the edge below it
+        out = list(cell)
+        out[cell.index((bound, -1))] = (parent[bound], bound)
+        if not ordered:
+            out.sort()
+        matched = tuple(out)
+        rel = self.algebra.relation(matched, ordered)
         hits = [i for i, (f, _) in enumerate(rel) if f == cell]
         if len(hits) != 1 or rel[hits[0]][1] not in (1, -1):
-            raise MorseError(f"matched face {C.format_cell(cell, self.ordered)} "
+            raise MorseError(f"matched face {C.format_cell(cell, ordered)} "
                              f"is not once a +-1 term of the boundary of "
-                             f"{C.format_cell(matched, self.ordered)}")
+                             f"{C.format_cell(matched, ordered)}")
         # cell^e * rest = 1, read cyclically from the cell, so cell = rest^-e
         i = hits[0]
         e, rest = rel[i][1], rel[i + 1:] + rel[:i]
@@ -195,83 +254,66 @@ class Reducer:
             return "redundant", rest
         return "redundant", [(f, -x) for f, x in reversed(rest)]
 
-    def _shortcut_move(self, cell, cls):
-        """The end of the shortcut slide from c, or None when no unblocked
-        vertex can move, read off the cell's classification ``cls`` alone
-        (see the module docstring)."""
-        parent = self.t.parent
-        occupied = cls.occupied
-        for v in sorted(cls.unblocked):
-            # the largest occupied vertex below v: the vertex slides to
-            # each parent above it, as no step passes an occupied vertex
-            below = -1
-            for w in occupied:
-                if below < w < v:
-                    below = w
-            end = v
-            while end and parent[end] > below:
-                end = parent[end]
-            if end != v:
-                rep = C.vertex(end)
-                out = [rep if it == (v, -1) else it for it in cell]
-                if not self.ordered:
-                    out.sort()
-                return tuple(out)
-        return None
-
     def reduce_cell(self, cell):
         value = self.memo.get(cell)
-        return self._walk(cell) if value is None else value
+        if value is None:
+            self._walk((cell,))
+            value = self.memo[cell]
+        return value
 
-    def _walk(self, cell0):
-        """Reduce cell0 and every cell it depends on into ``memo``."""
+    def _walk(self, cells):
+        """Reduce ``cells`` and every cell they depend on into ``memo``, on
+        one stack.  A redundant cell waits in ``pending`` from its plan
+        until its faces are memoized; it is then on top of the stack again,
+        as every cell above it is one of its faces or theirs.  A face found
+        waiting is a cycle."""
         memo = self.memo
         alg = self.algebra
-        plans: dict = {}
-        stack = [(cell0, False)]
-        in_progress = set()
+        pending: dict = {}
+        stack = [c for c in cells if c not in memo]
         steps = 0
         while stack:
             steps += 1
             if steps > 5_000_000:
                 raise MorseError("reduction iteration cap exceeded (bug)")
-            cell, ready = stack.pop()
+            cell = stack[-1]
             if cell in memo:
+                stack.pop()
                 continue
-            plan = plans.get(cell)
-            if plan is None:
-                plan = self._plan(cell)
-                plans[cell] = plan
-            kind, deps = plan
-            if kind == "critical":
-                memo[cell] = alg.unit(cell)
-                continue
-            if kind == "collapsible":
-                memo[cell] = alg.zero
-                continue
-            if not ready:
-                if cell in in_progress:
-                    raise MorseError("cyclic reduction dependency (bug)")
-                in_progress.add(cell)
-                stack.append((cell, True))
-                for f, _ in deps:
-                    if f not in memo:
-                        stack.append((f, False))
+            deps = pending.pop(cell, None)
+            if deps is None:
+                kind, deps = self._plan(cell)
+                if kind == "critical":
+                    memo[cell] = alg.unit(cell)
+                    stack.pop()
+                    continue
+                if kind == "collapsible":
+                    memo[cell] = alg.zero
+                    stack.pop()
+                    continue
+                todo = [f for f, _ in deps if f not in memo]
+                if todo:
+                    pending[cell] = deps
+                    for f in todo:
+                        if f in pending:
+                            raise MorseError("cyclic reduction dependency (bug)")
+                        stack.append(f)
+                    continue
+            stack.pop()
+            if len(deps) == 1 and deps[0][1] == 1:
+                # a shortcut slide: values are kept reduced, so the value
+                # at the slide's end is this cell's as it stands; the cells
+                # it passed are never planned or memoized
+                memo[cell] = memo[deps[0][0]]
             else:
-                if len(deps) == 1 and deps[0][1] == 1:
-                    # a shortcut slide: values are kept reduced, so the
-                    # value at the slide's end is this cell's as it stands;
-                    # the cells it passed are never planned or memoized
-                    memo[cell] = memo[deps[0][0]]
-                else:
-                    memo[cell] = alg.combine([(memo[f], x) for f, x in deps])
-                in_progress.discard(cell)
-        return memo[cell0]
+                memo[cell] = alg.combine([(memo[f], x) for f, x in deps])
 
     def reduce(self, terms):
-        """The value of a combination [(cell, coefficient)] of cells."""
-        return self.algebra.combine([(self.reduce_cell(c), x)
-                                     for c, x in terms])
+        """The value of a combination [(cell, coefficient)] of cells, its
+        cells reduced in one walk."""
+        memo = self.memo
+        self._walk([c for c, _ in terms])
+        return self.algebra.combine([(memo[c], x) for c, x in terms])
 
 
 def morse_boundary(red: Reducer, cell):

@@ -79,6 +79,16 @@ def _inverse(w) -> tuple:
     return tuple(-x for x in reversed(w))
 
 
+def _cyclic_reduce(w) -> tuple:
+    """The freely reduced word w with the letters it is conjugated by
+    stripped from both ends."""
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i] == -w[j - 1]:
+        i += 1
+        j -= 1
+    return w[i:j]
+
+
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -265,24 +275,38 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
     # separating contraction: repeatedly remove the smallest separating
     # generator (the basis is in decreasing order) that some relator uses
     # exactly once, taking the shortest such relator (the earliest among
-    # equals)
+    # equals).  Substitution leaves relators conjugated by long words, so
+    # when no relator uses a separating generator once, one whose cyclic
+    # reduction does is replaced by that conjugate and the move is made
+    # there.  A generator used once has exponent sum +-1, so this never
+    # happens on a presentation whose relators are all balanced.
     separating = [number[g] for g in sorted(
         (g for g in out.generators if tags.get(g) == "separating"),
         key=lambda g: -mc.index[1][g])]
-    while True:
+
+    def contract(cyclic: bool) -> bool:
         for g in separating:
             best = None
             for rid in index.get(g, ()):
                 r = rels.get(rid, ())
+                if cyclic:
+                    r = _cyclic_reduce(r)
                 if r.count(g) + r.count(-g) == 1 and (
                         best is None or (len(r), rid) < best):
                     best = (len(r), rid)
             if best is not None:
-                eliminate(g, best[1], "separating merge")
+                rid = best[1]
+                why = "separating merge"
+                if cyclic:
+                    rels[rid] = _cyclic_reduce(rels[rid])
+                    why += ", relator cyclically reduced"
+                eliminate(g, rid, why)
                 separating.remove(g)
-                break
-        else:
-            break
+                return True
+        return False
+
+    while contract(False) or contract(True):
+        pass
 
     out.relators = [decode(r) for r in rels.values() if r]
     return out

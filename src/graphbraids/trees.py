@@ -26,6 +26,7 @@ show to be non-planar.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from functools import cached_property
 
@@ -129,15 +130,15 @@ class OrderedTree:
         return v
 
     def branch(self, v: int, w: int) -> int:
-        """g(v, w): branch of v along the tree path toward w; 0 means toward base."""
+        """g(v, w): branch of v along the tree path toward w; 0 means toward
+        base.  Children are numbered in branch order and each comes before
+        its subtree, so w in v's subtree is on the branch of the last child
+        numbered at most w."""
         if v == w:
             raise TreeError("branch(v, v) is undefined")
-        if not self.is_ancestor(v, w):
+        if not v < w < v + self.size[v]:
             return 0
-        for k, c in enumerate(self.children[v], start=1):
-            if self.is_ancestor(c, w):
-                return k
-        raise TreeError(f"no child of {v} is an ancestor of {w}")
+        return bisect_right(self.children[v], w)
 
     def tree_valency(self, v: int) -> int:
         return len(self.children[v]) + (0 if v == 0 else 1)

@@ -5,8 +5,7 @@ import random
 from itertools import permutations
 
 from graphbraids import cells as C
-from graphbraids.cells import (Classification, boundary, cell_edges,
-                               cell_vertices, classify, matched_cell)
+from graphbraids.cells import boundary, cell_edges, cell_vertices
 from graphbraids.corpus import random_topological_graph
 from graphbraids.graphs import Graph, build_graph, subdivide
 from graphbraids.closedforms import (bare_fill, classify_1cells,
@@ -17,6 +16,92 @@ from graphbraids.morse import (WORDS, MorseError, Reducer, cell_sort_key,
                                morse_boundary, name_critical_cell)
 from graphbraids.present import cyclic_reduce
 from graphbraids.trees import OrderedTree
+
+
+# ---------------------------------------------------------------------------
+# the Farley-Sabalka matching, the long ways
+
+class Classification:
+    __slots__ = ("kind", "witness", "unblocked", "occupied")
+
+    def __init__(self, kind, witness=None, unblocked=None, occupied=None):
+        self.kind = kind  # critical | redundant | collapsible
+        self.witness = witness
+        # unblocked cell vertices
+        self.unblocked = [] if unblocked is None else unblocked
+        # cell vertices and edge ends; at most 2n of them, so a list is
+        # scanned as fast as a set is hashed
+        self.occupied = [] if occupied is None else occupied
+
+
+def classify(t: OrderedTree, cell) -> Classification:
+    """Critical / redundant / collapsible per the matching on UD_n, with its
+    witness, in one pass; ordered cells classify exactly like their
+    unordered projections.  `Reducer._plan` classifies the same way without
+    building a record.
+
+    A vertex v != 0 is unblocked when parent[v] is free, and a tree edge
+    (tau, iota) is order respecting when no cell vertex u has parent[u] ==
+    tau and u < iota.  A cell without either is critical; otherwise it is
+    redundant, witnessed by its smallest unblocked vertex, when that lies
+    below the terminal vertex of every order-respecting edge, and else
+    collapsible, witnessed by the order-respecting edge with the smallest
+    terminal vertex.  One pass over the items collects the vertices, the
+    edges and the occupied vertices."""
+    parent = t.parent
+    verts = []
+    edges = []
+    occupied = []
+    for it in cell:
+        a, b = it
+        occupied.append(a)
+        if b == -1:
+            verts.append(a)
+        else:
+            edges.append(it)
+            occupied.append(b)
+    unb = [v for v in verts if v and parent[v] not in occupied]
+    # only an order-respecting edge below every unblocked vertex matters
+    bound = min(unb) if unb else t.nv
+    best = None
+    deleted = t.deleted_set
+    for e in edges:
+        tau, iota = e
+        if iota >= bound or e in deleted:
+            continue
+        for u in verts:
+            if u < iota and parent[u] == tau:
+                break
+        else:
+            best = e
+            bound = iota
+    if best is not None:
+        return Classification("collapsible", best, unb, occupied)
+    if unb:
+        return Classification("redundant", min(unb), unb, occupied)
+    return Classification("critical", None, unb, occupied)
+
+
+def matched_cell(t: OrderedTree, cell, v: int, ordered: bool = False):
+    """W(cell) for a redundant cell whose smallest unblocked vertex is v
+    (the witness of `classify`): the collapsible cell one dimension up that
+    replaces v by the tree edge below it."""
+    e = (t.parent[v], v)
+    out = [e if it == (v, -1) else it for it in cell]
+    if not ordered:
+        out.sort()
+    return tuple(out)
+
+
+def solved_out(rel, cell):
+    """A relation [(face, coefficient)] of a matched cell, read as a word
+    whose product is 1 (or a chain whose sum is 0), solved for its one +-1
+    term at ``cell``: with that term cell^e and the rest read cyclically
+    after it, cell = rest^-e."""
+    [i] = [i for i, (f, _) in enumerate(rel) if f == cell]
+    e, rest = rel[i][1], rel[i + 1:] + rel[:i]
+    assert e in (1, -1)
+    return list(rest) if e == -1 else [(f, -x) for f, x in reversed(rest)]
 
 
 def unblocked_vertices(t: OrderedTree, cell):
@@ -129,6 +214,19 @@ def random_ordered_tree(seed: int, max_vertices: int = 6,
         seen.update(children[v])
         stack.extend(children[v])
     return OrderedTree(g, base, children)
+
+
+def reference_branch(t: OrderedTree, v: int, w: int) -> int:
+    """g(v, w) child by child: 0 unless w lies in v's subtree, else the
+    number of v's child whose subtree holds w."""
+    if v == w:
+        raise ValueError("branch(v, v) is undefined")
+    if not t.is_ancestor(v, w):
+        return 0
+    for k, c in enumerate(t.children[v], start=1):
+        if t.is_ancestor(c, w):
+            return k
+    raise ValueError(f"no child of {v} is an ancestor of {w}")
 
 
 def separates(t: OrderedTree, edge: tuple, v: int) -> bool:

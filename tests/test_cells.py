@@ -6,15 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from graphbraids import cells as C
 from graphbraids.cells import (enumerate_cells, critical_cells,
-                               euler_characteristic, classify,
-                               boundary, phi, phi_inverse, parse_cell,
+                               euler_characteristic, boundary, phi, phi_inverse, parse_cell,
                                format_cell, perm_cycles, CellError)
 from graphbraids.corpus import corpus
 from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
                                   theta4_pinned_tree, fig_b3n3_tree)
 from graphbraids.graphs import subdivide
 from graphbraids.trees import choose_tree_and_order
-from reference import matching, reference_classify
+from reference import classify, matching, reference_classify
 
 
 def test_cell_counts_k33():

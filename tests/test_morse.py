@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from graphbraids import cells as C
-from graphbraids.cells import parse_cell, format_cell, phi, vertex
+from graphbraids.cells import (enumerate_cells, parse_cell, format_cell, phi,
+                               vertex)
 from graphbraids.corpus import corpus
 from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
                                   theta4_pinned_tree, fig_b3n3_tree,
@@ -13,13 +14,15 @@ from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
 from graphbraids.graphs import BUILTIN_GRAPHS, build_graph, subdivide
 from graphbraids.homology import homology
 from graphbraids.trees import choose_tree_and_order
-from graphbraids.morse import (Reducer, morse_boundary, build_morse_complex,
-                               name_critical_cell, materialize_name,
-                               format_name, MorseError, cell_sort_key)
+from graphbraids.morse import (WORDS, Reducer, morse_boundary,
+                               build_morse_complex, name_critical_cell,
+                               materialize_name, format_name, MorseError,
+                               cell_sort_key)
 from graphbraids.closedforms import (bare_fill, check_closed_forms,
                                      fast_morse_boundary)
-from reference import (ReferenceReducer, dense_boundaries,
-                       per_labelling_complex, step_shortcut_end)
+from reference import (ReferenceReducer, dense_boundaries, matched_cell,
+                       per_labelling_complex, random_ordered_tree,
+                       reference_classify, solved_out, step_shortcut_end)
 
 
 def chain_by_name(mc, chain):
@@ -44,21 +47,45 @@ def test_reduce_examples_k33():
     assert red.reduce_cell(crit) == {crit: 1}
 
 
+def _check_plan(red, cell, plan):
+    """A plan of ``red`` against the references: its kind is
+    `reference_classify`'s; a redundant cell slides to `step_shortcut_end`
+    when that moves a vertex, and is otherwise solved out of the relation of
+    its `matched_cell`.  Returns the slide's end, or None."""
+    t, ordered = red.t, red.ordered
+    kind, deps = plan
+    want = reference_classify(t, cell)
+    assert kind == want.kind
+    if kind != "redundant":
+        assert deps is None
+        return None
+    end = step_shortcut_end(t, cell, ordered)
+    if end is not None:
+        assert deps == [(end, 1)]
+    else:
+        matched = matched_cell(t, cell, want.witness, ordered)
+        assert list(deps) == solved_out(red.algebra.relation(matched, ordered),
+                                        cell)
+    return end
+
+
+def _recorded_plans(red):
+    """The (cell, plan) pairs ``red`` makes from now on."""
+    plans = []
+    plan = red._plan
+    red._plan = lambda cell: plans.append((cell, plan(cell))) or plans[-1][1]
+    return plans
+
+
 def test_reduce_shortcut_equals_naive():
     t = k33_pinned_tree()
     red, naive = Reducer(t), ReferenceReducer(t)
-    moves = []
-    shortcut = red._shortcut_move
-
-    def counted(cell, cls):
-        moves.append(shortcut(cell, cls))
-        return moves[-1]
-
-    red._shortcut_move = counted
+    plans = _recorded_plans(red)
     for s in ("{0-3,1-5}", "{0-4,1-5}", "{0-4,3-5}"):
         c = parse_cell(s)[0]
         assert morse_boundary(red, c) == naive.morse_boundary(c)
-    assert any(m is not None for m in moves)  # the shortcut move was taken
+    ends = [_check_plan(red, c, p) for c, p in plans]
+    assert any(e is not None for e in ends)  # the shortcut move was taken
 
 
 def test_morse_boundary_k33():
@@ -109,13 +136,16 @@ def test_corrupt_boundary_raises():
 
 def test_missing_matched_face_raises(monkeypatch):
     from graphbraids import cells
-    monkeypatch.setattr(cells, "boundary", lambda cell, ordered=False: [])
     t = k33_pinned_tree()
     red = Reducer(t)
     # the end 3 of edge 0-3 sits between vertex 4 and its parent 2, so no
     # shortcut move applies and the matched cell's boundary is read
     cell = parse_cell("{0-3,4}")[0]
-    assert red._shortcut_move(cell, cells.classify(t, cell)) is None
+    assert step_shortcut_end(t, cell) is None
+    assert _check_plan(red, cell, red._plan(cell)) is None
+    monkeypatch.setattr(cells, "boundary", lambda cell, ordered=False: [])
+    with pytest.raises(MorseError, match="matched face"):
+        red._plan(cell)
     with pytest.raises(MorseError, match="matched face"):
         red.reduce_cell(cell)
 
@@ -123,18 +153,16 @@ def test_missing_matched_face_raises(monkeypatch):
 @pytest.mark.parametrize("make,n", [(k33_pinned_tree, 2),
                                     (theta4_pinned_tree, 3)])
 @pytest.mark.parametrize("flavor", ["unordered", "ordered"])
-def test_each_reduced_cell_is_classified_once(monkeypatch, make, n, flavor):
-    from graphbraids import cells
+def test_each_reduced_cell_is_classified_once(make, n, flavor):
     t = make()
     mc = build_morse_complex(t, n, flavor)
-    calls = []
-    classify = cells.classify
-    monkeypatch.setattr(cells, "classify",
-                        lambda t, cell: calls.append(cell) or classify(t, cell))
     red = Reducer(t, ordered=flavor == "ordered")
+    plans = _recorded_plans(red)
     for cell in mc.critical[2]:
         morse_boundary(red, cell)
-    assert len(calls) == len(red.memo) > 0
+    planned = [c for c, _ in plans]
+    assert len(set(planned)) == len(planned) == len(red.memo) > 0
+    assert set(planned) == red.memo.keys()
 
 
 def test_slide_plans_only_the_ends_of_a_run():
@@ -152,21 +180,21 @@ def test_slide_plans_only_the_ends_of_a_run():
 
 
 def _check_slide_matches_steps(t, n, flavor):
-    """The slide's end is the iterated one-step move's on every redundant
-    cell the build plans; returns those cells."""
+    """Every plan the build makes agrees with the references: the slide's
+    end is the iterated one-step move's on every redundant cell.  Returns
+    the ends of the slides taken."""
     planned = []
     plan = Reducer._plan
+
+    def recorded(self, cell):
+        planned.append((self, cell, plan(self, cell)))
+        return planned[-1][2]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Reducer, "_plan",
-                   lambda self, cell: planned.append(cell) or plan(self, cell))
+        mp.setattr(Reducer, "_plan", recorded)
         build_morse_complex(t, n, flavor)
-    ordered = flavor == "ordered"
-    red = Reducer(t, ordered)
-    redundant = [c for c in planned if C.classify(t, c).kind == "redundant"]
-    for c in redundant:
-        assert red._shortcut_move(c, C.classify(t, c)) == \
-            step_shortcut_end(t, c, ordered)
-    return redundant
+    ends = [_check_plan(red, c, p) for red, c, p in planned]
+    return [e for e in ends if e is not None]
 
 
 @settings(max_examples=20, deadline=None)
@@ -177,11 +205,24 @@ def test_slide_matches_steps_on_corpus(seed, n, flavor):
 
 
 def test_slide_matches_steps_k5_n4():
-    t = k5_pinned_tree()
-    redundant = _check_slide_matches_steps(t, 4, "unordered")
-    red = Reducer(t)
-    assert any(red._shortcut_move(c, C.classify(t, c)) is not None
-               for c in redundant)
+    assert _check_slide_matches_steps(k5_pinned_tree(), 4, "unordered")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 3),
+       st.sampled_from(["unordered", "ordered"]))
+def test_plan_matches_references_on_random_trees(seed, n, flavor):
+    """Every cell of the complex, planned in chains and (1-cells, whose
+    matched cells are squares) in words, against the references; about
+    half of these trees fail T2."""
+    t = random_ordered_tree(seed)
+    ordered = flavor == "ordered"
+    red, words = Reducer(t, ordered), Reducer(t, ordered, algebra=WORDS)
+    for d, cs in enumerate_cells(t, n, flavor).items():
+        for cell in cs:
+            _check_plan(red, cell, red._plan(cell))
+            if d == 1:
+                _check_plan(words, cell, words._plan(cell))
 
 
 def test_k5_n4_boundaries_match_reference_reducer():
@@ -731,9 +772,9 @@ def test_a_lone_critical_0cell_build_classifies_no_0cell(monkeypatch, name,
                                                          n, flavor):
     t = pinned_tree(name, n) or _tree(build_graph(name), n)
     classified = []
-    classify = C.classify
-    monkeypatch.setattr(C, "classify", lambda t, cell: classified.append(
-        C.cell_dim(cell)) or classify(t, cell))
+    plan = Reducer._plan
+    monkeypatch.setattr(Reducer, "_plan", lambda self, cell: classified.append(
+        C.cell_dim(cell)) or plan(self, cell))
     mc = build_morse_complex(t, n, flavor)
     assert len(mc.critical[0]) == 1 and mc.critical[1]
     assert 0 not in classified

@@ -19,8 +19,9 @@ from graphbraids.closedforms import check_closed_forms, classify_1cells
 from graphbraids.present import (cyclic_reduce, raw_presentation, simplify,
                                  commutator_form, format_word, substitute,
                                  Presentation, _leading_pairs)
-from reference import (ReferenceReducer, dense_boundaries, exponent_sums,
-                       matching, quadratic_genus, unblocked_vertices)
+from reference import (ReferenceReducer, classify, dense_boundaries,
+                       exponent_sums, matching, planted_graph,
+                       quadratic_genus, unblocked_vertices)
 
 
 def w(*letters):
@@ -86,7 +87,7 @@ def test_rewrite_abelianization_matches_reduction():
     t = theta4_pinned_tree()
     rw = Reducer(t, algebra=WORDS)
     red = Reducer(t)
-    from graphbraids.cells import enumerate_cells, classify
+    from graphbraids.cells import enumerate_cells
     for cell in enumerate_cells(t, 3, "unordered")[1]:
         word = rw.reduce_cell(cell)
         ab = {}
@@ -249,7 +250,7 @@ class ReferenceRewriter:
 
     def _plan(self, cell):
         t = self.t
-        cls = C.classify(t, cell)
+        cls = classify(t, cell)
         if cls.kind == "critical":
             return "critical", None
         if cls.kind == "collapsible":
@@ -393,21 +394,30 @@ def reference_simplify(pres, mc, audit=None):
             continue
         eliminate(g, rel_idx, "pivotal")
 
-    progress = True
-    while progress:
-        progress = False
+    def merge(cyclic):
+        """One separating merge, on a relator that uses the generator once
+        (after cyclic reduction, when ``cyclic``)."""
+        read = cyclic_reduce if cyclic else (lambda r: r)
         seps = [g for g in pres.generators if tags.get(g) == "separating"]
         for g in sorted(seps, key=lambda g: cell_sort_key(
                 mc.tree, C.phi(g)[0] if mc.ordered else g,
                 C.phi(g)[1] if mc.ordered else None)):
             candidates = [i for i, r in enumerate(pres.relators)
-                          if sum(1 for x, _ in r if x == g) == 1]
+                          if sum(1 for x, _ in read(r) if x == g) == 1]
             if not candidates:
                 continue
-            rel_idx = min(candidates, key=lambda i: len(pres.relators[i]))
-            if eliminate(g, rel_idx, "separating merge"):
-                progress = True
-                break
+            rel_idx = min(candidates,
+                          key=lambda i: len(read(pres.relators[i])))
+            why = "separating merge"
+            if cyclic:
+                pres.relators[rel_idx] = cyclic_reduce(pres.relators[rel_idx])
+                why += ", relator cyclically reduced"
+            if eliminate(g, rel_idx, why):
+                return True
+        return False
+
+    while merge(False) or merge(True):
+        pass
 
     pres.relators = [r for r in pres.relators if r]
     return pres
@@ -457,10 +467,27 @@ def _same_simplification(mc):
     # a separating generator no relator used once becomes usable after a
     # later merge rewrites one of its relators
     lambda: _generic_complex(build_graph("FigCounterEx"), 2, "ordered"),
+    # no relator uses a separating generator once until one is cyclically
+    # reduced
+    lambda: _generic_complex(planted_graph(592), 2, "ordered"),
 ], ids=["K33-n2", "K33-n2-ordered", "Theta4-n3", "FigB3n3-n3", "K5-n4",
-        "K2221-n3", "FigCounterEx-n2-ordered"])
+        "K2221-n3", "FigCounterEx-n2-ordered", "planted592-n2-ordered"])
 def test_simplify_matches_reference(make):
     _same_simplification(make())
+
+
+def test_separating_merge_on_a_cyclically_reduced_relator():
+    # P_2 of this non-planar graph: after the plain merges every relator
+    # uses the last separating generator 0, 2 or 3 times, but two of them
+    # use it once up to conjugation; the merge there leaves as many
+    # generators as H1 has rank, so every relator is balanced
+    mc = _generic_complex(planted_graph(592), 2, "ordered")
+    p = simplify(raw_presentation(mc), mc)
+    assert p.history[-1].endswith("(separating merge, relator cyclically "
+                                  "reduced)")
+    assert all(not exponent_sums(r) for r in p.relators)
+    h1 = homology(mc)[1]
+    assert (len(p.generators), h1.torsion) == (h1.rank, ())
 
 
 @settings(max_examples=30, deadline=None)

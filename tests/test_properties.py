@@ -7,14 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from graphbraids.corpus import corpus, random_topological_graph
 from graphbraids.graphs import subdivide, betti1, build_graph, is_planar
 from graphbraids.trees import choose_tree_and_order, verify_conditions
-from graphbraids.cells import classify, phi, enumerate_cells
+from graphbraids.cells import phi, enumerate_cells
 from graphbraids.morse import (build_morse_complex, MorseError, Reducer,
                                morse_boundary, free_reduce, winv, wmul)
 from graphbraids.closedforms import check_closed_forms
 from graphbraids.homology import homology
 from graphbraids.decompose import h1_formula
 from graphbraids.present import commutator_form, raw_presentation, simplify
-from reference import exponent_sums, matching, planted_graph
+from reference import classify, exponent_sums, matching, planted_graph
 
 
 def test_generic_trees_self_validate_on_corpus():
@@ -190,6 +190,10 @@ NO_JOIN = "no critical 1-cell joins the two 0-cells"
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10_000))
+# at ordered n = 2 the separating contraction of seeds 592 and 2101 stops
+# with relators that use a separating generator once only up to conjugation
+@example(592)
+@example(2101)
 def test_relators_are_words_in_commutators(seed):
     """The paper's commutator characteristics on the simplified
     presentations: every relator of B_n (n = 2 strict, n = 3 auto) has all

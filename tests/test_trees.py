@@ -12,7 +12,8 @@ from graphbraids.trees import (OrderedTree, TreeError, choose_tree_and_order,
 from graphbraids.fixtures import (PINNED_TREES, k33_pinned_tree, k5_pinned_tree,
                                   k4_pinned_tree, theta4_pinned_tree,
                                   fig_b3n3_tree, pinned_tree)
-from reference import random_ordered_tree, reference_sep_classes, reference_t2
+from reference import (random_ordered_tree, reference_branch,
+                       reference_sep_classes, reference_t2)
 
 
 def test_k33_navigation_examples():
@@ -72,6 +73,24 @@ def test_census_and_t2_match_references_on_random_trees(seed):
 @pytest.mark.parametrize("key", sorted(PINNED_TREES))
 def test_census_and_t2_match_references_on_pinned_trees(key):
     _census_and_t2_match_references(PINNED_TREES[key]())
+
+
+def _branch_matches_reference(t):
+    for v in range(t.nv):
+        for w in range(t.nv):
+            if v != w:
+                assert t.branch(v, w) == reference_branch(t, v, w), (v, w)
+
+
+def test_branch_matches_reference_on_random_trees():
+    # about half of these trees fail T2 (see below)
+    for seed in range(50):
+        _branch_matches_reference(random_ordered_tree(seed))
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_TREES))
+def test_branch_matches_reference_on_pinned_trees(key):
+    _branch_matches_reference(PINNED_TREES[key]())
 
 
 def test_random_trees_fail_t2_about_half_the_time():
