@@ -41,10 +41,6 @@ def closure_vertices(item):
     return (item[0],) if item[1] == -1 else item
 
 
-def cell_vertices(cell):
-    return [it[0] for it in cell if it[1] == -1]
-
-
 def cell_edges(cell):
     return [it for it in cell if it[1] != -1]
 
@@ -308,27 +304,3 @@ def format_cell(cell, ordered: bool = False) -> str:
     # display convention: edges first, then vertices
     items = sorted(cell, key=lambda it: (it[1] == -1, it))
     return "{" + ",".join(format_item(it) for it in items) + "}"
-
-
-def parse_cell(text: str):
-    """Parse "{0-3,1-5}" (unordered) or "(4,3-5)" (ordered tuple)."""
-    text = text.strip()
-    if text.startswith("{") and text.endswith("}"):
-        ordered = False
-    elif text.startswith("(") and text.endswith(")"):
-        ordered = True
-    else:
-        raise CellError(f"bad cell syntax {text!r}")
-    items = []
-    body = text[1:-1].strip()
-    if body:
-        for part in body.split(","):
-            part = part.strip()
-            if "-" in part:
-                a, b = part.split("-")
-                items.append((int(a), int(b)))
-            else:
-                items.append(vertex(int(part)))
-    if not ordered:
-        items.sort()
-    return tuple(items), ordered

@@ -52,7 +52,7 @@ def _prepare_tree(args):
         policy = args.subdivide
         if policy.isdigit():
             policy = int(policy)
-    gs, record = subdivide(g, args.n, policy)
+    gs, _ = subdivide(g, args.n, policy)
     mode = args.mode
     t = choose_tree_and_order(gs, args.n, mode)
     return t, f"subdivide={policy},mode={mode}", g

@@ -8,8 +8,7 @@ closed boundary formulas (`fast_morse_boundary`, and
 reading separation and its branch off the tree's census ``sep_classes``,
 and `check_closed_forms` compares the built complex with them.  The 1-cell
 census (`classify_1cells`) is read off the cells' names and ``sep_classes``,
-not off the matrix; `undetermined_block` reads the block the census leaves
-undetermined off the complex's d2 rows.
+not off the matrix.
 """
 
 from __future__ import annotations
@@ -79,28 +78,6 @@ def wedge_cell(t: OrderedTree, d, dp, s0: int, strict: bool = True):
             raise MorseError("wedge cell failed to materialize")
         return None
     return cell
-
-
-def bare_fill(t: OrderedTree, items, count: int):
-    """Complete items with `count` blocked vertices packed as low as the
-    closures allow (the 0_s prefix, shifted past any occupied endpoint)."""
-    used = set()
-    for it in items:
-        used.update(C.closure_vertices(it))
-    verts = set(C.cell_vertices(items))
-    ends = used - verts
-    out = list(items)
-    v = 0
-    while count > 0 and v < t.nv:
-        if v not in used and (v == 0 or t.parent[v] in verts or t.parent[v] in ends):
-            out.append(C.vertex(v))
-            verts.add(v)
-            used.add(v)
-            count -= 1
-        v += 1
-    if count:
-        raise MorseError("could not complete cell with blocked vertices")
-    return tuple(sorted(out))
 
 
 def fast_morse_boundary(t: OrderedTree, cell) -> dict:
@@ -196,12 +173,6 @@ def fast_morse_boundary_ordered(t: OrderedTree, cell_tuple) -> dict:
     return {c: x for c, x in out.items() if x}
 
 
-def _fast_for(t: OrderedTree, cell, ordered: bool) -> dict:
-    if ordered:
-        return fast_morse_boundary_ordered(t, cell)
-    return fast_morse_boundary(t, cell)
-
-
 def check_closed_forms(mc: MorseComplex) -> None:
     """Compare every d2 row of ``mc``, read off its relator words, with the
     closed boundary formulas, an independent statement of d2.  Raises
@@ -215,7 +186,8 @@ def check_closed_forms(mc: MorseComplex) -> None:
                          "satisfying T1-T3")
     faces = mc.critical.get(1, [])
     for cell, row in zip(mc.critical.get(2, ()), mc.boundaries.get(2, ())):
-        closed = _fast_for(mc.tree, cell, mc.ordered)
+        closed = (fast_morse_boundary_ordered(mc.tree, cell) if mc.ordered
+                  else fast_morse_boundary(mc.tree, cell))
         chain = {faces[j]: row[j] for j in sorted(row)}
         if closed != chain:
             raise MorseError(
@@ -275,51 +247,3 @@ def classify_1cells(mc: MorseComplex) -> dict:
                 pivotal = hit and sum(tm.vec) >= 2
         tags[cell] = "pivotal" if pivotal else "free"
     return tags
-
-
-def undetermined_block(mc: MorseComplex):
-    """Rows d u d' - d u d_ref over the separating 1-cells, the block left
-    after removing pivotal rows/columns and free columns, read off the d2
-    rows of the complex.
-
-    Returns (matrix, row_labels, column_cells); for the ordered flavor each
-    family row appears once per labelling, for sigma in ``mc.sigmas``.  At
-    n = 1 there are no 2-cells, so the block has no rows.
-    """
-    t = mc.tree
-    tags = classify_1cells(mc)
-    sep = [c for c in mc.critical.get(1, ()) if tags[c] == "separating"]
-    if mc.n < 2:
-        return [], [], sep
-    col_index = {mc.index[1][c]: i for i, c in enumerate(sep)}
-    index2 = mc.index.get(2, {})
-
-    def d2_row(edges, sigma):
-        cell = bare_fill(t, edges, mc.n - 2)
-        if sigma is not None:
-            cell = C.phi_inverse(cell, sigma)
-        if cell not in index2:
-            raise MorseError(f"family cell {C.format_cell(cell, mc.ordered)} "
-                             f"is not a critical 2-cell")
-        return mc.boundaries[2][index2[cell]]
-
-    rows, labels = [], []
-    for d, partners in sorted(separating_families(t), reverse=True):
-        ref = partners[0]
-        for dp in sorted(partners[1:], reverse=True):
-            for sigma in mc.sigmas:
-                label = (d, dp, ref) if sigma is None else (d, dp, ref, sigma)
-                chain = dict(d2_row([d, dp], sigma))
-                for j, x in d2_row([d, ref], sigma).items():
-                    chain[j] = chain.get(j, 0) - x
-                row = [0] * len(sep)
-                for j, x in chain.items():
-                    if j in col_index:
-                        row[col_index[j]] = x
-                    elif x:
-                        raise MorseError(
-                            f"block row {label} leaks outside separating "
-                            f"columns: {C.format_cell(mc.critical[1][j], mc.ordered)}")
-                rows.append(row)
-                labels.append(label)
-    return rows, labels, sep

@@ -326,9 +326,6 @@ class SubdivisionRecord:
             {} if replacements is None else replacements)
         self.inserted: dict[str, list[str]] = {} if inserted is None else inserted
 
-    def trivial(self) -> bool:
-        return all(len(v) == 1 for v in self.replacements.values())
-
 
 def is_suitably_subdivided(g: Graph, n: int, strict: bool = False) -> bool:
     """Path rule: segments have >= n-1 edges (>= 2 when strict); cycle rule:

@@ -1,10 +1,10 @@
-"""Exact integer matrix utilities: Smith normal form, rank, kernel bases.
+"""Exact integer matrix utilities: Smith normal form, kernel bases.
 
 Matrices are plain lists of lists of Python ints, so all arithmetic is
 arbitrary precision.  Row convention throughout: a chain is a row vector and
 a boundary matrix has one row per generator of the source.
 
-Invariant factors (``smith_normal_form``, ``rank``) come from
+Invariant factors (``smith_normal_form``) come from
 ``unit_pivots``, which takes the +-1 pivots on sparse rows {column:
 coefficient} in one pass, followed by the dense Smith loop on the small core
 left over; Morse boundary matrices are almost all +-1, and ``homology``
@@ -18,20 +18,15 @@ import heapq
 
 
 class SmithForm:
-    """The invariant factors of a rows x cols integer matrix: diag is the
+    """The invariant factors of an integer matrix: diag is the
     divisibility chain d1 | d2 | ... of positive entries."""
 
-    def __init__(self, diag: list, rows: int, cols: int):
+    def __init__(self, diag: list):
         self.diag = diag
-        self.rows = rows
-        self.cols = cols
 
     @property
     def rank(self) -> int:
         return len(self.diag)
-
-    def torsion(self) -> list:
-        return [d for d in self.diag if abs(d) > 1]
 
 
 def smith_normal_form(a) -> SmithForm:
@@ -44,7 +39,7 @@ def smith_normal_form(a) -> SmithForm:
     pivots, core = unit_pivots([{j: x for j, x in enumerate(r) if x}
                                 for r in a])
     diag = [1] * len(pivots) + _dense_smith_form(densify(core))
-    return SmithForm(diag, len(a), len(a[0]) if a else 0)
+    return SmithForm(diag)
 
 
 def densify(rows):
@@ -190,10 +185,6 @@ def _dense_smith_form(m) -> list:
             m[s] = [-x for x in ms]
         s += 1
     return [m[i][i] for i in range(min(rows, cols)) if m[i][i]]
-
-
-def rank(a) -> int:
-    return smith_normal_form(a).rank
 
 
 def kernel_basis(a):

@@ -254,13 +254,6 @@ class Reducer:
             return "redundant", rest
         return "redundant", [(f, -x) for f, x in reversed(rest)]
 
-    def reduce_cell(self, cell):
-        value = self.memo.get(cell)
-        if value is None:
-            self._walk((cell,))
-            value = self.memo[cell]
-        return value
-
     def _walk(self, cells):
         """Reduce ``cells`` and every cell they depend on into ``memo``, on
         one stack.  A redundant cell waits in ``pending`` from its plan
@@ -568,19 +561,6 @@ class MorseComplex:
     def full_euler_characteristic(self) -> int:
         """The Euler characteristic of the whole complex, from Gal's series."""
         return C.euler_characteristic(self.tree, self.n, self.flavor)
-
-    def validate_chain_complex(self):
-        for d in sorted(self.boundaries):
-            lower = self.boundaries.get(d - 1)
-            if lower is None:
-                continue
-            for row in self.boundaries[d]:
-                acc: dict = {}
-                for j, x in row.items():
-                    for k, y in lower[j].items():
-                        acc[k] = acc.get(k, 0) + x * y
-                if any(acc.values()):
-                    raise MorseError(f"d o d != 0 in degree {d}")
 
     def orbit(self, cell):
         """(the orbit's representative, sigma) of a basis cell: row i of its

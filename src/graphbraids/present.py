@@ -102,12 +102,6 @@ class Presentation:
         self.names = names
         self.history = [] if history is None else history
 
-    def __eq__(self, other):
-        if not isinstance(other, Presentation):
-            return NotImplemented
-        return (self.generators, self.relators, self.names, self.history) == \
-            (other.generators, other.relators, other.names, other.history)
-
     def abelianization(self) -> AbelianGroup:
         index = {g: i for i, g in enumerate(self.generators)}
         rows = []

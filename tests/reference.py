@@ -3,19 +3,51 @@
 import math
 import random
 from itertools import permutations
+from types import SimpleNamespace
 
 from graphbraids import cells as C
-from graphbraids.cells import boundary, cell_edges, cell_vertices
+from graphbraids.cells import CellError, boundary, cell_edges, vertex
 from graphbraids.corpus import random_topological_graph
 from graphbraids.graphs import Graph, build_graph, subdivide
-from graphbraids.closedforms import (bare_fill, classify_1cells,
-                                     separating_families)
+from graphbraids.closedforms import classify_1cells, separating_families
 from graphbraids.homology import AbelianGroup
 from graphbraids.intlinalg import smith_normal_form
 from graphbraids.morse import (WORDS, MorseError, Reducer, cell_sort_key,
                                morse_boundary, name_critical_cell)
 from graphbraids.present import cyclic_reduce
 from graphbraids.trees import OrderedTree
+
+
+# ---------------------------------------------------------------------------
+# cells in text: {0-3,1-5} and (4,3-5)
+
+def parse_cell(text: str):
+    """Parse "{0-3,1-5}" (unordered) or "(4,3-5)" (ordered tuple), the
+    syntax `cells.format_cell` writes."""
+    text = text.strip()
+    if text.startswith("{") and text.endswith("}"):
+        ordered = False
+    elif text.startswith("(") and text.endswith(")"):
+        ordered = True
+    else:
+        raise CellError(f"bad cell syntax {text!r}")
+    items = []
+    body = text[1:-1].strip()
+    if body:
+        for part in body.split(","):
+            part = part.strip()
+            if "-" in part:
+                a, b = part.split("-")
+                items.append((int(a), int(b)))
+            else:
+                items.append(vertex(int(part)))
+    if not ordered:
+        items.sort()
+    return tuple(items), ordered
+
+
+def cell_vertices(cell):
+    return [it[0] for it in cell if it[1] == -1]
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +420,44 @@ def per_labelling_complex(t: OrderedTree, n: int):
     return critical, names, boundaries, relators
 
 
+def bare_fill(t: OrderedTree, items, count: int):
+    """Complete items with `count` blocked vertices packed as low as the
+    closures allow (the 0_s prefix, shifted past any occupied endpoint)."""
+    used = set()
+    for it in items:
+        used.update(C.closure_vertices(it))
+    verts = set(cell_vertices(items))
+    ends = used - verts
+    out = list(items)
+    v = 0
+    while count > 0 and v < t.nv:
+        if v not in used and (v == 0 or t.parent[v] in verts or t.parent[v] in ends):
+            out.append(vertex(v))
+            verts.add(v)
+            used.add(v)
+            count -= 1
+        v += 1
+    if count:
+        raise MorseError("could not complete cell with blocked vertices")
+    return tuple(sorted(out))
+
+
 def reference_undetermined_block(mc):
-    """The undetermined block the long way: each family row is the
-    difference of the two family cells' Morse boundaries, reduced afresh
-    with a `Reducer`; the ordered family cells are the labellings of the
-    sorted pair by every permutation, in lexicographic order."""
+    """The undetermined block of the paper's Z_2 torsion argument: rows
+    d u d' - d u d_ref over the separating 1-cells, the block left after
+    removing pivotal rows and columns and free columns.  Returns (rows,
+    row labels, column cells).
+
+    Each family row is the difference of the two family cells' Morse
+    boundaries, reduced afresh with a `Reducer`; the ordered family cells
+    are the labellings of the sorted pair by every permutation, in
+    lexicographic order.  At n = 1 there are no 2-cells, so the block has
+    no rows."""
     t = mc.tree
     tags = classify_1cells(mc)
     sep = [c for c in mc.critical.get(1, ()) if tags[c] == "separating"]
+    if mc.n < 2:
+        return [], [], sep
     col_index = {c: i for i, c in enumerate(sep)}
     red = Reducer(t, mc.ordered)
     rows, labels = [], []
@@ -429,6 +491,36 @@ def reference_undetermined_block(mc):
 
 
 # ---------------------------------------------------------------------------
+# the whole cube complex
+
+def whole_complex(t: OrderedTree, n: int, flavor: str = "unordered"):
+    """UD_n (or D_n) of t's graph with every cell a basis cell, as the chain
+    complex `homology` reads: ``critical`` holds the cells of
+    `cells.enumerate_cells` by degree, and ``boundaries`` their cubical
+    boundaries as sparse rows {column: nonzero coefficient}.  It needs no
+    matching, reducer or rewriting, and by Forman's theorem its homology is
+    that of the Morse complex over any ordered tree."""
+    ordered = flavor == "ordered"
+    cells = C.enumerate_cells(t, n, flavor)
+    boundaries = {}
+    for d, cs in cells.items():
+        if d == 0:
+            continue
+        index = {c: i for i, c in enumerate(cells[d - 1])}
+        rows = boundaries[d] = []
+        for c in cs:
+            row = {}
+            for f, x in boundary(c, ordered):
+                v = row.get(index[f], 0) + x
+                if v:
+                    row[index[f]] = v
+                else:
+                    del row[index[f]]
+            rows.append(row)
+    return SimpleNamespace(critical=cells, boundaries=boundaries)
+
+
+# ---------------------------------------------------------------------------
 # dense matrices
 
 def dense_boundaries(mc):
@@ -439,6 +531,16 @@ def dense_boundaries(mc):
         width = len(mc.critical.get(d - 1, ()))
         out[d] = [[row.get(j, 0) for j in range(width)] for row in rows]
     return out
+
+
+def assert_chain_complex(mc):
+    """d_(d-1) o d_d = 0 in every degree, on the dense matrices."""
+    dense = dense_boundaries(mc)
+    for d, upper in dense.items():
+        lower = dense.get(d - 1)
+        if upper and lower:
+            assert not any(map(any, mat_mul(upper, lower))), \
+                f"d o d != 0 in degree {d}"
 
 
 def mat_mul(a, b):

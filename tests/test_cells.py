@@ -6,14 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from graphbraids import cells as C
 from graphbraids.cells import (enumerate_cells, critical_cells,
-                               euler_characteristic, boundary, phi, phi_inverse, parse_cell,
-                               format_cell, perm_cycles, CellError)
+                               estimate_cell_count, euler_characteristic,
+                               boundary, phi, phi_inverse, format_cell,
+                               perm_cycles, CellError)
 from graphbraids.corpus import corpus
 from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
                                   theta4_pinned_tree, fig_b3n3_tree)
 from graphbraids.graphs import subdivide
 from graphbraids.trees import choose_tree_and_order
-from reference import classify, matching, reference_classify
+from reference import (classify, matching, parse_cell, random_ordered_tree,
+                       reference_classify)
 
 
 def test_cell_counts_k33():
@@ -61,6 +63,23 @@ def test_critical_cells_match_classification_on_corpus(seed, n, flavor):
     want = classified_critical_cells(t, n, flavor)
     assert sorted(got) == sorted(want)  # empty dimensions included
     assert got == want
+
+
+def test_critical_cells_reach_the_top_degree_of_the_complex():
+    # complex_dimension gives critical_cells its keys: the most disjoint
+    # edges, at most n, that leave n - d vertices free.  A top degree read
+    # without the free vertices is too high exactly on small trees at large
+    # n, whose whole complexes are small
+    compared = 0
+    for seed in range(200):
+        t = random_ordered_tree(seed)
+        for n in range(2, 6):
+            if estimate_cell_count(t, n) > 20_000:
+                continue
+            top = max(enumerate_cells(t, n), default=-1)
+            assert max(critical_cells(t, n), default=-1) == top, (seed, n)
+            compared += 1
+    assert compared >= 400
 
 
 def test_critical_cells_match_classification_k5():

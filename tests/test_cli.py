@@ -590,3 +590,40 @@ def test_an_empty_or_negative_graph_family_is_named_in_one_line(
 def test_a_huge_graph_family_is_one_line(capsys, spec):
     _one_line_error(capsys, ["homology", "--graph", spec, "--n", "2"],
                     f"error: graph family {spec!r} has ")
+
+
+DEGENERATE = {
+    "K1": "K(1)",
+    "K2": "K(2)",
+    "Theta1": "Theta(1)",
+    "Theta2": "Theta(2)",
+    "K1,0": "K(1,0)",
+    "point": json.dumps(POINT),
+    "empty": json.dumps({"vertices": [], "edges": []}),
+    "loop": json.dumps({"vertices": ["a"], "edges": [["e", "a", "a"]]}),
+    "duplicate-ids": json.dumps({"vertices": ["a", "b", "c"],
+                                 "edges": [["e", "a", "b"], ["e", "b", "c"]]}),
+    "int-ids": json.dumps({"vertices": [1, 2], "edges": [[1, 2]]}),
+    "edge-list-triangle": "a b\nb c\nc a",
+}
+
+
+@pytest.mark.parametrize("spec", list(DEGENERATE.values()),
+                         ids=list(DEGENERATE))
+def test_degenerate_inputs_answer_or_refuse_in_one_line(capsys, spec):
+    # every tree command at n = 0-3 in both flavors: an answer (exit 0, or
+    # 1 for a check mismatch) or one error line with exit code 2
+    bad = []
+    for command, n, flavor in itertools.product(
+            ("homology", "check", "present", "cells", "tree"), range(4),
+            ("unordered", "ordered")):
+        argv = [command, "--graph", spec, "--n", str(n), "--flavor", flavor]
+        status = run(argv)
+        err = capsys.readouterr().err
+        if status == 2:
+            ok = err.count("\n") == 1 and err.startswith("error: ")
+        else:
+            ok = status == 0 or (status == 1 and command == "check")
+        if not ok:
+            bad.append((argv, status, err))
+    assert not bad

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphbraids.intlinalg import (smith_normal_form, kernel_basis,
-                                   kernel_coordinates, rank, unit_pivots,
+                                   kernel_coordinates, unit_pivots,
                                    densify)
 
 from reference import mat_mul, naive_invariant_factors
@@ -98,8 +98,6 @@ def test_unit_pivots_take_the_lowest_unit_column_from_the_last_row():
 def test_sparse_snf_matches_naive_oracle(m):
     s = smith_normal_form(m)
     assert s.diag == naive_invariant_factors(m)
-    assert (s.rows, s.cols) == (len(m), len(m[0]))
-    assert rank(m) == s.rank
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,7 +125,7 @@ def test_no_unit_matrix_takes_the_dense_path():
 def test_zero_rows_and_columns():
     m = [[0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 4]]
     s = smith_normal_form(m)
-    assert s.diag == [2, 4] and (s.rows, s.cols) == (4, 4)
+    assert s.diag == [2, 4] and s.rank == 2
     assert smith_normal_form([[0, 0, 0], [0, 1, 0]]).diag == [1]
     assert smith_normal_form([[], []]).diag == []
 
@@ -146,7 +144,7 @@ def test_kernel_basis_and_coordinates():
         rows, cols = rng.randint(2, 6), rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         basis, snf = kernel_basis(m)
-        assert len(basis) == rows - rank(m)
+        assert len(basis) == rows - smith_normal_form(m).rank
         for b in basis:
             prod = [sum(b[i] * m[i][j] for i in range(rows)) for j in range(cols)]
             assert all(x == 0 for x in prod)
@@ -164,7 +162,7 @@ def test_kernel_basis_and_coordinates():
 def test_kernel_basis_is_a_direct_summand_with_integer_coordinates(m, data):
     rows = len(m)
     basis, state = kernel_basis(m)
-    assert len(basis) == rows - rank(m)
+    assert len(basis) == rows - smith_normal_form(m).rank
     assert all(x == 0 for row in mat_mul(basis, m) for x in row)
     if basis:
         # the basis extends to a basis of Z^rows

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphbraids import cells as C, present
-from graphbraids.cells import parse_cell, format_cell, vertex, boundary_word
+from graphbraids.cells import format_cell, vertex, boundary_word
 from graphbraids.corpus import corpus
 from graphbraids.fixtures import (k33_pinned_tree, theta4_pinned_tree,
                                   k5_pinned_tree, k4_pinned_tree, fig_b3n3_tree)
@@ -19,9 +19,9 @@ from graphbraids.closedforms import check_closed_forms, classify_1cells
 from graphbraids.present import (cyclic_reduce, raw_presentation, simplify,
                                  commutator_form, format_word, substitute,
                                  Presentation, _leading_pairs)
-from reference import (ReferenceReducer, classify, dense_boundaries,
-                       exponent_sums, matching, planted_graph,
-                       quadratic_genus, unblocked_vertices)
+from reference import (ReferenceReducer, cell_vertices, classify,
+                       dense_boundaries, exponent_sums, matching, parse_cell,
+                       planted_graph, quadratic_genus, unblocked_vertices)
 
 
 def w(*letters):
@@ -71,9 +71,9 @@ def test_rewrite_examples():
     rw = Reducer(t, algebra=WORDS)
     # collapsible dies, critical survives
     coll = parse_cell("{0-1,2,3}")[0]
-    assert rw.reduce_cell(coll) == ()
+    assert rw.reduce([(coll, 1)]) == ()
     crit = parse_cell("{2-4,0,3}")[0]
-    assert rw.reduce_cell(crit) == ((crit, 1),)
+    assert rw.reduce([(crit, 1)]) == ((crit, 1),)
     # the worked relator of the surface example
     mc = build_morse_complex(t, 3, "unordered")
     c2 = tuple(sorted([(2, 4), (0, 5), vertex(3)]))
@@ -89,11 +89,11 @@ def test_rewrite_abelianization_matches_reduction():
     red = Reducer(t)
     from graphbraids.cells import enumerate_cells
     for cell in enumerate_cells(t, 3, "unordered")[1]:
-        word = rw.reduce_cell(cell)
+        word = rw.reduce([(cell, 1)])
         ab = {}
         for c, e in word:
             ab[c] = ab.get(c, 0) + e
-        assert {k: v for k, v in ab.items() if v} == red.reduce_cell(cell)
+        assert {k: v for k, v in ab.items() if v} == red.reduce([(cell, 1)])
 
 
 def test_raw_presentation_counts():
@@ -278,7 +278,7 @@ class ReferenceRewriter:
 
     def _shortcut(self, cell):
         t = self.t
-        occupied = set(C.cell_vertices(cell))
+        occupied = set(cell_vertices(cell))
         ends = set()
         for a, b in C.cell_edges(cell):
             ends.add(a)
@@ -641,7 +641,7 @@ def test_simplify_audits_every_move_without_touching_its_input(make):
         (list(p.generators), list(p.relators), list(p.history))))
     assert len(seen) == len(got.history) - len(raw.history) > 0
     assert seen == want
-    assert raw == before
+    assert vars(raw) == vars(before)
 
 
 @pytest.mark.parametrize("make", [
