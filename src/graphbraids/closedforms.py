@@ -7,15 +7,17 @@ closed boundary formulas (`fast_morse_boundary`, and
 `fast_morse_boundary_ordered` for ordered n = 2) state d2 independently,
 reading separation and its branch off the tree's census ``sep_classes``,
 and `check_closed_forms` compares the built complex with them.  The 1-cell
-census (`classify_1cells`) is read off the cells' names and ``sep_classes``,
-not off the matrix.
+census (`classify_1cells`) is read off each cell's shape (its edge and its
+blocked vertices over the branches of tau) and ``sep_classes``, not off the
+matrix; it names no cell.
 """
 
 from __future__ import annotations
 
 from . import cells as C
 from .morse import (CriticalName, MorseComplex, MorseError, Term,
-                    materialize_name, name_critical_cell)
+                    _branch_chain, _cell_shape, materialize_name,
+                    name_critical_cell)
 from .trees import OrderedTree, verify_conditions
 
 
@@ -222,28 +224,50 @@ def separating_cells(t, n: int):
 
 def classify_1cells(mc: MorseComplex) -> dict:
     """Tag each critical 1-cell pivotal, separating, or free from the
-    geometric characterizations (not from the matrix).  The pivotal test
-    reads the census ``t.sep_classes[tau]`` on branches m >= 1 only: the
-    base side, branch 0, is not in a cell's blocked-vertex vector."""
+    geometric characterizations (not from the matrix), once per orbit: a
+    labelling takes its orbit's tag."""
     t = mc.tree
     if mc.ordered and mc.n > 2:
         raise ValueError("1-cell classification needs unordered flavor or n <= 2")
     sep_unordered = separating_cells(t, mc.n)
+    basis = mc.critical.get(1, [])
+    m = len(mc.sigmas)
     tags = {}
-    for cell in mc.critical.get(1, ()):
-        rep, _ = mc.orbit(cell)
-        if rep in sep_unordered:
-            tags[cell] = "separating"
-            continue
-        pivotal = False
-        name = mc.names[rep]
-        if name is not None and len(name.terms) == 1:
-            tm = name.terms[0]
-            classes = t.sep_classes.get(tm.tau, {})
-            hit = any(tm.vec[m - 1] >= 1 for m in classes if m)
-            if tm.kind == "deleted":
-                pivotal = hit
-            else:
-                pivotal = hit and sum(tm.vec) >= 2
-        tags[cell] = "pivotal" if pivotal else "free"
+    for i in range(0, len(basis), m):
+        rep = basis[i]
+        tag = ("separating" if rep in sep_unordered
+               else "pivotal" if _is_pivotal(t, rep) else "free")
+        tags.update(dict.fromkeys(basis[i:i + m], tag))
     return tags
+
+
+def _is_pivotal(t: OrderedTree, cell) -> bool:
+    """Whether a sorted critical 1-cell that is not separating is pivotal,
+    read off its shape: its edge e, tree or deleted, and its blocked
+    vertices off the 0_s prefix over the branches of tau(e).  It is pivotal
+    when some branch m >= 1 in the census ``t.sep_classes[tau]`` holds one
+    of them (a tree edge needs two in all), and the cell is in standard
+    form: on each branch they are the chain of single children that
+    `_branch_chain` walks from e.  A cell outside the standard forms has no
+    name and is free.  The base side, branch 0, is not in a cell's
+    blocked-vertex vector."""
+    (e,) = C.cell_edges(cell)
+    tau = e[0]
+    classes = [m for m in t.sep_classes.get(tau, ()) if m]
+    if not classes:
+        return False
+    rest = _cell_shape(t, cell)[1]
+    on = [[] for _ in range(t.branch_count(tau))]
+    for v in rest:
+        k = t.branch(tau, v)
+        if not k:
+            return False
+        on[k - 1].append(v)
+    if not any(on[m - 1] for m in classes):
+        return False
+    tree_edge = e not in t.deleted_set
+    if tree_edge and len(rest) < 2:
+        return False
+    own = t.branch(tau, e[1])
+    return all(_branch_chain(t, tau, k, tree_edge and k == own, len(vs)) == vs
+               for k, vs in enumerate(on, 1) if vs)

@@ -52,6 +52,8 @@ class Graph:
 
     def __init__(self, vertices, edges):
         vertices = tuple(str(v) for v in vertices)
+        if not vertices:
+            raise GraphError("graph has no vertices")
         if len(set(vertices)) != len(vertices):
             raise GraphError("duplicate vertex ids")
         norm = []

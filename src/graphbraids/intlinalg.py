@@ -121,17 +121,27 @@ def unit_pivots(rows):
             return pivots, core
 
 
+# the most passes of the dense Smith loop; a pass that makes no progress
+# would otherwise loop for ever
+DENSE_STEP_CAP = 5_000_000
+
+
 def _dense_smith_form(m) -> list:
     """The invariant factors of m, which it overwrites, by unimodular row
     and column operations.
 
     Pivots are chosen by smallest nonzero magnitude, which keeps entries
-    small at the scales this library meets.
+    small at the scales this library meets.  Raises `RuntimeError` past
+    ``DENSE_STEP_CAP`` passes.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     s = 0
+    steps = 0
     while s < rows and s < cols:
+        steps += 1
+        if steps > DENSE_STEP_CAP:
+            raise RuntimeError("dense Smith form iteration cap exceeded (bug)")
         # locate smallest nonzero entry in the remaining block
         best = None
         for i in range(s, rows):

@@ -41,9 +41,10 @@ as it is given, labelled or not, and never relabels.
 
 The build does only what a job reads.  ``MorseComplex.names`` names a
 critical cell with `name_critical_cell` the first time its name is read,
-and keeps it; the jobs read the names of critical 1-cells only.  And when
-there is a single critical 0-cell c0 (unordered, or ordered n = 1), every
-d1 row is empty, so none is reduced:
+and keeps it.  A job reads no name until it shows one: the 1-cell census
+reads cell shapes and a presentation formats names when displayed.
+And when there is a single critical 0-cell c0 (unordered, or ordered n =
+1), every d1 row is empty, so none is reduced:
 
 - a 0-cell has no edge, so none is order respecting and it is never
   collapsible;

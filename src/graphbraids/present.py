@@ -23,10 +23,11 @@ generator; a move rewrites only the relators the index lists.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from . import cells as C
-from .morse import LazyMapping, MorseComplex, MorseError, Word, free_reduce
+from .morse import (LazyMapping, MorseComplex, MorseError, Word,
+                    _prefix_length, free_reduce)
 from .homology import AbelianGroup
 from .closedforms import classify_1cells
 
@@ -92,15 +93,45 @@ def _cyclic_reduce(w) -> tuple:
 # ---------------------------------------------------------------------------
 # presentations
 
+class History(Sequence):
+    """A presentation's moves as text, "what name (why)".  A move is kept as
+    (what, generator, why), and its generator's name is read from ``names``
+    only when the move is read, so ``len`` formats no name.  It equals only
+    itself: compare ``list(history)``."""
+
+    def __init__(self, names: Mapping, moves: list):
+        self.names = names
+        self.moves = moves
+
+    def __len__(self):
+        return len(self.moves)
+
+    def __getitem__(self, i):
+        what, g, why = self.moves[i]
+        text = f"{what} {self.names.get(g, g)}"
+        return f"{text} ({why})" if why else text
+
+
 class Presentation:
+    """Generators (critical 1-cells) and relators (words in them).  Each
+    move that made it is kept in ``moves`` with its generator's cell;
+    ``history`` and `display` format the names, so ``len(history)``
+    counts the moves without naming a cell."""
+
     def __init__(self, generators: list, relators: list, names: Mapping,
-                 history: list | None = None):
+                 moves: list | None = None):
         self.generators = generators
         self.relators = relators
         # generator -> its display name; `raw_presentation` formats each
         # name the first time it is read
         self.names = names
-        self.history = [] if history is None else history
+        # the moves taken, each (what, generator, why); `history` reads
+        # them as text
+        self.moves = [] if moves is None else moves
+
+    @property
+    def history(self) -> History:
+        return History(self.names, self.moves)
 
     def abelianization(self) -> AbelianGroup:
         index = {g: i for i, g in enumerate(self.generators)}
@@ -144,7 +175,8 @@ def raw_presentation(mc: MorseComplex) -> Presentation:
     killed.  An empty configuration space (more points than vertices) has
     no critical 0-cell and no fundamental group, so it is refused.
     ``names`` formats a generator's name with ``mc.name_of`` the first
-    time it is read, so a job formats only the names it shows."""
+    time it is read, and a move keeps its generator's cell, so a job
+    formats only the names it shows."""
     if mc.ordered and mc.n > 2:
         raise MorseError("presentations of pure braid groups need n <= 2")
     if not mc.critical.get(0):
@@ -165,7 +197,7 @@ def raw_presentation(mc: MorseComplex) -> Presentation:
         pres.generators.remove(join)
         pres.relators = [free_reduce(tuple((g, e) for g, e in r if g != join))
                          for r in pres.relators]
-        pres.history.append(f"kill joining generator {names[join]}")
+        pres.moves.append(("kill joining generator", join, None))
     return pres
 
 
@@ -184,11 +216,12 @@ def _leading_pairs(mc: MorseComplex):
 def _modified_pivotal_key(mc: MorseComplex, cell):
     """Order used only when eliminating pivotal generators: the basis order
     with deleted edges outranking tree edges at equal terminal vertex; ties
-    at an equal edge fall in basis order.  A pivotal cell always has a name,
-    which gives its count of blocked vertices off the 0_s prefix."""
+    at an equal edge fall in basis order.  The count of blocked vertices
+    off the 0_s prefix is read off the cell's vertices."""
     rep, _ = mc.orbit(cell)
     e = C.cell_edges(rep)[0]
-    rest = mc.n - 1 - mc.names[rep].s0
+    rest = mc.n - 1 - _prefix_length(mc.tree,
+                                     {a for a, b in rep if b == -1})
     return (rest, (e[0], 1 if e in mc.tree.deleted_set else 0, e[1]),
             -mc.index[1][cell])
 
@@ -210,7 +243,7 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
     `audit`, when given, is called with the presentation after every Tietze
     move (used by tests to confirm the abelianization never changes)."""
     out = Presentation(list(pres.generators), [], pres.names,
-                       list(pres.history))
+                       list(pres.moves))
     tags = classify_1cells(mc)
     pairs = _leading_pairs(mc)
     # letter i is generator i (from 1) and -i its inverse; letter[x] turns
@@ -253,7 +286,7 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
             index[g].update(rewritten)
         cell = letter[gen][0]
         out.generators.remove(cell)
-        out.history.append(f"eliminate {out.names.get(cell, cell)} ({why})")
+        out.moves.append(("eliminate", cell, why))
         if audit is not None:
             out.relators = [decode(r) for r in rels.values()]
             audit(out)

@@ -9,7 +9,7 @@ from graphbraids import cells as C
 from graphbraids.cells import CellError, boundary, cell_edges, vertex
 from graphbraids.corpus import random_topological_graph
 from graphbraids.graphs import Graph, build_graph, subdivide
-from graphbraids.closedforms import classify_1cells, separating_families
+from graphbraids.closedforms import separating_cells, separating_families
 from graphbraids.homology import AbelianGroup
 from graphbraids.intlinalg import smith_normal_form
 from graphbraids.morse import (WORDS, MorseError, Reducer, cell_sort_key,
@@ -442,6 +442,36 @@ def bare_fill(t: OrderedTree, items, count: int):
     return tuple(sorted(out))
 
 
+def reference_classify_1cells(mc):
+    """Tag each critical 1-cell pivotal, separating, or free from the
+    geometric characterizations (not from the matrix).  The pivotal test
+    reads the census ``t.sep_classes[tau]`` on branches m >= 1 only: the
+    base side, branch 0, is not in a cell's blocked-vertex vector.  Reads
+    each cell's `CriticalName`."""
+    t = mc.tree
+    if mc.ordered and mc.n > 2:
+        raise ValueError("1-cell classification needs unordered flavor or n <= 2")
+    sep_unordered = separating_cells(t, mc.n)
+    tags = {}
+    for cell in mc.critical.get(1, ()):
+        rep, _ = mc.orbit(cell)
+        if rep in sep_unordered:
+            tags[cell] = "separating"
+            continue
+        pivotal = False
+        name = mc.names[rep]
+        if name is not None and len(name.terms) == 1:
+            tm = name.terms[0]
+            classes = t.sep_classes.get(tm.tau, {})
+            hit = any(tm.vec[m - 1] >= 1 for m in classes if m)
+            if tm.kind == "deleted":
+                pivotal = hit
+            else:
+                pivotal = hit and sum(tm.vec) >= 2
+        tags[cell] = "pivotal" if pivotal else "free"
+    return tags
+
+
 def reference_undetermined_block(mc):
     """The undetermined block of the paper's Z_2 torsion argument: rows
     d u d' - d u d_ref over the separating 1-cells, the block left after
@@ -454,7 +484,7 @@ def reference_undetermined_block(mc):
     lexicographic order.  At n = 1 there are no 2-cells, so the block has
     no rows."""
     t = mc.tree
-    tags = classify_1cells(mc)
+    tags = reference_classify_1cells(mc)
     sep = [c for c in mc.critical.get(1, ()) if tags[c] == "separating"]
     if mc.n < 2:
         return [], [], sep

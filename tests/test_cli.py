@@ -579,6 +579,9 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     ("K(-99999)", "error: graph family 'K(-99999)': the parameter m = -99999"),
     ("K(2,-1)", "error: graph family 'K(2,-1)': the parameter n = -1"),
     ("Theta(-3)", "error: graph family 'Theta(-3)': the parameter m = -3"),
+    # named before the connectivity check, which finds no component
+    (json.dumps({"vertices": [], "edges": []}),
+     "error: graph has no vertices\n"),
 ])
 def test_an_empty_or_negative_graph_family_is_named_in_one_line(
         capsys, spec, start):

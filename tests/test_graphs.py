@@ -57,6 +57,7 @@ def test_edges_of_str_fields_are_kept():
     (["a", "b"], [Edge("e", "a", "b"), Edge("f", "b", "c")], "unknown"),
     (["a", "b", "c"], [Edge("e", "a", "b")], "not connected"),
     (["a", "a"], [Edge("e", "a", "a")], "duplicate vertex"),
+    ([], [], "^graph has no vertices$"),
 ])
 def test_edge_objects_are_still_checked(vertices, edges, match):
     with pytest.raises(GraphError, match=match):
@@ -427,6 +428,9 @@ def test_a_one_vertex_family_member_is_a_graph(spec):
      "edge 'e1' references unknown vertex"),
     ({"vertices": ["a", "b", "c"], "edges": [["a", "b"]]},
      "graph is not connected"),
+    # named before the connectivity check, which finds no component
+    ({"vertices": [], "edges": []}, "graph has no vertices"),
+    ([], "graph has no vertices"),
 ])
 def test_inputs_are_still_validated(spec, message):
     with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):

@@ -17,7 +17,8 @@ from graphbraids.intlinalg import (smith_normal_form, kernel_basis,
 from graphbraids.morse import MorseError
 
 from reference import (dense_boundaries, parse_cell, per_matrix_homology,
-                       random_ordered_tree, reference_separating_families,
+                       random_ordered_tree, reference_classify_1cells,
+                       reference_separating_families,
                        reference_undetermined_block, relative_h1_rank)
 
 
@@ -304,6 +305,42 @@ def test_pivotal_test_skips_the_base_side_of_the_census():
     tags = {mc.name_of(c): tag for c, tag in classify_1cells(mc).items()}
     assert tags == {"d_1(1)": "free", "A_2(1,0)": "free", "d_2": "free",
                     "d_1": "free"}
+
+
+# n = 4 often gives a critical cell with a blocked vertex outside the
+# subtree of its edge's tau, which fits no standard form
+CENSUS_SETTINGS = ((1, "unordered"), (2, "unordered"), (3, "unordered"),
+                   (4, "unordered"), (1, "ordered"), (2, "ordered"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_census_matches_reference_on_random_trees(seed):
+    # about half of these trees fail T2, so some cells fit no standard form
+    # and are free; about one seed in eight has a cell whose shape alone
+    # would read pivotal
+    t = random_ordered_tree(seed)
+    for n, flavor in CENSUS_SETTINGS:
+        mc = build_morse_complex(t, n, flavor)
+        assert classify_1cells(mc) == reference_classify_1cells(mc)
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_TREES))
+@pytest.mark.parametrize("flavor", ["unordered", "ordered"])
+def test_census_matches_reference_on_pinned_trees(key, flavor):
+    n = 2 if flavor == "ordered" else key[1]
+    mc = build_morse_complex(PINNED_TREES[key](), n, flavor)
+    assert classify_1cells(mc) == reference_classify_1cells(mc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(
+    [(2, "unordered"), (2, "ordered"), (3, "unordered")]))
+def test_census_matches_reference_on_corpus(seed, setting):
+    n, flavor = setting
+    gs, _ = subdivide(corpus(seed, 1)[0], n, "strict" if n == 2 else "auto")
+    mc = build_morse_complex(choose_tree_and_order(gs, n), n, flavor)
+    assert classify_1cells(mc) == reference_classify_1cells(mc)
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_TREES))

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphbraids import intlinalg
 from graphbraids.intlinalg import (smith_normal_form, kernel_basis,
                                    kernel_coordinates, unit_pivots,
                                    densify)
@@ -24,6 +25,17 @@ K33_3x7 = [
 
 def test_known_matrix_factors():
     assert smith_normal_form(K33_3x7).diag == [1, 1, 2]
+
+
+def test_the_dense_loop_raises_past_its_step_cap(monkeypatch):
+    # no +-1 entry, so the whole matrix is the dense core, which takes
+    # four passes of the loop
+    m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    monkeypatch.setattr(intlinalg, "DENSE_STEP_CAP", 4)
+    assert smith_normal_form(m).diag == [2, 6, 12]
+    monkeypatch.setattr(intlinalg, "DENSE_STEP_CAP", 3)
+    with pytest.raises(RuntimeError, match="iteration cap exceeded"):
+        smith_normal_form(m)
 
 
 def test_zero_and_empty():

@@ -715,7 +715,9 @@ def test_a_job_names_only_critical_1cells(monkeypatch):
                         lambda t, cell: named.append(cell) or name(t, cell))
     mc = build_morse_complex(k5_pinned_tree(), 4, "unordered")
     homology(mc)
-    simplify(raw_presentation(mc), mc)
+    pres = simplify(raw_presentation(mc), mc)
+    assert not named  # the census and the moves read no name
+    pres.display()
     assert named and set(named) <= set(mc.critical[1])
     assert len(named) == len(set(named))  # each name is kept once computed
 

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphbraids import cells as C, present
+from graphbraids import cells as C, morse, present
 from graphbraids.cells import format_cell, vertex, boundary_word
 from graphbraids.corpus import corpus
 from graphbraids.fixtures import (k33_pinned_tree, theta4_pinned_tree,
@@ -15,13 +15,14 @@ from graphbraids.morse import (WORDS, Word, build_morse_complex, cell_sort_key,
                                MorseComplex, MorseError, Reducer,
                                free_reduce, winv, wmul)
 from graphbraids.homology import AbelianGroup, homology
-from graphbraids.closedforms import check_closed_forms, classify_1cells
+from graphbraids.closedforms import check_closed_forms
 from graphbraids.present import (cyclic_reduce, raw_presentation, simplify,
                                  commutator_form, format_word, substitute,
                                  Presentation, _leading_pairs)
 from reference import (ReferenceReducer, cell_vertices, classify,
                        dense_boundaries, exponent_sums, matching, parse_cell,
-                       planted_graph, quadratic_genus, unblocked_vertices)
+                       planted_graph, quadratic_genus,
+                       reference_classify_1cells, unblocked_vertices)
 
 
 def w(*letters):
@@ -359,8 +360,8 @@ def reference_modified_pivotal_key(mc, cell):
 
 def reference_simplify(pres, mc, audit=None):
     pres = Presentation(list(pres.generators), list(pres.relators),
-                        dict(pres.names), list(pres.history))
-    tags = classify_1cells(mc)
+                        dict(pres.names), list(pres.moves))
+    tags = reference_classify_1cells(mc)
     pairs = _leading_pairs(mc)
     cell2_for_relator = list(mc.critical.get(2, ()))
 
@@ -378,7 +379,7 @@ def reference_simplify(pres, mc, audit=None):
                          for j, r in enumerate(pres.relators) if j != rel_idx]
         del cell2_for_relator[rel_idx]
         pres.generators.remove(gen)
-        pres.history.append(f"eliminate {pres.names.get(gen, gen)} ({why})")
+        pres.moves.append(("eliminate", gen, why))
         if audit is not None:
             audit(pres)
         return True
@@ -454,7 +455,7 @@ def _same_simplification(mc):
     got, want = simplify(raw, mc), reference_simplify(raw, mc)
     assert got.generators == want.generators
     assert got.relators == want.relators
-    assert got.history == want.history
+    assert list(got.history) == list(want.history)
 
 
 @pytest.mark.parametrize("make", [
@@ -661,38 +662,47 @@ def test_deep_copies_keep_their_names(make):
 # ---------------------------------------------------------------------------
 # a job formats only the names it reads
 
-def _check_formats_only_what_it_reads(mc):
-    """raw_presentation formats no name but the killed joining generator's,
-    simplify only those of the generators it eliminates, each once, and
-    the display and history equal those of eagerly formatted names."""
-    named = []
+def _check_formats_only_what_it_reads(make):
+    """raw_presentation and simplify name no cell: neither
+    `name_critical_cell` nor `MorseComplex.name_of` runs.  display() then
+    formats the name of each generator it shows and of each move's
+    generator once, and equals the display and history of eagerly
+    formatted names."""
+    named, formatted = [], []
+    name = morse.name_critical_cell
     name_of = MorseComplex.name_of
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(morse, "name_critical_cell",
+                   lambda t, c: named.append(c) or name(t, c))
         mp.setattr(MorseComplex, "name_of",
-                   lambda self, c: named.append(c) or name_of(self, c))
+                   lambda self, c: formatted.append(c) or name_of(self, c))
+        mc = make()
         raw = raw_presentation(mc)
-        killed = [g for g in mc.critical.get(1, ()) if g not in raw.generators]
-        assert named == killed
         out = simplify(raw, mc)
-        eliminated = {g for g in raw.generators if g not in out.generators}
-        assert len(named) == len(set(named))
-        assert set(named) == set(killed) | eliminated
+        assert named == formatted == []
         shown = out.display()
+        moved = [g for _, g, _ in out.moves]
+        assert len(formatted) == len(set(formatted))
+        assert set(formatted) == set(out.generators) | set(moved)
+        assert set(named) == {mc.orbit(c)[0] for c in formatted}
+        assert len(named) == len(set(named))
+    assert len(out.history) == len(moved)
     eager = {c: mc.name_of(c) for c in mc.critical.get(1, ())}
     assert shown == Presentation(out.generators, out.relators, eager,
-                                 out.history).display()
+                                 out.moves).display()
     want = reference_simplify(Presentation(raw.generators, raw.relators,
-                                           eager, raw.history), mc)
-    assert out.history == want.history
+                                           eager, raw.moves), mc)
+    assert list(out.history) == list(want.history)
 
 
 @pytest.mark.parametrize("make", [
     lambda: build_morse_complex(k5_pinned_tree(), 4, "unordered"),
     lambda: build_morse_complex(k33_pinned_tree(), 2, "ordered"),
     lambda: _generic_complex(build_graph(K2221), 3, "unordered"),
-], ids=["K5-n4", "K33-n2-ordered", "K2221-n3"])
+    lambda: _generic_complex(build_graph("K(3,4)"), 2, "ordered"),
+], ids=["K5-n4", "K33-n2-ordered", "K2221-n3", "K34-n2-ordered"])
 def test_a_job_formats_only_the_names_it_reads(make):
-    _check_formats_only_what_it_reads(make())
+    _check_formats_only_what_it_reads(make)
 
 
 @settings(max_examples=30, deadline=None)
@@ -700,12 +710,12 @@ def test_a_job_formats_only_the_names_it_reads(make):
     [(2, "unordered"), (2, "ordered"), (3, "unordered")]))
 def test_a_job_formats_only_the_names_it_reads_on_corpus(seed, setting):
     n, flavor = setting
-    mc = _generic_complex(corpus(seed, 1)[0], n, flavor)
     try:
-        _check_formats_only_what_it_reads(mc)
-    except MorseError:
+        _check_formats_only_what_it_reads(
+            lambda: _generic_complex(corpus(seed, 1)[0], n, flavor))
+    except MorseError as exc:
         # a topological segment has no joining generator to kill
-        assert flavor == "ordered"
+        assert flavor == "ordered" and "joins the two 0-cells" in str(exc)
 
 
 def test_simplify_rewrites_relators_that_lost_a_generator(monkeypatch):
