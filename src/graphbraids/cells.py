@@ -12,6 +12,7 @@ reduces and builds its matched cell, once per plan.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import permutations
 from math import comb, factorial
 
@@ -157,9 +158,11 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
     respecting, so its edges are deleted edges or tree edges (tau, iota)
     with iota not the first child of tau, and such a tree edge needs a
     cell vertex u with parent[u] == tau and u < iota.  Vertices are added
-    in increasing order, each one 0 or with its parent already occupied.
-    Refuses once the cells generated hold more than ``cap`` items: n per
-    cell, and n * n! per ordered orbit."""
+    in increasing order, each one 0 or with its parent already occupied,
+    and a branch stops as soon as some chosen tree edge can no longer get
+    such a vertex, so only critical cells are built.  Refuses once the
+    cells generated hold more than ``cap`` items: n per cell, and n * n!
+    per ordered orbit."""
     if flavor not in ("unordered", "ordered"):
         raise CellError(f"unknown flavor {flavor!r}")
     ordered = flavor == "ordered"
@@ -169,9 +172,11 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
     nv = t.nv
     edges = [e for e in t.all_edge_pairs()
              if e in deleted or children[e[0]][0] != e[1]]
-    # a tree edge's earlier siblings, one of which must be a cell vertex
-    needs = {e: children[e[0]][:children[e[0]].index(e[1])]
-             for e in edges if e not in deleted}
+    # a tree edge needs one of its earlier siblings as a cell vertex;
+    # vertices are added in increasing order, so past the last of them it
+    # can no longer get one
+    last = {e: children[e[0]][children[e[0]].index(e[1]) - 1]
+            for e in edges if e not in deleted}
     by_dim: dict[int, list] = {d: [] for d in range(complex_dimension(t, n) + 1)}
     chosen_edges: list = []
     verts: list[int] = []
@@ -180,10 +185,6 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
 
     def emit():
         nonlocal count
-        vset = set(verts)
-        for e in chosen_edges:
-            if e in needs and vset.isdisjoint(needs[e]):
-                return
         count += per_cell
         if count > cap:
             raise CellError(f"the critical cells exceed the cap of {cap} "
@@ -191,21 +192,35 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
         cell = tuple(sorted(chosen_edges + [vertex(v) for v in verts]))
         by_dim[len(chosen_edges)].append(cell)
 
-    def add_vertices(start: int, remaining: int):
+    # ``unmet``: the chosen tree edges with no blocking sibling yet.  A
+    # vertex blocks at most one of them, the one at its parent, so a branch
+    # with fewer slots than unmet edges, or past an unmet edge's last
+    # sibling, emits nothing.  So every vertex tried lies below each unmet
+    # edge's iota, and blocks the unmet edge at its parent, if any
+    def add_vertices(start: int, remaining: int, unmet: tuple):
+        if remaining < len(unmet):
+            return
         if remaining == 0:
             emit()
             return
-        for v in range(start, nv):
+        stop = min(last[e] for e in unmet) + 1 if unmet else nv
+        for v in range(start, stop):
             if v in occupied or (v and parent[v] not in occupied):
                 continue
+            left = unmet
+            if unmet:
+                p = parent[v]
+                left = tuple(e for e in unmet if e[0] != p)
             verts.append(v)
             occupied.add(v)
-            add_vertices(v + 1, remaining - 1)
+            add_vertices(v + 1, remaining - 1, left)
             verts.pop()
             occupied.discard(v)
 
-    def add_edges(start: int, remaining: int):
-        add_vertices(0, remaining)
+    def add_edges(start: int, remaining: int, unmet: tuple):
+        if remaining < len(unmet):
+            return
+        add_vertices(0, remaining, unmet)
         if remaining == 0:
             return
         for i in range(start, len(edges)):
@@ -214,11 +229,12 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
                 continue
             chosen_edges.append(e)
             occupied.update(e)
-            add_edges(i + 1, remaining - 1)
+            add_edges(i + 1, remaining - 1,
+                      unmet + (e,) if e in last else unmet)
             chosen_edges.pop()
             occupied.difference_update(e)
 
-    add_edges(0, n)
+    add_edges(0, n, ())
     for cs in by_dim.values():
         cs.sort()
     return by_dim
@@ -228,20 +244,30 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
 # boundaries and labellings
 
 def boundary(cell, ordered: bool = False):
-    """Signed cubical boundary: faces of the k-th edge in terminal-vertex
-    order enter with sign (-1)^k (initial face) and -(-1)^k (terminal)."""
+    """Signed cubical boundary of a cell tuple (sorted when unordered):
+    faces of the k-th edge in terminal-vertex order enter with sign (-1)^k
+    (initial face) and -(-1)^k (terminal).
+
+    An ordered face keeps the positions.  An unordered face is spliced, not
+    sorted: the items of a sorted cell have disjoint closures, so their
+    first vertices are distinct and give the order.  So the edges already
+    come by terminal vertex, the terminal face's (tau, -1) takes the edge's
+    place, and the initial face's (iota, -1), iota > tau, goes in among the
+    items after it at its `bisect_left` position."""
     edges = [(i, it) for i, it in enumerate(cell) if it[1] != -1]
-    edges.sort(key=lambda p: p[1][0])
+    if ordered:
+        edges.sort(key=lambda p: p[1][0])
     out = []
-    for k, (pos, e) in enumerate(edges, start=1):
+    for k, (pos, (tau, iota)) in enumerate(edges, start=1):
         sign = -1 if k % 2 else 1
-        tau, iota = e
-        for repl, coeff in ((vertex(iota), sign), (vertex(tau), -sign)):
-            face = list(cell)
-            face[pos] = repl
-            if not ordered:
-                face.sort()
-            out.append((tuple(face), coeff))
+        head, tail = cell[:pos], cell[pos + 1:]
+        if ordered:
+            initial = head + ((iota, -1),) + tail
+        else:
+            at = bisect_left(cell, (iota, -1), pos + 1)
+            initial = head + cell[pos + 1:at] + ((iota, -1),) + cell[at:]
+        out.append((initial, sign))
+        out.append((head + ((tau, -1),) + tail, -sign))
     return out
 
 

@@ -62,24 +62,28 @@ def bold_A(t: OrderedTree, a_vertex: int, vec, ell: int, n: int):
 def wedge_cell(t: OrderedTree, d, dp, s0: int, strict: bool = True):
     """The critical 1-cell at the meet of the initial vertices of two
     deleted edges: C_max(delta_min).  Degenerate configurations (possible
-    only when T2 fails) return None unless strict."""
+    only when T2 fails) return None unless strict.
+
+    With c the meet and ell < k the branches of c toward the two initial
+    vertices, the cell is the tree edge (c, children[c][k - 1]), the first
+    vertex of branch ell and the 0_s prefix, s = ``s0``.  Children are
+    numbered after c, so the items collide exactly when c is in the
+    prefix."""
     c = t.meet(d[1], dp[1])
     if c in (d[1], dp[1]):
         if strict:
             raise MorseError("wedge undefined: one initial vertex is an "
                              "ancestor of the other")
         return None
-    ga, gb = t.branch(c, d[1]), t.branch(c, dp[1])
-    ell, k = min(ga, gb), max(ga, gb)
-    edge = (c, t.children[c][k - 1])
-    vec = _plus((0,) * t.branch_count(c), ell)
-    name = CriticalName((Term("tree", edge, vec),), s0)
-    cell = materialize_name(t, name)
-    if cell is None:
+    if c < s0:
         if strict:
             raise MorseError("wedge cell failed to materialize")
         return None
-    return cell
+    ga, gb = t.branch(c, d[1]), t.branch(c, dp[1])
+    ell, k = min(ga, gb), max(ga, gb)
+    children = t.children[c]
+    return (tuple(C.vertex(v) for v in range(s0))
+            + ((c, children[k - 1]), C.vertex(children[ell - 1])))
 
 
 def fast_morse_boundary(t: OrderedTree, cell) -> dict:

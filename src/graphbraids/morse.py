@@ -17,7 +17,8 @@ the faces of a boundary on one stack, so each boundary is walked once.
 at every n: it rewrites the 2-cell's boundary word with `WORDS` and keeps
 the word as a relator.  The word's abelianization is minus the cubical
 boundary, and rewriting abelianizes to the Z-chain reduction, so the d2
-row is minus the relator's exponent sums.  This is the only way d2 is
+row is minus the relator's exponent sums.  An orbit representative's row
+and relator are read straight off its reduced chain or word.  This is the only way d2 is
 built; the paper's closed boundary formulas, in `closedforms`, state it
 independently as a check.  Degrees 1 and >= 3 are Z-chains.
 
@@ -31,13 +32,14 @@ lexicographic order (``MorseComplex.sigmas``).  So the labelling
 ``phi_inverse(c, tau)`` sits at row orbit(c) * n! + rank(tau), and
 ``MorseComplex.orbit`` reads (c, tau) back off the row: names are kept once
 per orbit, under c, and ``name_of`` attaches tau.  The build reduces each
-orbit once, at c itself (the identity labelling): relabelling by sigma
-moves the term at column orbit(c') * n! + rank(tau) to column orbit(c') *
-n! + rank(sigma o tau), (sigma o tau)[i] = sigma[tau[i] - 1], read off one
-n! x n! table of product ranks (`_product_table`).  Every labelling's
-boundary row and relator come from its orbit's by this index arithmetic,
-the one place where S_n acts on reduced values: `Reducer` walks every cell
-as it is given, labelled or not, and never relabels.
+orbit once, at c itself (the identity labelling), and reads c's row and
+relator straight off that reduction.  Relabelling by sigma moves the term
+at column orbit(c') * n! + rank(tau) to column orbit(c') * n! + rank(sigma
+o tau), (sigma o tau)[i] = sigma[tau[i] - 1], read off one n! x n! table of
+product ranks (`_product_table`).  Every other labelling's boundary row
+and relator come from its orbit's by this index arithmetic, the one place
+where S_n acts on reduced values: `Reducer` walks every cell as it is
+given, labelled or not, and never relabels.
 
 The build does only what a job reads.  ``MorseComplex.names`` names a
 critical cell with `name_critical_cell` the first time its name is read,
@@ -591,11 +593,14 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
     replaces each of them, in place, by its n! labellings
     ``C.phi_inverse(c, sigma)`` with sigma in lexicographic order (kept as
     ``sigmas``), so every orbit is contiguous and starts with c itself.
-    Each orbit's boundary is reduced (or rewritten) once, at c; the row and
-    relator of the labelling sigma are c's with every column moved within
-    its orbit to rank(sigma o tau) (see the module docstring).  Labellings
-    that collide, or a column moved outside the lower basis, raise
-    `MorseError`.  With a single critical 0-cell every d1 row is empty and
+    Each orbit's boundary is reduced (or rewritten) once, at c, and c's row
+    and relator are read straight off that reduced value: one lookup in the
+    lower basis per term, zero sums dropped, and the reduced word is the
+    relator itself.  Only the other labellings sigma go through the
+    product table: their rows and relators are c's with every column moved
+    within its orbit to rank(sigma o tau) (see the module docstring), so an
+    unordered build never reads it.  Labellings that collide, or a column
+    moved outside the lower basis, raise `MorseError`.  With a single critical 0-cell every d1 row is empty and
     none is reduced (see the module docstring).
 
     The reduction of degree 2 is the rewriting of each critical 2-cell's
@@ -631,7 +636,7 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
                              f"{d}-cells x {m} give {len(index[d])} cells")
     # products[s][u] = rank(sigma_s o sigma_u): relabelling by sigma_s takes
     # the labelling (orbit i, sigma_u) to (orbit i, sigma_s o sigma_u)
-    products = _product_table(sigmas) if ordered else [[0]]
+    products = _product_table(sigmas) if ordered else None
     red = Reducer(t, ordered)
     # degree 2 is walked once, in words: the relators are kept and d2 is
     # read off them
@@ -651,38 +656,58 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
         width = len(lower)
         basis = critical[d]
         # one reduction per orbit, of its sorted representative (the
-        # identity labelling), read as (orbit offset, rank of the labelling,
-        # coefficient) per term; relabelling by sigma_s moves only the rank
+        # identity labelling), whose row and relator are read straight off
+        # its reduced value
         for i in range(0, len(basis), m):
             if d == 2:
-                # d2 is minus the relator's exponent sums
-                chain = [(g, -e) for g, e in morse_boundary(words, basis[i])]
+                # the relator is the reduced word, and d2 is minus its
+                # exponent sums
+                word = morse_boundary(words, basis[i])
+                relators.append(word)
+                cols = [(lower[g], -e) for g, e in word]
+                rows.append(_sum_row(cols))
             else:
-                chain = morse_boundary(red, basis[i]).items()
-            terms = [(j - j % m, j % m, x)
-                     for j, x in ((lower[c], x) for c, x in chain)]
-            for s, prod in enumerate(products):
-                cell = basis[i + s]
-                moved = [(base + prod[u], x) for base, u, x in terms]
-                row: dict = {}
-                for j, x in moved:
-                    if j >= width:
-                        raise MorseError(
-                            f"a column derived for "
-                            f"{C.format_cell(cell, ordered)} falls outside "
-                            f"the critical {d - 1}-cells")
-                    v = row.get(j, 0) + x
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
-                if d == 2:
-                    relators.append(tuple((faces[j], -x) for j, x in moved))
+                chain = morse_boundary(red, basis[i])
+                cols = [(lower[c], x) for c, x in chain.items()]
+                rows.append(dict(cols))
+            if m == 1:
+                continue
+            # the other labellings: a term at column j = (orbit offset) +
+            # (rank u of its labelling) moves under sigma_s to the offset
+            # plus rank(sigma_s o sigma_u).  That is a bijection of the
+            # columns, so it carries c's row over with its sums as they are
+            entries = [(j - j % m, j % m, x) for j, x in rows[-1].items()]
+            if d == 2:
+                letters = [(j - j % m, j % m, -x) for j, x in cols]
+            for s in range(1, m):
+                prod = products[s]
+                row = {base + prod[u]: x for base, u, x in entries}
+                if row and max(row) >= width:
+                    raise MorseError(
+                        f"a column derived for "
+                        f"{C.format_cell(basis[i + s], ordered)} falls "
+                        f"outside the critical {d - 1}-cells")
                 rows.append(row)
+                if d == 2:
+                    relators.append(tuple((faces[base + prod[u]], e)
+                                          for base, u, e in letters))
         boundaries[d] = rows
     names = LazyMapping(dict.fromkeys(reps), partial(name_critical_cell, t))
     return MorseComplex(t, n, flavor, critical, index, boundaries, names,
                         sigmas, relators=relators)
+
+
+def _sum_row(terms) -> dict:
+    """The sparse row {column: nonzero coefficient} summing the (column,
+    coefficient) pairs ``terms``."""
+    row: dict = {}
+    for j, x in terms:
+        v = row.get(j, 0) + x
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    return row
 
 
 def _product_table(sigmas) -> list:

@@ -12,7 +12,8 @@ from graphbraids.graphs import Graph, build_graph, subdivide
 from graphbraids.closedforms import separating_cells, separating_families
 from graphbraids.homology import AbelianGroup
 from graphbraids.intlinalg import smith_normal_form
-from graphbraids.morse import (WORDS, MorseError, Reducer, cell_sort_key,
+from graphbraids.morse import (WORDS, CriticalName, MorseError, Reducer,
+                               Term, cell_sort_key, materialize_name,
                                morse_boundary, name_critical_cell)
 from graphbraids.present import cyclic_reduce
 from graphbraids.trees import OrderedTree
@@ -44,6 +45,24 @@ def parse_cell(text: str):
     if not ordered:
         items.sort()
     return tuple(items), ordered
+
+
+def reference_boundary(cell, ordered: bool = False):
+    """Signed cubical boundary: faces of the k-th edge in terminal-vertex
+    order enter with sign (-1)^k (initial face) and -(-1)^k (terminal)."""
+    edges = [(i, it) for i, it in enumerate(cell) if it[1] != -1]
+    edges.sort(key=lambda p: p[1][0])
+    out = []
+    for k, (pos, e) in enumerate(edges, start=1):
+        sign = -1 if k % 2 else 1
+        tau, iota = e
+        for repl, coeff in ((vertex(iota), sign), (vertex(tau), -sign)):
+            face = list(cell)
+            face[pos] = repl
+            if not ordered:
+                face.sort()
+            out.append((tuple(face), coeff))
+    return out
 
 
 def cell_vertices(cell):
@@ -335,6 +354,29 @@ def reference_separating_families(t: OrderedTree) -> list:
         if len(partners) >= 2:
             fams.append((d, partners))
     return fams
+
+
+def reference_wedge_cell(t: OrderedTree, d, dp, s0: int, strict: bool = True):
+    """The wedge cell C_max(delta_min) at the meet of the initial vertices
+    of two deleted edges, built from its `CriticalName` by
+    `materialize_name`: a tree edge on the larger branch k with one blocked
+    vertex on the smaller branch ell, and the 0_s prefix.  None (or
+    `MorseError` when strict) where it is undefined or does not
+    materialize."""
+    c = t.meet(d[1], dp[1])
+    if c in (d[1], dp[1]):
+        if strict:
+            raise MorseError("wedge undefined: one initial vertex is an "
+                             "ancestor of the other")
+        return None
+    ga, gb = t.branch(c, d[1]), t.branch(c, dp[1])
+    ell, k = min(ga, gb), max(ga, gb)
+    edge = (c, t.children[c][k - 1])
+    vec = tuple(int(i == ell) for i in range(1, t.branch_count(c) + 1))
+    cell = materialize_name(t, CriticalName((Term("tree", edge, vec),), s0))
+    if cell is None and strict:
+        raise MorseError("wedge cell failed to materialize")
+    return cell
 
 
 class ReferenceReducer:

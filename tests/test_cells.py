@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
 from graphbraids.graphs import subdivide
 from graphbraids.trees import choose_tree_and_order
 from reference import (classify, matching, parse_cell, random_ordered_tree,
-                       reference_classify)
+                       reference_boundary, reference_classify)
 
 
 def test_cell_counts_k33():
@@ -63,6 +64,29 @@ def test_critical_cells_match_classification_on_corpus(seed, n, flavor):
     want = classified_critical_cells(t, n, flavor)
     assert sorted(got) == sorted(want)  # empty dimensions included
     assert got == want
+
+
+def test_critical_cells_match_classification_on_random_trees():
+    # about half of these trees fail T2, and a tree edge's blocking sibling
+    # is what generation prunes on; the whole complex is enumerated and
+    # classified, so trees whose complex passes 30,000 cells are left out
+    compared = Counter()
+    for seed in range(60):
+        t = random_ordered_tree(seed)
+        for n in range(1, 5):
+            for flavor in ("unordered", "ordered"):
+                size = estimate_cell_count(t, n)
+                if flavor == "ordered":
+                    size *= factorial(n)
+                if size > 30_000:
+                    continue
+                got = critical_cells(t, n, flavor)
+                if flavor == "ordered":
+                    got = labellings(got)
+                want = classified_critical_cells(t, n, flavor)
+                assert got == want, (seed, n, flavor)
+                compared[n, flavor] += 1
+    assert compared[4, "unordered"] >= 50 and compared[4, "ordered"] >= 30
 
 
 def test_critical_cells_reach_the_top_degree_of_the_complex():
@@ -166,6 +190,20 @@ def test_boundary_example_and_single_edge():
     c = parse_cell("{0-1,4}")[0]
     assert {format_cell(f): s for f, s in boundary(c)} == \
         {"{0,4}": 1, "{1,4}": -1}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_boundary_matches_reference_on_random_trees(seed):
+    # unordered faces are spliced into place, not sorted
+    t = random_ordered_tree(seed)
+    for n in (1, 2, 3):
+        for flavor in ("unordered", "ordered"):
+            ordered = flavor == "ordered"
+            for cs in enumerate_cells(t, n, flavor).values():
+                for cell in cs:
+                    assert boundary(cell, ordered) == \
+                        reference_boundary(cell, ordered), cell
 
 
 def test_boundary_squares_to_zero():

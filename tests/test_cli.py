@@ -412,11 +412,31 @@ K2221 = json.dumps({"vertices": [f"v{i}" for i in range(7)],
     (["--graph", K2221, "--n", "3", "--subdivide", "auto"], "0c5ab50dfdf2d523"),
 ], ids=["K5-n4", "K33-n2-ordered", "K33-n1-ordered", "K2221-n3"])
 def test_present_reports_are_unchanged(capsys, argv, digest):
-    status, rep = capture(capsys, ["present"] + argv)
+    _assert_report_digest(capsys, ["present"] + argv, digest)
+
+
+def _assert_report_digest(capsys, argv, digest):
+    status, rep = capture(capsys, argv)
     assert status == 0
     del rep["timing_ms"]
     text = json.dumps(rep, sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest()[:16] == digest
+
+
+# digests of the reports, less timing_ms, from the Morse build that sorted
+# every face, generated every candidate cell and moved the representative's
+# row through the product table
+@pytest.mark.parametrize("argv, digest", [
+    (["cells", "--graph", "K33", "--n", "2", "--boundaries"],
+     "db7e64ad1b7d6800"),
+    (["cells", "--graph", "K(3,4)", "--n", "3", "--flavor", "ordered"],
+     "5aaf1ca8190da580"),
+    (["homology", "--graph", "K5", "--n", "4"], "4abbe63caa7403e7"),
+    (["check", "--graph", "K5", "--n", "4"], "0576433056148eeb"),
+], ids=["cells-K33-n2-boundaries", "cells-K34-n3-ordered", "homology-K5-n4",
+        "check-K5-n4"])
+def test_build_reports_are_unchanged(capsys, argv, digest):
+    _assert_report_digest(capsys, argv, digest)
 
 
 def test_graph_path_that_is_a_directory_is_one_line(tmp_path, capsys):

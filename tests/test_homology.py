@@ -11,7 +11,7 @@ from graphbraids.trees import choose_tree_and_order
 from graphbraids.morse import build_morse_complex
 from graphbraids.homology import AbelianGroup, homology
 from graphbraids.closedforms import (check_closed_forms, classify_1cells,
-                                     separating_families)
+                                     separating_families, wedge_cell)
 from graphbraids.intlinalg import (smith_normal_form, kernel_basis,
                                    kernel_coordinates)
 from graphbraids.morse import MorseError
@@ -19,7 +19,8 @@ from graphbraids.morse import MorseError
 from reference import (dense_boundaries, parse_cell, per_matrix_homology,
                        random_ordered_tree, reference_classify_1cells,
                        reference_separating_families,
-                       reference_undetermined_block, relative_h1_rank)
+                       reference_undetermined_block, reference_wedge_cell,
+                       relative_h1_rank)
 
 
 def test_abelian_group_canonical():
@@ -347,6 +348,51 @@ def test_census_matches_reference_on_corpus(seed, setting):
 def test_separating_families_match_reference_on_pinned_trees(key):
     t = PINNED_TREES[key]()
     assert separating_families(t) == reference_separating_families(t)
+
+
+def _wedge_outcome(build, t, d, dp, s0, strict):
+    try:
+        return build(t, d, dp, s0, strict)
+    except MorseError as exc:
+        return f"raises: {exc}"
+
+
+def wedges_against_reference(t) -> Counter:
+    """Compare `wedge_cell` with its name-built oracle on every ordered
+    pair of distinct deleted edges, every prefix length up to the vertex
+    count and both ``strict`` values; count the outcomes by kind."""
+    kinds = Counter()
+    for d in t.deleted:
+        for dp in t.deleted:
+            if d == dp:
+                continue
+            for s0 in range(t.nv + 1):
+                for strict in (True, False):
+                    got = _wedge_outcome(wedge_cell, t, d, dp, s0, strict)
+                    want = _wedge_outcome(reference_wedge_cell, t, d, dp, s0,
+                                          strict)
+                    assert got == want, (d, dp, s0, strict)
+                    kinds[got if isinstance(got, str) or got is None
+                          else "cell"] += 1
+    return kinds
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_TREES))
+def test_wedge_cells_match_reference_on_pinned_trees(key):
+    kinds = wedges_against_reference(PINNED_TREES[key]())
+    assert kinds["cell"] and kinds[None]
+
+
+def test_wedge_cells_match_reference_on_random_trees():
+    # trees failing T2 give pairs whose meet is one of the initial
+    # vertices, and a long prefix collides with the meet
+    kinds = Counter()
+    for seed in range(100):
+        kinds += wedges_against_reference(random_ordered_tree(seed))
+    assert set(kinds) == {"cell", None,
+                          "raises: wedge undefined: one initial vertex is an "
+                          "ancestor of the other",
+                          "raises: wedge cell failed to materialize"}
 
 
 def test_block_empty_when_no_separating():

@@ -5,7 +5,8 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 from graphbraids.corpus import corpus, random_topological_graph
-from graphbraids.graphs import subdivide, betti1, build_graph, is_planar
+from graphbraids.graphs import (Graph, subdivide, betti1, build_graph,
+                                is_planar)
 from graphbraids.trees import choose_tree_and_order, verify_conditions
 from graphbraids.cells import phi, enumerate_cells
 from graphbraids.morse import (build_morse_complex, MorseError, Reducer,
@@ -69,6 +70,36 @@ def test_morse_homology_is_the_whole_complexs(seed, n, flavor):
     t = random_ordered_tree(seed)
     assert homology(build_morse_complex(t, n, flavor)) == \
         homology(whole_complex(t, n, flavor))
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    """``g`` with its vertices renamed by a random bijection and its vertex
+    and edge lists shuffled."""
+    names = [f"r{i}" for i in range(len(g.vertices))]
+    rng.shuffle(names)
+    new = dict(zip(g.vertices, names))
+    vs = [new[v] for v in g.vertices]
+    es = [(e.id, new[e.u], new[e.v]) for e in g.edges]
+    rng.shuffle(vs)
+    rng.shuffle(es)
+    return Graph(vs, es)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 10_000), st.sampled_from(
+    [(2, "unordered"), (2, "ordered"), (3, "unordered"), (3, "ordered")]))
+def test_homology_ignores_vertex_names_and_edge_order(seed, shuffle, setting):
+    # the tree and its order are chosen from the names and the edge order,
+    # so the Morse complex changes with them; its homology must not
+    n, flavor = setting
+    g = corpus(seed, 1)[0]
+
+    def h(graph):
+        gs, _ = subdivide(graph, n, "strict" if n == 2 else "auto")
+        return homology(build_morse_complex(choose_tree_and_order(gs, n), n,
+                                            flavor))
+
+    assert h(relabelled(g, random.Random(shuffle))) == h(g)
 
 
 def test_h0_counts_components():
