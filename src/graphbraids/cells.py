@@ -162,12 +162,17 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
     and a branch stops as soon as some chosen tree edge can no longer get
     such a vertex, so only critical cells are built.  Refuses once the
     cells generated hold more than ``cap`` items: n per cell, and n * n!
-    per ordered orbit."""
+    per ordered orbit; and before generating any when one cell or orbit
+    alone holds more."""
     if flavor not in ("unordered", "ordered"):
         raise CellError(f"unknown flavor {flavor!r}")
     ordered = flavor == "ordered"
     per_cell = n * factorial(n) if ordered else n
     unit = "orbit" if ordered else "cell"
+    over = (f"the critical cells exceed the cap of {cap} items "
+            f"({per_cell} per {unit})")
+    if per_cell > cap:  # before an ordered build lists an orbit's n! cells
+        raise CellError(over)
     parent, children, deleted = t.parent, t.children, t.deleted_set
     nv = t.nv
     edges = [e for e in t.all_edge_pairs()
@@ -187,8 +192,7 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
         nonlocal count
         count += per_cell
         if count > cap:
-            raise CellError(f"the critical cells exceed the cap of {cap} "
-                            f"items ({per_cell} per {unit})")
+            raise CellError(over)
         cell = tuple(sorted(chosen_edges + [vertex(v) for v in verts]))
         by_dim[len(chosen_edges)].append(cell)
 

@@ -5,19 +5,19 @@ separating and free cells.
 `morse.build_morse_complex` reads d2 off the rewritten relator words.  The
 closed boundary formulas (`fast_morse_boundary`, and
 `fast_morse_boundary_ordered` for ordered n = 2) state d2 independently,
-reading separation and its branch off the tree's census ``sep_classes``,
-and `check_closed_forms` compares the built complex with them.  The 1-cell
-census (`classify_1cells`) is read off each cell's shape (its edge and its
-blocked vertices over the branches of tau) and ``sep_classes``, not off the
-matrix; it names no cell.
+reading separation and its branch off the tree's census ``sep_classes``
+and building each term's cell with `morse.edge_cell`, and
+`check_closed_forms` compares the built complex with them.  The 1-cell
+census (`classify_1cells`) is read off each cell's shape, its standard form
+(`morse.standard_vector`) and ``sep_classes``, not off the matrix; it
+names no cell.
 """
 
 from __future__ import annotations
 
 from . import cells as C
-from .morse import (CriticalName, MorseComplex, MorseError, Term,
-                    _branch_chain, _cell_shape, materialize_name,
-                    name_critical_cell)
+from .morse import (MorseComplex, MorseError, cell_shape, edge_cell,
+                    name_critical_cell, standard_vector)
 from .trees import OrderedTree, verify_conditions
 
 
@@ -47,12 +47,8 @@ def bold_A(t: OrderedTree, a_vertex: int, vec, ell: int, n: int):
             v = list(cur)
             v[p - 1] -= 1
             v[ell - 1] += 1
-            edge = (a_vertex, t.children[a_vertex][p - 1])
-            s0 = n - 1 - sum(v)
-            name = CriticalName((Term("tree", edge, tuple(v)),), s0)
-            cell = materialize_name(t, name)
-            if cell is None:
-                raise MorseError("bold-A term failed to materialize")
+            cell = edge_cell(t, (a_vertex, t.children[a_vertex][p - 1]), v,
+                             n - 1 - sum(v))
             out[cell] = out.get(cell, 0) + 1
         # vec - (alpha + 1): one fewer vertex on the lowest occupied branch
         cur[p - 1] -= 1
@@ -114,22 +110,13 @@ def fast_morse_boundary(t: OrderedTree, cell) -> dict:
         return {}
     k = t.branch(a, own.edge[1])
     avec = own.vec
-
-    def one_cell(vec):
-        s0 = n - 1 - sum(vec)
-        nm = CriticalName((Term(own.kind, own.edge, tuple(vec)),), s0)
-        cc = materialize_name(t, nm)
-        if cc is None:
-            raise MorseError("boundary term failed to materialize")
-        return cc
-
     out: dict = {}
 
     def add(cellv, coeff):
         out[cellv] = out.get(cellv, 0) + coeff
 
-    add(one_cell(avec), 1)
-    add(one_cell(_plus(avec, ell)), -1)
+    for vec, x in ((avec, 1), (_plus(avec, ell), -1)):
+        add(edge_cell(t, own.edge, vec, n - 1 - sum(vec)), x)
     for cc, x in bold_A(t, a, avec, ell, n).items():
         add(cc, -x)
     for cc, x in bold_A(t, a, _plus(avec, k), ell, n).items():
@@ -164,13 +151,8 @@ def fast_morse_boundary_ordered(t: OrderedTree, cell_tuple) -> dict:
         out[tup] = out.get(tup, 0) + coeff
 
     zero = (0,) * t.branch_count(a)
-    bare = materialize_name(t, CriticalName((Term("deleted", d, zero),), 1))
-    dvec = materialize_name(t, CriticalName((Term("deleted", d,
-                                                  _plus(zero, ell)),), 0))
-    if bare is None or dvec is None:
-        raise MorseError("ordered boundary term failed to materialize")
-    emit(bare, ident, 1)
-    emit(dvec, rho, -1)
+    emit(edge_cell(t, d, zero, 1), ident, 1)
+    emit(edge_cell(t, d, _plus(zero, ell), 0), rho, -1)
     if d[1] < dp[1]:
         if k == ell:
             emit(wedge_cell(t, d, dp, 0), ident, -1)
@@ -248,30 +230,18 @@ def classify_1cells(mc: MorseComplex) -> dict:
 def _is_pivotal(t: OrderedTree, cell) -> bool:
     """Whether a sorted critical 1-cell that is not separating is pivotal,
     read off its shape: its edge e, tree or deleted, and its blocked
-    vertices off the 0_s prefix over the branches of tau(e).  It is pivotal
-    when some branch m >= 1 in the census ``t.sep_classes[tau]`` holds one
-    of them (a tree edge needs two in all), and the cell is in standard
-    form: on each branch they are the chain of single children that
-    `_branch_chain` walks from e.  A cell outside the standard forms has no
-    name and is free.  The base side, branch 0, is not in a cell's
-    blocked-vertex vector."""
+    vertices off the 0_s prefix.  It is pivotal when some branch m >= 1 in
+    the census ``t.sep_classes[tau(e)]`` holds one of them (a tree edge
+    needs two in all), and they are in standard form
+    (`morse.standard_vector`).
+    A cell outside the standard forms has no name and is free.  The base
+    side, branch 0, is not in a cell's blocked-vertex vector."""
     (e,) = C.cell_edges(cell)
-    tau = e[0]
-    classes = [m for m in t.sep_classes.get(tau, ()) if m]
+    classes = [m for m in t.sep_classes.get(e[0], ()) if m]
     if not classes:
         return False
-    rest = _cell_shape(t, cell)[1]
-    on = [[] for _ in range(t.branch_count(tau))]
-    for v in rest:
-        k = t.branch(tau, v)
-        if not k:
-            return False
-        on[k - 1].append(v)
-    if not any(on[m - 1] for m in classes):
+    rest = cell_shape(t, cell)[1]
+    if e not in t.deleted_set and len(rest) < 2:
         return False
-    tree_edge = e not in t.deleted_set
-    if tree_edge and len(rest) < 2:
-        return False
-    own = t.branch(tau, e[1])
-    return all(_branch_chain(t, tau, k, tree_edge and k == own, len(vs)) == vs
-               for k, vs in enumerate(on, 1) if vs)
+    vec = standard_vector(t, e, rest)
+    return vec is not None and any(vec[m - 1] for m in classes)

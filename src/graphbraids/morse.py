@@ -41,6 +41,12 @@ and relator come from its orbit's by this index arithmetic, the one place
 where S_n acts on reduced values: `Reducer` walks every cell as it is
 given, labelled or not, and never relabels.
 
+A critical cell's name, the paper's standard form, is read off its
+`cell_shape`: each edge e with the vector of the vertices hanging from it,
+counted on the branches of tau(e), and the 0_s prefix.  `standard_vector`
+is the one test of that form, which the closed forms' pivotal census
+shares, and `edge_cell` builds the cell of a one-term name.
+
 The build does only what a job reads.  ``MorseComplex.names`` names a
 critical cell with `name_critical_cell` the first time its name is read,
 and keeps it.  A job reads no name until it shows one: the 1-cell census
@@ -338,14 +344,15 @@ class CriticalName(namedtuple("CriticalName", "terms s0")):
     __slots__ = ()
 
 
-def _prefix_length(t: OrderedTree, vset) -> int:
+def prefix_length(t: OrderedTree, vset) -> int:
+    """s of the 0_s prefix: 0..s-1 are in ``vset``, each the next's parent."""
     s = 0
     while s in vset and (s == 0 or t.parent[s] == s - 1):
         s += 1
     return s
 
 
-def _cell_shape(t: OrderedTree, cell):
+def cell_shape(t: OrderedTree, cell):
     """(s0, rest, edges, owner) of a sorted cell: the length of its 0_s
     prefix, its other vertices in increasing order, its edges by decreasing
     tau, and owner[v], the edge of the cell that the vertex v of rest hangs
@@ -359,7 +366,7 @@ def _cell_shape(t: OrderedTree, cell):
             verts.add(it[0])
         else:
             edges.append(it)
-    s0 = _prefix_length(t, verts)
+    s0 = prefix_length(t, verts)
     end_owner = {}
     for e in edges:
         end_owner[e[0]] = end_owner[e[1]] = e
@@ -377,21 +384,18 @@ def _cell_shape(t: OrderedTree, cell):
 
 
 def name_critical_cell(t: OrderedTree, cell):
-    """Structured name of a sorted critical cell, or None when the cell does
-    not fit the standard forms: the name would not materialize back to the
-    cell (possible on trees violating T1/T2)."""
-    s0, rest, edges, owner = _cell_shape(t, cell)
-    vecs = {e: [0] * t.branch_count(e[0]) for e in edges}
-    for v in rest:
-        e = owner[v]
-        k = t.branch(e[0], v) if e is not None else 0
-        if k == 0:
-            return None
-        vecs[e][k - 1] += 1
-    terms = tuple(Term("deleted" if e in t.deleted_set else "tree", e,
-                       tuple(vecs[e])) for e in edges)
-    name = CriticalName(terms, s0)
-    return name if materialize_name(t, name) == tuple(cell) else None
+    """Structured name of a sorted critical cell, read off its
+    `cell_shape`: each edge with the `standard_vector` of the vertices that
+    hang from it, and the 0_s prefix.  None when the cell fits no standard
+    form (possible on trees violating T1/T2): a vertex off the prefix hangs
+    from no edge, or some edge's vertices are not in standard form."""
+    s0, rest, edges, owner = cell_shape(t, cell)
+    vecs = [standard_vector(t, e, [v for v in rest if owner[v] == e])
+            for e in edges]
+    if None in vecs or None in owner.values():
+        return None
+    return CriticalName(tuple(Term("deleted" if e in t.deleted_set else "tree",
+                                   e, vec) for e, vec in zip(edges, vecs)), s0)
 
 
 def _branch_chain(t: OrderedTree, a: int, k: int, skip_first: bool, count: int):
@@ -407,26 +411,46 @@ def _branch_chain(t: OrderedTree, a: int, k: int, skip_first: bool, count: int):
     return out[1:] if skip_first else out
 
 
-def materialize_name(t: OrderedTree, name: CriticalName):
-    """Inverse of naming: build the sorted cell a CriticalName denotes."""
-    items = []
-    for tm in name.terms:
-        items.append(tm.edge)
-        a = tm.tau
-        own_branch = t.branch(a, tm.edge[1])
-        for i, cnt in enumerate(tm.vec, start=1):
-            if not cnt:
-                continue
-            skip = tm.kind == "tree" and i == own_branch
-            chain = _branch_chain(t, a, i, skip, cnt)
+def standard_vector(t: OrderedTree, e, verts):
+    """The blocked-vertex vector of the vertices ``verts`` (increasing) that
+    hang from the edge e, or None when they are not in standard form.  The
+    one test of the standard form: none lies on branch 0 of tau(e), and on
+    each branch k they are the first ones `_branch_chain` walks from tau(e),
+    past the edge's own end when e is a tree edge on branch k."""
+    tau = e[0]
+    on = [[] for _ in t.children[tau]]
+    for v in verts:
+        k = t.branch(tau, v)
+        if not k:
+            return None
+        on[k - 1].append(v)
+    own = 0 if e in t.deleted_set else t.branch(tau, e[1])
+    for k, vs in enumerate(on, 1):
+        if vs and _branch_chain(t, tau, k, k == own, len(vs)) != vs:
+            return None
+    return tuple(map(len, on))
+
+
+def edge_cell(t: OrderedTree, e, vec, s0: int):
+    """The sorted cell of the one-term name: the edge e, vec[k - 1] vertices
+    on the standard chain of each branch k of tau(e) (see
+    `standard_vector`), and the 0_s prefix.  Raises `MorseError` when a
+    chain ends early or the items collide."""
+    tau = e[0]
+    own = 0 if e in t.deleted_set else t.branch(tau, e[1])
+    items = [e, *map(C.vertex, range(s0))]
+    for k, cnt in enumerate(vec, 1):
+        if cnt:
+            chain = _branch_chain(t, tau, k, k == own, cnt)
             if chain is None:
-                return None
-            items.extend(C.vertex(v) for v in chain)
-    items.extend(C.vertex(v) for v in range(name.s0))
+                raise MorseError(f"branch {k} of {tau} holds no chain of "
+                                 f"{cnt} vertices")
+            items.extend(map(C.vertex, chain))
     cell = tuple(sorted(items))
     used = [x for it in cell for x in C.closure_vertices(it)]
-    if len(set(used)) != len(used) or len(set(cell)) != len(cell):
-        return None
+    if len(set(used)) != len(used):
+        raise MorseError(f"the cell of edge {e}, vector {tuple(vec)} and "
+                         f"0_{s0} has colliding items")
     return cell
 
 
@@ -503,7 +527,7 @@ def cell_sort_key(t: OrderedTree, cell, sigma=None):
     """Basis order of a sorted cell: 1-cells by (size, edge, vector) and
     2-cells by the 6-tuple; vertex tuples and the permutation break
     remaining ties."""
-    _, rest, edges, owner = _cell_shape(t, cell)
+    _, rest, edges, owner = cell_shape(t, cell)
     sig = tuple(-x for x in sigma) if sigma is not None else ()
     dim = len(edges)
     if dim == 0:
@@ -620,9 +644,12 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
     critical: dict[int, list] = {}
     index: dict[int, dict] = {}
     reps: list = []  # the unordered critical cells, one per orbit
+    crits = sorted(C.critical_cells(t, n, flavor, cap=cap).items())
+    # S_n is listed only past the cap, which refuses an orbit of n * n!
+    # items larger than it
     sigmas = list(permutations(range(1, n + 1))) if ordered else [None]
     m = len(sigmas)
-    for d, crit in sorted(C.critical_cells(t, n, flavor, cap=cap).items()):
+    for d, crit in crits:
         crit.sort(key=lambda cell: cell_sort_key(t, cell), reverse=True)
         reps.extend(crit)
         # the orbit of c: one labelling per sigma, in lexicographic order

@@ -27,7 +27,7 @@ from collections.abc import Mapping, Sequence
 
 from . import cells as C
 from .morse import (LazyMapping, MorseComplex, MorseError, Word,
-                    _prefix_length, free_reduce)
+                    free_reduce, prefix_length)
 from .homology import AbelianGroup
 from .closedforms import classify_1cells
 
@@ -220,8 +220,8 @@ def _modified_pivotal_key(mc: MorseComplex, cell):
     off the 0_s prefix is read off the cell's vertices."""
     rep, _ = mc.orbit(cell)
     e = C.cell_edges(rep)[0]
-    rest = mc.n - 1 - _prefix_length(mc.tree,
-                                     {a for a, b in rep if b == -1})
+    rest = mc.n - 1 - prefix_length(mc.tree,
+                                    {a for a, b in rep if b == -1})
     return (rest, (e[0], 1 if e in mc.tree.deleted_set else 0, e[1]),
             -mc.index[1][cell])
 

@@ -221,16 +221,12 @@ def verify_conditions(t: OrderedTree) -> ConditionReport:
     if t.mode == "planar":
         t4 = True
         for d in t.deleted:
-            for dp in t.deleted:
-                if dp[0] < d[0]:
-                    gd = t.branch(d[0], d[1])
-                    if d[0] in (dp[0], dp[1]):
-                        continue
-                    gp = t.branch(d[0], dp[1]) if dp[1] != d[0] else -1
-                    if gd == gp and not d[1] < dp[1]:
-                        t4, witnesses["t4"] = False, (d, dp)
-                        break
-            if not t4:
+            gd = t.branch(d[0], d[1])
+            dp = next((dp for dp in t.deleted if dp[0] < d[0]
+                       and d[0] not in dp and t.branch(d[0], dp[1]) == gd
+                       and not d[1] < dp[1]), None)
+            if dp is not None:
+                t4, witnesses["t4"] = False, (d, dp)
                 break
     return ConditionReport(t1, t2, t3, t4, witnesses)
 

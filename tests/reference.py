@@ -13,7 +13,7 @@ from graphbraids.closedforms import separating_cells, separating_families
 from graphbraids.homology import AbelianGroup
 from graphbraids.intlinalg import smith_normal_form
 from graphbraids.morse import (WORDS, CriticalName, MorseError, Reducer,
-                               Term, cell_sort_key, materialize_name,
+                               Term, _branch_chain, cell_sort_key,
                                morse_boundary, name_critical_cell)
 from graphbraids.present import cyclic_reduce
 from graphbraids.trees import OrderedTree
@@ -337,6 +337,26 @@ def reference_t2(t: OrderedTree):
     return True, None
 
 
+def reference_t4(t: OrderedTree):
+    """T4 by the loop `verify_conditions` ran before its inner loop became
+    one search: (t4, the first witness (d, d') or None)."""
+    witnesses = {}
+    t4 = True
+    for d in t.deleted:
+        for dp in t.deleted:
+            if dp[0] < d[0]:
+                gd = t.branch(d[0], d[1])
+                if d[0] in (dp[0], dp[1]):
+                    continue
+                gp = t.branch(d[0], dp[1]) if dp[1] != d[0] else -1
+                if gd == gp and not d[1] < dp[1]:
+                    t4, witnesses["t4"] = False, (d, dp)
+                    break
+        if not t4:
+            break
+    return t4, witnesses.get("t4")
+
+
 def reference_separating_families(t: OrderedTree) -> list:
     """The separating families partner by partner: for each deleted edge d
     on branch k >= 1 of tau(d), the deleted edges d' with smaller tau,
@@ -354,6 +374,56 @@ def reference_separating_families(t: OrderedTree) -> list:
         if len(partners) >= 2:
             fams.append((d, partners))
     return fams
+
+
+def materialize_name(t: OrderedTree, name: CriticalName):
+    """Inverse of naming: build the sorted cell a CriticalName denotes."""
+    items = []
+    for tm in name.terms:
+        items.append(tm.edge)
+        a = tm.tau
+        own_branch = t.branch(a, tm.edge[1])
+        for i, cnt in enumerate(tm.vec, start=1):
+            if not cnt:
+                continue
+            skip = tm.kind == "tree" and i == own_branch
+            chain = _branch_chain(t, a, i, skip, cnt)
+            if chain is None:
+                return None
+            items.extend(C.vertex(v) for v in chain)
+    items.extend(C.vertex(v) for v in range(name.s0))
+    cell = tuple(sorted(items))
+    used = [x for it in cell for x in C.closure_vertices(it)]
+    if len(set(used)) != len(used) or len(set(cell)) != len(cell):
+        return None
+    return cell
+
+
+def reference_name(t: OrderedTree, cell):
+    """The name of a sorted cell by rebuilding: count each vertex off the
+    0_s prefix on the branch of the edge it hangs from (walking up through
+    cell vertices), and keep the name only if `materialize_name` gives the
+    cell back.  None when some vertex hangs from no edge or lies on
+    branch 0 of its edge."""
+    verts = {a for a, b in cell if b == -1}
+    edges = sorted((it for it in cell if it[1] != -1), reverse=True)
+    s0 = 0
+    while s0 in verts and (s0 == 0 or t.parent[s0] == s0 - 1):
+        s0 += 1
+    ends = {x: e for e in edges for x in e}
+    vecs = {e: [0] * t.branch_count(e[0]) for e in edges}
+    for v in sorted(verts - set(range(s0))):
+        u = t.parent[v]
+        while u in verts and u >= s0:
+            u = t.parent[u]
+        e = ends.get(u)
+        k = t.branch(e[0], v) if e is not None else 0
+        if not k:
+            return None
+        vecs[e][k - 1] += 1
+    name = CriticalName(tuple(Term("deleted" if e in t.deleted_set else "tree",
+                                   e, tuple(vecs[e])) for e in edges), s0)
+    return name if materialize_name(t, name) == tuple(cell) else None
 
 
 def reference_wedge_cell(t: OrderedTree, d, dp, s0: int, strict: bool = True):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -7,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import graphbraids
 from graphbraids.cli import run, make_parser
+from graphbraids.graphs import BUILTIN_GRAPHS, FAMILY_CAP
 
 
 def capture(capsys, argv):
@@ -433,8 +437,18 @@ def _assert_report_digest(capsys, argv, digest):
      "5aaf1ca8190da580"),
     (["homology", "--graph", "K5", "--n", "4"], "4abbe63caa7403e7"),
     (["check", "--graph", "K5", "--n", "4"], "0576433056148eeb"),
+    # from the code that named a cell by rebuilding it from its name and
+    # built the closed forms' terms from one-term names: FigB3n3's tree
+    # fails T2, so some of its cells print as cell text
+    (["cells", "--graph", "FigB3n3", "--n", "3", "--boundaries"],
+     "82d58f4d490e2f83"),
+    (["cells", "--graph", "K5", "--n", "5", "--subdivide", "auto",
+      "--boundaries"], "9b7f1f56d5e50cd5"),
+    (["check", "--graph", "K5", "--n", "5", "--subdivide", "auto"],
+     "ad086d1356c6b3eb"),
 ], ids=["cells-K33-n2-boundaries", "cells-K34-n3-ordered", "homology-K5-n4",
-        "check-K5-n4"])
+        "check-K5-n4", "cells-FigB3n3-n3-boundaries",
+        "cells-K5-n5-boundaries", "check-K5-n5"])
 def test_build_reports_are_unchanged(capsys, argv, digest):
     _assert_report_digest(capsys, argv, digest)
 
@@ -615,6 +629,23 @@ def test_a_huge_graph_family_is_one_line(capsys, spec):
                     f"error: graph family {spec!r} has ")
 
 
+def test_an_orbit_over_the_cap_is_refused_before_it_is_listed(capsys,
+                                                              monkeypatch):
+    # an ordered orbit holds n * n! items: at n = 11 its labellings alone
+    # would take gigabytes, so the cap refuses before the build lists any,
+    # even where the graph has no cell at all
+    from graphbraids import morse
+    listed = []
+    monkeypatch.setattr(morse, "permutations",
+                        lambda points: listed.append(points) or [])
+    for spec in ("K33", "K(1)"):
+        _one_line_error(capsys, ["homology", "--graph", spec, "--n", "11",
+                                 "--flavor", "ordered"],
+                        "error: the critical cells exceed the cap of "
+                        "1000000 items (439084800 per orbit)\n")
+    assert not listed
+
+
 DEGENERATE = {
     "K1": "K(1)",
     "K2": "K(2)",
@@ -650,3 +681,66 @@ def test_degenerate_inputs_answer_or_refuse_in_one_line(capsys, spec):
         if not ok:
             bad.append((argv, status, err))
     assert not bad
+
+
+# the argv grammar: graph specs of every kind, small and huge family
+# parameters, malformed JSON and edge lists, and every option value
+PARAMS = st.sampled_from([-1, *range(7), FAMILY_CAP + 1])
+IDS = st.one_of(st.sampled_from("abcd"), st.integers(-1, 3), st.none(),
+                st.booleans(), st.just([]))
+GRAPHS = st.one_of(
+    st.sampled_from(list(BUILTIN_GRAPHS)),
+    st.sampled_from(["NoSuchGraph", "", "K(2.5)", "K(a)", "K()", "K(1,2,3)",
+                     "Theta(-)", "K(3"]),
+    st.builds("K({})".format, PARAMS),
+    st.builds("K({},{})".format, PARAMS, PARAMS),
+    st.builds("Theta({})".format, PARAMS),
+    st.builds(json.dumps, st.one_of(
+        st.fixed_dictionaries({
+            "vertices": st.lists(IDS, max_size=5),
+            "edges": st.lists(st.lists(IDS, max_size=4), max_size=6)}),
+        st.fixed_dictionaries({"vertices": IDS}),
+        st.lists(IDS, max_size=3), st.integers(-3, 3), st.text(max_size=4))),
+    st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3)
+             .map(" ".join), min_size=1, max_size=6).map("\n".join),
+    st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"))
+             .map(" ".join), min_size=1, max_size=6).map("\n".join))
+TREE_COMMANDS = ("homology", "check", "cells", "tree", "present")
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from([*TREE_COMMANDS, "formula", "decompose",
+                                    "beta2"]))
+    argv = [command, "--graph", draw(GRAPHS),
+            "--n", str(draw(st.integers(-2, 50))),
+            "--format", draw(st.sampled_from(["json", "text"]))]
+    if command in TREE_COMMANDS + ("formula",):
+        argv += ["--flavor", draw(st.sampled_from(["unordered", "ordered"]))]
+    if command in TREE_COMMANDS:
+        argv += ["--mode", draw(st.sampled_from(["generic", "planar"])),
+                 "--subdivide", draw(st.sampled_from(
+                     ["pinned", "auto", "strict", "uniform", "none", "-1",
+                      "0", "1", "2", "3", "7"])),
+                 "--cap", str(draw(st.integers(-1, 2000)))]
+    flag = {"cells": "--boundaries", "present": "--raw",
+            "beta2": "--direct"}.get(command)
+    if flag and draw(st.booleans()):
+        argv.append(flag)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_any_argv_answers_or_refuses_in_one_line(argv):
+    # in-process, under a small cap: an answer (exit 0, or 1 for a check
+    # mismatch) or one error line with exit code 2, never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run(argv)
+    err = err.getvalue()
+    if status == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert status == 0 or (status == 1 and argv[0] == "check")
+        assert "Traceback" not in err

@@ -1,8 +1,8 @@
 import re
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from graphbraids import cells as C
 from graphbraids.cells import enumerate_cells, format_cell, phi, vertex
@@ -13,15 +13,16 @@ from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
 from graphbraids.graphs import BUILTIN_GRAPHS, build_graph, subdivide
 from graphbraids.homology import homology
 from graphbraids.trees import choose_tree_and_order
-from graphbraids.morse import (WORDS, Reducer, morse_boundary,
-                               build_morse_complex, name_critical_cell,
-                               materialize_name, format_name, MorseError,
-                               cell_sort_key)
+from graphbraids.morse import (WORDS, CriticalName, Reducer, Term,
+                               morse_boundary, build_morse_complex,
+                               name_critical_cell, edge_cell, format_name,
+                               MorseError, cell_sort_key)
 from graphbraids.closedforms import check_closed_forms, fast_morse_boundary
 from reference import (ReferenceReducer, assert_chain_complex, bare_fill,
-                       dense_boundaries, matched_cell, parse_cell,
-                       per_labelling_complex, random_ordered_tree,
-                       reference_classify, solved_out, step_shortcut_end)
+                       dense_boundaries, matched_cell, materialize_name,
+                       parse_cell, per_labelling_complex, random_ordered_tree,
+                       reference_classify, reference_name, solved_out,
+                       step_shortcut_end)
 
 
 def chain_by_name(mc, chain):
@@ -394,6 +395,43 @@ def test_name_roundtrip():
                 nm = name_critical_cell(t, c)
                 if nm is not None:
                     assert materialize_name(t, nm) == c
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+@example(3, 3)  # 18 of its 47 critical cells have no name
+def test_names_are_those_rebuilding_gives_back(seed, n):
+    # the one standard-form test reads the name off the cell; the oracle
+    # counts each vertex on its edge's branch and rebuilds the cell.  About
+    # half of these trees fail T2, where many cells have no name.  Both
+    # flavors generate the same unordered cells, one per orbit
+    t = random_ordered_tree(seed)
+    for flavor in ("unordered", "ordered"):
+        for cs in C.critical_cells(t, n, flavor).values():
+            for c in cs:
+                name = name_critical_cell(t, c)
+                assert name == reference_name(t, c), format_cell(c)
+                assert name is None or materialize_name(t, name) == c
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_edge_cell_builds_what_materialize_name_builds(seed):
+    # every edge, every vector of up to 2 vertices per branch and every
+    # 0_s prefix up to s = 3; where the one-term name builds no cell,
+    # edge_cell refuses
+    t = random_ordered_tree(seed)
+    for e in t.all_edge_pairs():
+        kind = "deleted" if e in t.deleted_set else "tree"
+        for vec in product(range(3), repeat=t.branch_count(e[0])):
+            for s0 in range(4):
+                cell = materialize_name(
+                    t, CriticalName((Term(kind, e, vec),), s0))
+                if cell is None:
+                    with pytest.raises(MorseError):
+                        edge_cell(t, e, vec, s0)
+                else:
+                    assert edge_cell(t, e, vec, s0) == cell
 
 
 def test_bare_fill_skips_closures():

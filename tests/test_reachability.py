@@ -7,6 +7,7 @@ entered, apart from the allow-list below, each entry with its reason.  A
 helper that only the tests read belongs in `tests/reference.py`.
 """
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -155,3 +156,27 @@ def test_every_function_is_reached_by_a_command(tmp_path, monkeypatch,
     # leaves the list
     stale = sorted(ALLOWED.keys() - unreached)
     assert not stale, "allowed but reached or gone: " + ", ".join(stale)
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name another module reads is public: no `from .morse import _x`,
+    # and no `C._x` on a module imported as C
+    bad = []
+    for path in sorted(Path(PACKAGE).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                for a in node.names:
+                    if a.name.startswith("_"):
+                        bad.append(f"{path.name}:{node.lineno} {a.name}")
+                    elif node.module is None:  # from . import cells as C
+                        modules.add(a.asname or a.name)
+        bad += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr[0] == "_"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules]
+    assert not bad, "private names read across modules: " + ", ".join(bad)

@@ -13,7 +13,7 @@ from graphbraids.fixtures import (PINNED_TREES, k33_pinned_tree, k5_pinned_tree,
                                   k4_pinned_tree, theta4_pinned_tree,
                                   fig_b3n3_tree, pinned_tree)
 from reference import (random_ordered_tree, reference_branch,
-                       reference_sep_classes, reference_t2)
+                       reference_sep_classes, reference_t2, reference_t4)
 
 
 def test_k33_navigation_examples():
@@ -156,6 +156,19 @@ def test_reversed_branches_break_t4():
     assert (rep.t1, rep.t2, rep.t3, rep.t4) == (True, True, True, False)
     assert rep.witnesses == {"t4": ((2, 9), (0, 5))}
     assert not rep.ok()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000))
+def test_t4_search_matches_the_pairwise_loop(seed):
+    # a random tree with random branch orders, read in planar mode: T4
+    # holds on some and fails on others, and the first witness is the same
+    t = random_ordered_tree(seed)
+    children = {t.ids[v]: [t.ids[c] for c in t.children[v]]
+                for v in range(t.nv)}
+    planar = OrderedTree(t.graph, t.ids[0], children, "planar")
+    rep = verify_conditions(planar)
+    assert (rep.t4, rep.witnesses.get("t4")) == reference_t4(planar)
 
 
 def test_planar_mode_tries_the_mirror_embedding():
