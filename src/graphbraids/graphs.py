@@ -385,6 +385,8 @@ def subdivide(g: Graph, n: int, policy="auto"):
     even at n <= 2 and ordered trees get a simple graph), "strict" (another
     name for "auto"), "uniform" (every edge into n+1 pieces), "none" (verify
     only), or an integer k (every edge into k pieces, then verify).
+    Refuses, before building it, an output with more than `FAMILY_CAP`
+    vertices or edges.
     """
     if n < 1:
         raise GraphError("braid index must be >= 1")
@@ -411,6 +413,13 @@ def subdivide(g: Graph, n: int, policy="auto"):
     else:
         raise GraphError(f"unknown subdivision policy {policy!r}")
 
+    # the output's size, read off the pieces before any name is made
+    ne = sum(max(1, pieces.get(e.id, 1)) for e in g.edges)
+    nv = len(g.vertices) + ne - len(g.edges)
+    if max(nv, ne) > FAMILY_CAP:
+        raise GraphError(f"the subdivided graph would have {nv:,} vertices "
+                         f"and {ne:,} edges; the limit is {FAMILY_CAP:,} "
+                         f"of each")
     vertices, edges, record = _split_edges(g, pieces, "")
     # the new names are distinct, as an id ends at its last separator, so
     # only a name the graph keeps can clash with them; then every new name
@@ -510,8 +519,9 @@ FAMILIES = (("K(", "K(m) or K(m,n) with integers m, n",
               2: (complete_bipartite, lambda m, n: (m + n, m * n))}),
             ("Theta(", "Theta(m) with an integer m",
              {1: (theta_graph, lambda m: (2, m))}))
-# a family member is refused before it is built when it has more vertices
-# or edges than this, the size of the default cell cap
+# a family member, or a subdivided graph, is refused before it is built
+# when it has more vertices or edges than this, the size of the default
+# cell cap
 FAMILY_CAP = 1_000_000
 
 

@@ -10,8 +10,11 @@ is zero, and a redundant cell c is solved out of the boundary of W(c): the
 cubical boundary for chains, the square's boundary word for words.  The
 matching lives in ``Reducer._plan``: each cell is classified once per plan,
 in one pass over its items, and a redundant cell's plan is its slide's end
-or its matched cell's relation solved for it.  ``Reducer.reduce`` walks all
-the faces of a boundary on one stack, so each boundary is walked once.
+or its matched cell's relation solved for it.  ``Reducer.reduce`` reduces
+each face of a boundary by memoized recursion, so each cell is planned and
+visited once; `DEPTH` bounds the recursion, and a reduction deeper than
+that restarts from the cell it reached, keeping the plans of the frames it
+unwinds.
 
 `build_morse_complex` walks each critical 2-cell once, in both flavors and
 at every n: it rewrites the 2-cell's boundary word with `WORDS` and keeps
@@ -105,6 +108,17 @@ class MorseError(RuntimeError):
     pass
 
 
+# the levels of recursion `Reducer.reduce` takes before it restarts from
+# the cell it reached, so the interpreter's stack stays near 2 * DEPTH
+# frames on any input (the deepest reduction of K4 n=14 is 126 levels)
+DEPTH = 100
+
+
+class _Deep(Exception):
+    """A reduction reached `DEPTH` levels at the unmemoized cell, its one
+    argument."""
+
+
 # ---------------------------------------------------------------------------
 # reduction
 
@@ -171,10 +185,11 @@ class Reducer:
     """Memoized reduction onto the critical cells of one flavor, with values
     in ``algebra`` (Z-chains by default).
 
-    It walks cells exactly as it is given them and knows nothing of the
-    S_n action: ``memo`` is keyed on the cell as walked, a labelled tuple
-    when ordered.  `build_morse_complex` only asks it for orbit
-    representatives and derives the other labellings itself."""
+    It reduces cells exactly as it is given them and knows nothing of the
+    S_n action: ``memo`` is keyed on the cell as given, a labelled tuple
+    when ordered, and holds every cell planned.  `build_morse_complex` only
+    asks it for orbit representatives and derives the other labellings
+    itself.  ``reduce`` recurses at most `DEPTH` levels deep (see there)."""
 
     def __init__(self, tree: OrderedTree, ordered: bool = False,
                  algebra: Algebra = CHAINS):
@@ -263,59 +278,79 @@ class Reducer:
             return "redundant", rest
         return "redundant", [(f, -x) for f, x in reversed(rest)]
 
-    def _walk(self, cells):
-        """Reduce ``cells`` and every cell they depend on into ``memo``, on
-        one stack.  A redundant cell waits in ``pending`` from its plan
-        until its faces are memoized; it is then on top of the stack again,
-        as every cell above it is one of its faces or theirs.  A face found
-        waiting is a cycle."""
-        memo = self.memo
-        alg = self.algebra
-        pending: dict = {}
-        stack = [c for c in cells if c not in memo]
-        steps = 0
-        while stack:
-            steps += 1
-            if steps > 5_000_000:
-                raise MorseError("reduction iteration cap exceeded (bug)")
-            cell = stack[-1]
-            if cell in memo:
-                stack.pop()
-                continue
-            deps = pending.pop(cell, None)
-            if deps is None:
-                kind, deps = self._plan(cell)
-                if kind == "critical":
-                    memo[cell] = alg.unit(cell)
-                    stack.pop()
-                    continue
-                if kind == "collapsible":
-                    memo[cell] = alg.zero
-                    stack.pop()
-                    continue
-                todo = [f for f, _ in deps if f not in memo]
-                if todo:
-                    pending[cell] = deps
-                    for f in todo:
-                        if f in pending:
-                            raise MorseError("cyclic reduction dependency (bug)")
-                        stack.append(f)
-                    continue
-            stack.pop()
-            if len(deps) == 1 and deps[0][1] == 1:
-                # a shortcut slide: values are kept reduced, so the value
-                # at the slide's end is this cell's as it stands; the cells
-                # it passed are never planned or memoized
-                memo[cell] = memo[deps[0][0]]
-            else:
-                memo[cell] = alg.combine([(memo[f], x) for f, x in deps])
-
     def reduce(self, terms):
-        """The value of a combination [(cell, coefficient)] of cells, its
-        cells reduced in one walk."""
+        """The value of a combination [(cell, coefficient)] of cells.
+
+        ``value(cell, depth)`` reduces one cell by recursion: it plans an
+        unmemoized cell once and memoizes its value, ``unit(cell)`` or
+        ``zero``, its slide's end's value, or the combination of its faces'
+        values.  Each level of recursion is at most two frames (``value``
+        and the comprehension over the faces), and `DEPTH` bounds the
+        levels: a cell reached `DEPTH` levels down is not planned but
+        raised as `_Deep`.  The term then restarts from that cell, with the
+        cells waiting on one another listed, and goes back up the list as
+        each is memoized.  A restart plans nothing twice: each frame it
+        unwinds keeps its plan in ``held``, read on its next visit.  In an
+        acyclic matching a deep cell is a strict descendant of every cell
+        waiting, so a deep cell already waiting is a cycle."""
         memo = self.memo
-        self._walk([c for c, _ in terms])
-        return self.algebra.combine([(memo[c], x) for c, x in terms])
+        memo_get = memo.get
+        alg = self.algebra
+        unit, zero, combine = alg.unit, alg.zero, alg.combine
+        plan = self._plan
+        held: dict = {}
+
+        def value(cell, depth):
+            v = memo_get(cell)
+            if v is not None:
+                return v
+            if not depth:
+                raise _Deep(cell)
+            if held and cell in held:
+                kind, deps = held.pop(cell)
+            else:
+                kind, deps = plan(cell)
+            if kind == "critical":
+                v = unit(cell)
+            elif kind == "collapsible":
+                v = zero
+            else:
+                try:
+                    if len(deps) == 1 and deps[0][1] == 1:
+                        # a shortcut slide: values are kept reduced, so the
+                        # value at the slide's end is this cell's as it
+                        # stands; the cells it passed are never planned
+                        v = value(deps[0][0], depth - 1)
+                    else:
+                        v = combine([(value(f, depth - 1), x)
+                                     for f, x in deps])
+                except _Deep:
+                    held[cell] = kind, deps
+                    raise
+            memo[cell] = v
+            return v
+
+        depth = DEPTH
+        try:
+            for c, _ in terms:
+                waiting = [c]
+                while waiting:
+                    try:
+                        value(waiting[-1], depth)
+                    except _Deep as deep:
+                        cell = deep.args[0]
+                        if cell in waiting:
+                            raise MorseError("cyclic reduction dependency "
+                                             "(bug)") from None
+                        waiting.append(cell)
+                    else:
+                        waiting.pop()
+        finally:
+            # ``value`` refers to itself: unbind it, so that the cycle does
+            # not keep the reducer and its memo alive until the cyclic
+            # garbage collector runs
+            del value
+        return combine([(memo[c], x) for c, x in terms])
 
 
 def morse_boundary(red: Reducer, cell):
@@ -620,12 +655,15 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
     Each orbit's boundary is reduced (or rewritten) once, at c, and c's row
     and relator are read straight off that reduced value: one lookup in the
     lower basis per term, zero sums dropped, and the reduced word is the
-    relator itself.  Only the other labellings sigma go through the
-    product table: their rows and relators are c's with every column moved
-    within its orbit to rank(sigma o tau) (see the module docstring), so an
-    unordered build never reads it.  Labellings that collide, or a column
-    moved outside the lower basis, raise `MorseError`.  With a single critical 0-cell every d1 row is empty and
-    none is reduced (see the module docstring).
+    relator itself.  Only the other labellings sigma go through the product
+    table: their rows and relators are c's with every column moved within
+    its orbit to rank(sigma o tau) (see the module docstring), so an
+    unordered build never reads it, and an ordered one builds it at the
+    first row it derives.  The table's n! x n! entries count against
+    ``cap`` too, and a larger table is refused before it is built.
+    Labellings that collide, or a column moved outside the lower basis,
+    raise `MorseError`.  With a single critical 0-cell every d1 row is
+    empty and none is reduced (see the module docstring).
 
     The reduction of degree 2 is the rewriting of each critical 2-cell's
     boundary word: the words are kept as ``relators`` and the d2 row is
@@ -662,8 +700,10 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
                              f"are not distinct: {len(crit)} critical "
                              f"{d}-cells x {m} give {len(index[d])} cells")
     # products[s][u] = rank(sigma_s o sigma_u): relabelling by sigma_s takes
-    # the labelling (orbit i, sigma_u) to (orbit i, sigma_s o sigma_u)
-    products = _product_table(sigmas) if ordered else None
+    # the labelling (orbit i, sigma_u) to (orbit i, sigma_s o sigma_u);
+    # built at the first row derived, as none is when only 0-cells are
+    # critical
+    products = None
     red = Reducer(t, ordered)
     # degree 2 is walked once, in words: the relators are kept and d2 is
     # read off them
@@ -699,6 +739,12 @@ def build_morse_complex(t: OrderedTree, n: int, flavor: str = "unordered",
                 rows.append(dict(cols))
             if m == 1:
                 continue
+            if products is None:
+                if m * m > cap:
+                    raise MorseError(f"the table of permutation products "
+                                     f"exceeds the cap of {cap} items ({m} "
+                                     f"x {m})")
+                products = _product_table(sigmas)
             # the other labellings: a term at column j = (orbit offset) +
             # (rank u of its labelling) moves under sigma_s to the offset
             # plus rank(sigma_s o sigma_u).  That is a bijection of the

@@ -646,6 +646,46 @@ def test_an_orbit_over_the_cap_is_refused_before_it_is_listed(capsys,
     assert not listed
 
 
+@pytest.mark.parametrize("n", [2_000_000, 200_000])
+def test_a_subdivision_over_the_limit_is_refused_before_it_is_built(
+        capsys, monkeypatch, n):
+    # K5 has 10 segments, so auto subdivision asks for about 10 (n - 1)
+    # edges: 20M at n = 2,000,000, which ran out of memory in the naming
+    from graphbraids import graphs
+    split = []
+    monkeypatch.setattr(graphs, "_split_edges",
+                        lambda *args: split.append(args))
+    _one_line_error(capsys, ["homology", "--graph", "K5", "--n", str(n),
+                             "--subdivide", "auto"],
+                    f"error: the subdivided graph would have "
+                    f"{10 * (n - 1) - 5:,} vertices and {10 * (n - 1):,} "
+                    f"edges; the limit is {FAMILY_CAP:,} of each\n")
+    assert not split
+
+
+def test_an_ordered_build_with_only_0_cells_builds_no_product_table(
+        capsys, monkeypatch):
+    # K(2) n=8 ordered has one orbit of critical 0-cells and nothing above,
+    # so no row is derived and the 40,320^2 products are never listed
+    from graphbraids import morse
+    monkeypatch.setattr(morse, "_product_table", None)
+    status, rep = capture(capsys, ["homology", "--graph", "K(2)", "--n", "8",
+                                   "--flavor", "ordered", "--subdivide",
+                                   "auto"])
+    assert status == 0
+    assert h_of(rep, 0) == {"degree": 0, "rank": 40320, "torsion": []}
+    assert all(h["rank"] == 0 for h in rep["results"]["homology"][1:])
+
+
+def test_a_product_table_over_the_cap_is_refused_before_it_is_built(capsys):
+    # K(1,3) n=7 ordered passes the cell cap (776,160 items), but its
+    # derived rows would read a 5,040 x 5,040 table
+    _one_line_error(capsys, ["homology", "--graph", "K(1,3)", "--n", "7",
+                             "--flavor", "ordered", "--subdivide", "auto"],
+                    "error: the table of permutation products exceeds the "
+                    "cap of 1000000 items (5040 x 5040)\n")
+
+
 DEGENERATE = {
     "K1": "K(1)",
     "K2": "K(2)",

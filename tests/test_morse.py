@@ -1,10 +1,13 @@
+import inspect
 import re
+import sys
+import time
 from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from graphbraids import cells as C
+from graphbraids import cells as C, morse
 from graphbraids.cells import enumerate_cells, format_cell, phi, vertex
 from graphbraids.corpus import corpus
 from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
@@ -150,10 +153,18 @@ def test_missing_matched_face_raises(monkeypatch):
         red.reduce([(cell, 1)])
 
 
-@pytest.mark.parametrize("make,n", [(k33_pinned_tree, 2),
-                                    (theta4_pinned_tree, 3)])
+@pytest.mark.parametrize("make,n,depth", [
+    pytest.param(make, n, depth, id=f"{make.__name__}-{n}"
+                 + (f"-DEPTH{depth}" if depth else ""))
+    for make, n in [(k33_pinned_tree, 2), (theta4_pinned_tree, 3)]
+    for depth in (None, 1, 2)])
 @pytest.mark.parametrize("flavor", ["unordered", "ordered"])
-def test_each_reduced_cell_is_classified_once(make, n, flavor):
+def test_each_reduced_cell_is_classified_once(make, n, depth, flavor,
+                                              monkeypatch):
+    # at DEPTH 1 or 2 nearly every cell restarts its term, and the plans
+    # of the frames a restart unwinds are kept, not made again
+    if depth:
+        monkeypatch.setattr(morse, "DEPTH", depth)
     t = make()
     mc = build_morse_complex(t, n, flavor)
     red = Reducer(t, ordered=flavor == "ordered")
@@ -163,6 +174,59 @@ def test_each_reduced_cell_is_classified_once(make, n, flavor):
     planned = [c for c, _ in plans]
     assert len(set(planned)) == len(planned) == len(red.memo) > 0
     assert set(planned) == red.memo.keys()
+
+
+def test_a_cyclic_reduction_is_refused():
+    # a slides to b and b to a: the walk must name the cycle, not loop
+    t = k33_pinned_tree()
+    a, b = parse_cell("{0,5}")[0], parse_cell("{0,1}")[0]
+    red = Reducer(t)
+    red._plan = lambda cell: ("redundant", [(b if cell == a else a, 1)])
+    start = time.perf_counter()
+    with pytest.raises(MorseError, match="cyclic reduction dependency"):
+        red.reduce([(a, 1)])
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("length", [2, 3])
+def test_a_cycle_is_refused_at_any_depth(monkeypatch, depth, length):
+    # a critical term reduced first, then one that reaches a cycle of
+    # ``length`` slides after one step, restarting every ``depth`` levels
+    monkeypatch.setattr(morse, "DEPTH", depth)
+    red = Reducer(k33_pinned_tree())
+    crit, head, *ring = [((v, -1),) for v in range(length + 2)]
+    succ = {head: ring[0], **{c: ring[(i + 1) % length]
+                              for i, c in enumerate(ring)}}
+    red._plan = lambda cell: (("critical", None) if cell == crit
+                              else ("redundant", [(succ[cell], 1)]))
+    with pytest.raises(MorseError, match="cyclic reduction dependency"):
+        red.reduce([(crit, 1), (head, 1)])
+    assert red.memo == {crit: {crit: 1}}
+
+
+def test_a_reduction_far_deeper_than_depth_keeps_a_bounded_stack():
+    # a chain of 1,000 matched cells, each solved out of the next with
+    # coefficient -1, reduces under a recursion limit of 2 * DEPTH frames
+    # (plus slack) above this one, each cell planned once
+    length = 1_000
+    red = Reducer(k33_pinned_tree())
+    planned = []
+
+    def plan(i):
+        planned.append(i)
+        return ("critical", None) if i == length else ("redundant",
+                                                      [(i + 1, -1)])
+
+    red._plan = plan
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 2 * morse.DEPTH + 20)
+    try:
+        assert red.reduce([(0, 1)]) == {length: 1}
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(planned) == list(range(length + 1))
+    assert len(red.memo) == length + 1
 
 
 def test_slide_plans_only_the_ends_of_a_run():
@@ -223,6 +287,38 @@ def test_plan_matches_references_on_random_trees(seed, n, flavor):
             _check_plan(red, cell, red._plan(cell))
             if d == 1:
                 _check_plan(words, cell, words._plan(cell))
+
+
+def _build_and_memo_keys(t, n, flavor):
+    """The Morse complex and the memo keys of each reducer its build made."""
+    made = []
+
+    class Recorded(Reducer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(morse, "Reducer", Recorded)
+        mc = build_morse_complex(t, n, flavor)
+    return mc, [red.memo.keys() for red in made]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4),
+       st.sampled_from(["unordered", "ordered"]), st.sampled_from([1, 2, 3]))
+def test_restarts_change_no_build_on_random_trees(seed, n, flavor, depth):
+    """Recursing `depth` levels between restarts builds what the default
+    `DEPTH` builds, and memoizes the same cells."""
+    t = random_ordered_tree(seed)
+    want, want_keys = _build_and_memo_keys(t, n, flavor)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(morse, "DEPTH", depth)
+        got, got_keys = _build_and_memo_keys(t, n, flavor)
+    assert got.critical == want.critical
+    assert got.boundaries == want.boundaries
+    assert got.relators == want.relators
+    assert got_keys == want_keys
 
 
 def test_k5_n4_boundaries_match_reference_reducer():
