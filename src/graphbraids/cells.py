@@ -6,8 +6,13 @@ comparison by vertex number / terminal vertex); ordered cells keep tuple
 positions.  Closures of distinct items in a cell are disjoint.
 
 The Farley-Sabalka matching is not here: `critical_cells` generates the
-critical cells directly, and `morse.Reducer._plan` classifies each cell it
-reduces and builds its matched cell, once per plan.
+critical cells directly, in one depth-first search over the vertices and
+edges in the order of their first vertex, so each cell comes out sorted and
+each degree in lexicographic order (the basis order is `morse.cell_sort_key`
+alone).  On a suitably subdivided graph it first reads chi(UD_n) off Gal's
+series, and refuses at once when that many cells exceed the cap.
+`morse.Reducer._plan` classifies each cell it reduces and builds its
+matched cell, once per plan.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from bisect import bisect_left
 from itertools import permutations
 from math import comb, factorial
 
+from .graphs import is_suitably_subdivided
 from .trees import OrderedTree
 
 
@@ -105,15 +111,19 @@ def enumerate_cells(t: OrderedTree, n: int, flavor: str = "unordered",
 def euler_characteristic(t: OrderedTree, n: int, flavor: str = "unordered") -> int:
     """chi(UD_n) of t's graph from Gal's series
     sum_n chi(UD_n) x^n = prod_v (1 + (1 - val v) x) / (1 - x)^|E|
-    (T. Gal, Colloq. Math. 89, 2001); chi(D_n) = n! chi(UD_n)."""
+    (T. Gal, Colloq. Math. 89, 2001); chi(D_n) = n! chi(UD_n).  A leaf's
+    factor is 1, and a vertex of valency 2 cancels one factor 1 - x of the
+    denominator, so only the other vertices are multiplied in."""
     g = t.graph
-    poly = [1]
+    poly, ne = [1], len(g.edges)
     for v in g.vertices:
         a = 1 - g.valency(v)
-        poly = [x + a * y for x, y in zip(poly + [0], [0] + poly)][:n + 1]
-    ne = len(g.edges)
+        if a == -1:
+            ne -= 1
+        elif a:
+            poly = [x + a * y for x, y in zip(poly + [0], [0] + poly)][:n + 1]
 
-    def inverse(k):  # coefficient of x^k in (1 - x)^-|E|
+    def inverse(k):  # coefficient of x^k in (1 - x)^-ne
         return comb(ne + k - 1, k) if ne else int(k == 0)
 
     chi = sum(c * inverse(n - j) for j, c in enumerate(poly))
@@ -148,22 +158,29 @@ def complex_dimension(t: OrderedTree, n: int) -> int:
 
 def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
                    cap: int = CAP):
-    """The critical cells of UD_n grouped by dimension, each list sorted;
-    every dimension of the complex is a key, even one without critical
-    cells.  The critical cells of D_n are the n! labellings
+    """The critical cells of UD_n grouped by dimension, each list in
+    lexicographic order; every dimension of the complex is a key, even one
+    without critical cells.  The critical cells of D_n are the n! labellings
     ``phi_inverse(c, sigma)`` of these, so with flavor "ordered" the same
     unordered cells are returned, each standing for its orbit.
 
     A cell is critical when every vertex is blocked and no edge is order
     respecting, so its edges are deleted edges or tree edges (tau, iota)
     with iota not the first child of tau, and such a tree edge needs a
-    cell vertex u with parent[u] == tau and u < iota.  Vertices are added
-    in increasing order, each one 0 or with its parent already occupied,
-    and a branch stops as soon as some chosen tree edge can no longer get
-    such a vertex, so only critical cells are built.  Refuses once the
-    cells generated hold more than ``cap`` items: n per cell, and n * n!
-    per ordered orbit; and before generating any when one cell or orbit
-    alone holds more."""
+    cell vertex u with parent[u] == tau and u < iota.  One depth-first
+    search takes these edges and the vertices in the order of their first
+    vertex.  Whatever occupies parent[v] and every tree edge's tau come
+    before v in that order, so a vertex is taken when it is free and
+    blocked, an edge when both its ends are free, and a branch stops as
+    soon as some chosen tree edge can no longer get its vertex u: only
+    critical cells are built, each a sorted tuple, each degree in order.
+
+    Refuses once the cells generated hold more than ``cap`` items: n per
+    cell, and n * n! per ordered orbit.  Refuses before any search when one
+    cell or orbit alone holds more, or when the graph is suitably
+    subdivided and |chi(UD_n)| cells hold more: the critical cells of each
+    degree d number c_d with sum (-1)^d c_d = chi (Forman), and Gal's
+    series gives chi only on such a graph."""
     if flavor not in ("unordered", "ordered"):
         raise CellError(f"unknown flavor {flavor!r}")
     ordered = flavor == "ordered"
@@ -173,74 +190,57 @@ def critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
             f"({per_cell} per {unit})")
     if per_cell > cap:  # before an ordered build lists an orbit's n! cells
         raise CellError(over)
+    if (is_suitably_subdivided(t.graph, n) and per_cell * max(
+            1, abs(euler_characteristic(t, n, "unordered"))) > cap):
+        raise CellError(over)
     parent, children, deleted = t.parent, t.children, t.deleted_set
-    nv = t.nv
     edges = [e for e in t.all_edge_pairs()
              if e in deleted or children[e[0]][0] != e[1]]
-    # a tree edge needs one of its earlier siblings as a cell vertex;
-    # vertices are added in increasing order, so past the last of them it
-    # can no longer get one
-    last = {e: children[e[0]][children[e[0]].index(e[1]) - 1]
+    items = sorted([vertex(v) for v in range(t.nv)] + edges)
+    at = {it[0]: i for i, it in enumerate(items) if it[1] == -1}
+    # a tree edge needs one of its earlier siblings as a cell vertex; past
+    # the item of the last of them it can no longer get one
+    last = {e: at[children[e[0]][children[e[0]].index(e[1]) - 1]] + 1
             for e in edges if e not in deleted}
     by_dim: dict[int, list] = {d: [] for d in range(complex_dimension(t, n) + 1)}
-    chosen_edges: list = []
-    verts: list[int] = []
+    chosen: list = []
     occupied: set[int] = set()
     count = 0
-
-    def emit():
-        nonlocal count
-        count += per_cell
-        if count > cap:
-            raise CellError(over)
-        cell = tuple(sorted(chosen_edges + [vertex(v) for v in verts]))
-        by_dim[len(chosen_edges)].append(cell)
 
     # ``unmet``: the chosen tree edges with no blocking sibling yet.  A
     # vertex blocks at most one of them, the one at its parent, so a branch
     # with fewer slots than unmet edges, or past an unmet edge's last
-    # sibling, emits nothing.  So every vertex tried lies below each unmet
-    # edge's iota, and blocks the unmet edge at its parent, if any
-    def add_vertices(start: int, remaining: int, unmet: tuple):
+    # sibling, emits nothing
+    def search(start: int, remaining: int, dim: int, unmet: tuple):
+        nonlocal count
         if remaining < len(unmet):
             return
         if remaining == 0:
-            emit()
+            count += per_cell
+            if count > cap:
+                raise CellError(over)
+            by_dim[dim].append(tuple(chosen))
             return
-        stop = min(last[e] for e in unmet) + 1 if unmet else nv
-        for v in range(start, stop):
-            if v in occupied or (v and parent[v] not in occupied):
+        stop = min(last[e] for e in unmet) if unmet else len(items)
+        for i in range(start, stop):
+            item = items[i]
+            v, w = item
+            if w == -1:
+                if v in occupied or (v and parent[v] not in occupied):
+                    continue
+                left = tuple(e for e in unmet if e[0] != parent[v])
+            elif v in occupied or w in occupied:
                 continue
-            left = unmet
-            if unmet:
-                p = parent[v]
-                left = tuple(e for e in unmet if e[0] != p)
-            verts.append(v)
-            occupied.add(v)
-            add_vertices(v + 1, remaining - 1, left)
-            verts.pop()
-            occupied.discard(v)
+            else:
+                left = unmet + (item,) if item in last else unmet
+            ends = closure_vertices(item)
+            chosen.append(item)
+            occupied.update(ends)
+            search(i + 1, remaining - 1, dim + (w != -1), left)
+            chosen.pop()
+            occupied.difference_update(ends)
 
-    def add_edges(start: int, remaining: int, unmet: tuple):
-        if remaining < len(unmet):
-            return
-        add_vertices(0, remaining, unmet)
-        if remaining == 0:
-            return
-        for i in range(start, len(edges)):
-            e = edges[i]
-            if e[0] in occupied or e[1] in occupied:
-                continue
-            chosen_edges.append(e)
-            occupied.update(e)
-            add_edges(i + 1, remaining - 1,
-                      unmet + (e,) if e in last else unmet)
-            chosen_edges.pop()
-            occupied.difference_update(e)
-
-    add_edges(0, n, ())
-    for cs in by_dim.values():
-        cs.sort()
+    search(0, n, 0, ())
     return by_dim
 
 

@@ -558,32 +558,29 @@ def _vec_profile(t: OrderedTree, tau: int, vlist):
     return tuple(vec)
 
 
-def cell_sort_key(t: OrderedTree, cell, sigma=None):
-    """Basis order of a sorted cell: 1-cells by (size, edge, vector) and
-    2-cells by the 6-tuple; vertex tuples and the permutation break
-    remaining ties."""
+def cell_sort_key(t: OrderedTree, cell):
+    """Basis order of a sorted cell, one shape per degree: 0-cells by their
+    vertices, 1-cells by (size, edge, vector), 2-cells by the 6-tuple and
+    higher cells by (size, edges, vector); the vertices break ties."""
     _, rest, edges, owner = cell_shape(t, cell)
-    sig = tuple(-x for x in sigma) if sigma is not None else ()
-    dim = len(edges)
-    if dim == 0:
-        return (0, (), (), (), 0, (), (), tuple(rest), sig)
+    rest = tuple(rest)
+    if not edges:
+        return rest
     e = edges[0]
     mine = [v for v in rest if owner[v] == e]
-    if dim == 1:
-        prof = _vec_profile(t, e[0], mine)
-        return (len(rest), edge_sort_key(t, e), prof, (), 0, (), (),
-                tuple(rest), sig)
+    if len(edges) == 1:
+        return (len(rest), edge_sort_key(t, e), _vec_profile(t, e[0], mine),
+                rest)
     ep = edges[1]
-    other = [v for v in rest if owner[v] == ep]
     g = t.branch(e[0], ep[1])
     prof = list(_vec_profile(t, e[0], mine))
     prof[g] += 1
-    if dim > 2:
+    if len(edges) > 2:
         return (len(mine), tuple(edge_sort_key(t, x) for x in edges),
-                tuple(prof), (), 0, (), (), tuple(rest), sig)
-    return (len(mine), edge_sort_key(t, e), tuple(prof), (g,),
-            0, edge_sort_key(t, ep), _vec_profile(t, ep[0], other),
-            tuple(rest), sig)
+                tuple(prof), rest)
+    other = [v for v in rest if owner[v] == ep]
+    return (len(mine), edge_sort_key(t, e), tuple(prof), g,
+            edge_sort_key(t, ep), _vec_profile(t, ep[0], other), rest)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from graphbraids.closedforms import separating_cells, separating_families
 from graphbraids.homology import AbelianGroup
 from graphbraids.intlinalg import smith_normal_form
 from graphbraids.morse import (WORDS, CriticalName, MorseError, Reducer,
-                               Term, _branch_chain, cell_sort_key,
-                               morse_boundary, name_critical_cell)
+                               Term, _branch_chain, _vec_profile, cell_shape,
+                               edge_sort_key, morse_boundary,
+                               name_critical_cell)
 from graphbraids.present import cyclic_reduce
 from graphbraids.trees import OrderedTree
 
@@ -226,6 +227,156 @@ def step_shortcut_end(t: OrderedTree, cell, ordered: bool = False):
         step = _one_step_shortcut(t, cls) if cls.kind == "redundant" else None
         if step is None or step[0] != p:
             return cell
+
+
+# ---------------------------------------------------------------------------
+# critical cells, their basis order and Gal's series, the long ways
+
+def reference_critical_cells(t: OrderedTree, n: int, flavor: str = "unordered",
+                             cap: int = C.CAP):
+    """The critical cells of UD_n grouped by dimension, each list sorted;
+    every dimension of the complex is a key, even one without critical
+    cells.  The critical cells of D_n are the n! labellings
+    ``phi_inverse(c, sigma)`` of these, so with flavor "ordered" the same
+    unordered cells are returned, each standing for its orbit.
+
+    A cell is critical when every vertex is blocked and no edge is order
+    respecting, so its edges are deleted edges or tree edges (tau, iota)
+    with iota not the first child of tau, and such a tree edge needs a
+    cell vertex u with parent[u] == tau and u < iota.  Vertices are added
+    in increasing order, each one 0 or with its parent already occupied,
+    and a branch stops as soon as some chosen tree edge can no longer get
+    such a vertex, so only critical cells are built.  Refuses once the
+    cells generated hold more than ``cap`` items: n per cell, and n * n!
+    per ordered orbit; and before generating any when one cell or orbit
+    alone holds more."""
+    if flavor not in ("unordered", "ordered"):
+        raise CellError(f"unknown flavor {flavor!r}")
+    ordered = flavor == "ordered"
+    per_cell = n * math.factorial(n) if ordered else n
+    unit = "orbit" if ordered else "cell"
+    over = (f"the critical cells exceed the cap of {cap} items "
+            f"({per_cell} per {unit})")
+    if per_cell > cap:  # before an ordered build lists an orbit's n! cells
+        raise CellError(over)
+    parent, children, deleted = t.parent, t.children, t.deleted_set
+    nv = t.nv
+    edges = [e for e in t.all_edge_pairs()
+             if e in deleted or children[e[0]][0] != e[1]]
+    # a tree edge needs one of its earlier siblings as a cell vertex;
+    # vertices are added in increasing order, so past the last of them it
+    # can no longer get one
+    last = {e: children[e[0]][children[e[0]].index(e[1]) - 1]
+            for e in edges if e not in deleted}
+    by_dim: dict[int, list] = {
+        d: [] for d in range(C.complex_dimension(t, n) + 1)}
+    chosen_edges: list = []
+    verts: list[int] = []
+    occupied: set[int] = set()
+    count = 0
+
+    def emit():
+        nonlocal count
+        count += per_cell
+        if count > cap:
+            raise CellError(over)
+        cell = tuple(sorted(chosen_edges + [vertex(v) for v in verts]))
+        by_dim[len(chosen_edges)].append(cell)
+
+    # ``unmet``: the chosen tree edges with no blocking sibling yet.  A
+    # vertex blocks at most one of them, the one at its parent, so a branch
+    # with fewer slots than unmet edges, or past an unmet edge's last
+    # sibling, emits nothing.  So every vertex tried lies below each unmet
+    # edge's iota, and blocks the unmet edge at its parent, if any
+    def add_vertices(start: int, remaining: int, unmet: tuple):
+        if remaining < len(unmet):
+            return
+        if remaining == 0:
+            emit()
+            return
+        stop = min(last[e] for e in unmet) + 1 if unmet else nv
+        for v in range(start, stop):
+            if v in occupied or (v and parent[v] not in occupied):
+                continue
+            left = unmet
+            if unmet:
+                p = parent[v]
+                left = tuple(e for e in unmet if e[0] != p)
+            verts.append(v)
+            occupied.add(v)
+            add_vertices(v + 1, remaining - 1, left)
+            verts.pop()
+            occupied.discard(v)
+
+    def add_edges(start: int, remaining: int, unmet: tuple):
+        if remaining < len(unmet):
+            return
+        add_vertices(0, remaining, unmet)
+        if remaining == 0:
+            return
+        for i in range(start, len(edges)):
+            e = edges[i]
+            if e[0] in occupied or e[1] in occupied:
+                continue
+            chosen_edges.append(e)
+            occupied.update(e)
+            add_edges(i + 1, remaining - 1,
+                      unmet + (e,) if e in last else unmet)
+            chosen_edges.pop()
+            occupied.difference_update(e)
+
+    add_edges(0, n, ())
+    for cs in by_dim.values():
+        cs.sort()
+    return by_dim
+
+
+def reference_cell_sort_key(t: OrderedTree, cell, sigma=None):
+    """Basis order of a sorted cell: 1-cells by (size, edge, vector) and
+    2-cells by the 6-tuple; vertex tuples and the permutation break
+    remaining ties."""
+    _, rest, edges, owner = cell_shape(t, cell)
+    sig = tuple(-x for x in sigma) if sigma is not None else ()
+    dim = len(edges)
+    if dim == 0:
+        return (0, (), (), (), 0, (), (), tuple(rest), sig)
+    e = edges[0]
+    mine = [v for v in rest if owner[v] == e]
+    if dim == 1:
+        prof = _vec_profile(t, e[0], mine)
+        return (len(rest), edge_sort_key(t, e), prof, (), 0, (), (),
+                tuple(rest), sig)
+    ep = edges[1]
+    other = [v for v in rest if owner[v] == ep]
+    g = t.branch(e[0], ep[1])
+    prof = list(_vec_profile(t, e[0], mine))
+    prof[g] += 1
+    if dim > 2:
+        return (len(mine), tuple(edge_sort_key(t, x) for x in edges),
+                tuple(prof), (), 0, (), (), tuple(rest), sig)
+    return (len(mine), edge_sort_key(t, e), tuple(prof), (g,),
+            0, edge_sort_key(t, ep), _vec_profile(t, ep[0], other),
+            tuple(rest), sig)
+
+
+def reference_euler_characteristic(t: OrderedTree, n: int,
+                                   flavor: str = "unordered") -> int:
+    """chi(UD_n) of t's graph from Gal's series
+    sum_n chi(UD_n) x^n = prod_v (1 + (1 - val v) x) / (1 - x)^|E|
+    (T. Gal, Colloq. Math. 89, 2001), one factor per vertex; chi(D_n) =
+    n! chi(UD_n)."""
+    g = t.graph
+    poly = [1]
+    for v in g.vertices:
+        a = 1 - g.valency(v)
+        poly = [x + a * y for x, y in zip(poly + [0], [0] + poly)][:n + 1]
+    ne = len(g.edges)
+
+    def inverse(k):  # coefficient of x^k in (1 - x)^-|E|
+        return math.comb(ne + k - 1, k) if ne else int(k == 0)
+
+    chi = sum(c * inverse(n - j) for j, c in enumerate(poly))
+    return chi * math.factorial(n) if flavor == "ordered" else chi
 
 
 def random_ordered_tree(seed: int, max_vertices: int = 6,
@@ -506,7 +657,8 @@ def per_labelling_complex(t: OrderedTree, n: int):
     for d, cs in C.critical_cells(t, n, "ordered").items():
         cs = [p for c in cs for p in permutations(c)]
         split = {c: C.phi(c) for c in cs}
-        cs.sort(key=lambda c: cell_sort_key(t, *split[c]), reverse=True)
+        cs.sort(key=lambda c: reference_cell_sort_key(t, *split[c]),
+                reverse=True)
         critical[d] = cs
         names.update((c, (name_critical_cell(t, split[c][0]), split[c][1]))
                      for c in cs)

@@ -1,6 +1,7 @@
 from collections import Counter
 from itertools import permutations
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,12 +12,14 @@ from graphbraids.cells import (enumerate_cells, critical_cells,
                                boundary, phi, phi_inverse, format_cell,
                                perm_cycles, CellError)
 from graphbraids.corpus import corpus
-from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
-                                  theta4_pinned_tree, fig_b3n3_tree)
-from graphbraids.graphs import subdivide
+from graphbraids.fixtures import (PINNED_TREES, k33_pinned_tree,
+                                  k5_pinned_tree, theta4_pinned_tree,
+                                  fig_b3n3_tree)
+from graphbraids.graphs import build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
 from reference import (classify, matching, parse_cell, random_ordered_tree,
-                       reference_boundary, reference_classify)
+                       reference_boundary, reference_classify,
+                       reference_critical_cells, reference_euler_characteristic)
 
 
 def test_cell_counts_k33():
@@ -114,6 +117,19 @@ def test_critical_cells_match_classification_k5():
     assert sum(len(cs) for cs in got.values()) == 396
 
 
+def assert_generated_as_the_reference(t, n, flavor, cap=C.CAP):
+    """The same cells in the same per-degree order, or the same refusal."""
+    try:
+        want = reference_critical_cells(t, n, flavor, cap)
+    except CellError as exc:
+        with pytest.raises(CellError) as got:
+            critical_cells(t, n, flavor, cap)
+        assert str(got.value) == str(exc), (n, flavor, cap)
+        return
+    got = critical_cells(t, n, flavor, cap)
+    assert list(got.items()) == list(want.items()), (n, flavor, cap)
+
+
 def test_critical_cell_cap_counts_ordered_cells():
     # the cap counts items: n = 2 per cell, n * n! = 4 per ordered orbit
     t = k33_pinned_tree()
@@ -124,6 +140,55 @@ def test_critical_cell_cap_counts_ordered_cells():
     assert sum(len(cs) for cs in ordered.values()) == 22
     with pytest.raises(CellError, match="cap"):
         critical_cells(t, 2, "ordered", cap=43)
+    for cap in (21, 22, 43, 44):
+        for flavor in ("unordered", "ordered"):
+            assert_generated_as_the_reference(t, 2, flavor, cap)
+
+
+def test_critical_cells_equal_the_reference_on_random_trees():
+    for seed in range(150):
+        t = random_ordered_tree(seed)
+        for n in range(6):
+            for flavor in ("unordered", "ordered"):
+                assert_generated_as_the_reference(t, n, flavor)
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_TREES))
+def test_critical_cells_equal_the_reference_on_pinned_trees(key):
+    t = PINNED_TREES[key]()
+    for n in range(6):
+        for flavor in ("unordered", "ordered"):
+            assert_generated_as_the_reference(t, n, flavor)
+
+
+def test_suitably_subdivided_input_over_the_cap_is_refused_before_any_search(
+        monkeypatch):
+    # |chi(UD_200)| of K(1,3) is about 20,000 cells of 200 items each
+    gs, _ = subdivide(build_graph("K(1,3)"), 200, "auto")
+    t = choose_tree_and_order(gs, 200)
+    monkeypatch.setattr(C, "complex_dimension", None)  # the search calls it
+    with pytest.raises(CellError, match=r"cap of 1000000 items \(200 per cell"):
+        critical_cells(t, 200)
+
+
+def test_gal_series_does_not_refuse_a_graph_that_is_not_suitably_subdivided():
+    # chi(UD_20) of K5 is -5,721,342, but the pinned tree's graph has
+    # segments too short for n = 20, and 9,622 critical cells
+    got = critical_cells(k5_pinned_tree(), 20)
+    assert [len(got[d]) for d in sorted(got)] == [126, 1350, 3742, 3416,
+                                                   940, 48]
+
+
+@pytest.mark.parametrize("subdivided", [False, True])
+def test_gal_series_by_valency_equals_the_per_vertex_loop(subdivided):
+    for g in corpus(7, 40):
+        if subdivided:
+            g, _ = subdivide(g, 3, "auto")
+        t = SimpleNamespace(graph=g)
+        for n in range(9):
+            for flavor in ("unordered", "ordered"):
+                assert (euler_characteristic(t, n, flavor)
+                        == reference_euler_characteristic(t, n, flavor))
 
 
 def test_gal_series_matches_cell_counts():

@@ -10,9 +10,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from graphbraids import cells as C, morse
 from graphbraids.cells import enumerate_cells, format_cell, phi, vertex
 from graphbraids.corpus import corpus
-from graphbraids.fixtures import (k33_pinned_tree, k5_pinned_tree,
-                                  theta4_pinned_tree, fig_b3n3_tree,
-                                  pinned_tree)
+from graphbraids.fixtures import (PINNED_TREES, k33_pinned_tree,
+                                  k5_pinned_tree, theta4_pinned_tree,
+                                  fig_b3n3_tree, pinned_tree)
 from graphbraids.graphs import BUILTIN_GRAPHS, build_graph, subdivide
 from graphbraids.homology import homology
 from graphbraids.trees import choose_tree_and_order
@@ -24,8 +24,8 @@ from graphbraids.closedforms import check_closed_forms, fast_morse_boundary
 from reference import (ReferenceReducer, assert_chain_complex, bare_fill,
                        dense_boundaries, matched_cell, materialize_name,
                        parse_cell, per_labelling_complex, random_ordered_tree,
-                       reference_classify, reference_name, solved_out,
-                       step_shortcut_end)
+                       reference_cell_sort_key, reference_classify,
+                       reference_name, solved_out, step_shortcut_end)
 
 
 def chain_by_name(mc, chain):
@@ -536,6 +536,26 @@ def test_bare_fill_skips_closures():
     assert cell == tuple(sorted([(0, 15), (6, 20), vertex(1), vertex(2)]))
 
 
+def _basis_complexes():
+    for key, fn in sorted(PINNED_TREES.items()):
+        yield fn(), key[1], "unordered"
+    for seed, g in enumerate(corpus(11, 24)):
+        n = 2 + seed % 2
+        gs, _ = subdivide(g, n, "auto")
+        yield (choose_tree_and_order(gs, n), n,
+               "ordered" if seed % 3 == 0 else "unordered")
+
+
+def test_basis_follows_the_reference_key():
+    for t, n, flavor in _basis_complexes():
+        mc = build_morse_complex(t, n, flavor)
+        m = len(mc.sigmas)
+        for d, cs in C.critical_cells(t, n).items():
+            want = sorted(cs, key=lambda c: reference_cell_sort_key(t, c),
+                          reverse=True)
+            assert mc.critical[d][::m] == want, (n, flavor, d)
+
+
 def test_reversed_order_is_descending():
     t = k5_pinned_tree()
     mc = build_morse_complex(t, 4, "unordered")
@@ -618,7 +638,8 @@ def _check_orbit_names(t, n):
             assert (mc.names[rep], s) == (name_critical_cell(t, sc), sigma)
             assert mc.name_of(c) == format_name(t, name_critical_cell(t, sc),
                                                 c, True, sigma)
-        cs.sort(key=lambda c: cell_sort_key(t, *phi(c)), reverse=True)
+        cs.sort(key=lambda c: reference_cell_sort_key(t, *phi(c)),
+                reverse=True)
         assert mc.critical[d] == cs
 
 

@@ -11,7 +11,7 @@ from graphbraids.fixtures import (k33_pinned_tree, theta4_pinned_tree,
                                   k5_pinned_tree, k4_pinned_tree, fig_b3n3_tree)
 from graphbraids.graphs import BUILTIN_GRAPHS, betti1, build_graph, subdivide
 from graphbraids.trees import choose_tree_and_order
-from graphbraids.morse import (WORDS, Word, build_morse_complex, cell_sort_key,
+from graphbraids.morse import (WORDS, Word, build_morse_complex,
                                MorseComplex, MorseError, Reducer,
                                free_reduce, winv, wmul)
 from graphbraids.homology import AbelianGroup, homology
@@ -21,7 +21,7 @@ from graphbraids.present import (cyclic_reduce, raw_presentation, simplify,
                                  Presentation, _leading_pairs)
 from reference import (ReferenceReducer, cell_vertices, classify,
                        dense_boundaries, exponent_sums, matching, parse_cell,
-                       planted_graph, quadratic_genus,
+                       planted_graph, quadratic_genus, reference_cell_sort_key,
                        reference_classify_1cells, unblocked_vertices)
 
 
@@ -353,7 +353,7 @@ def reference_modified_pivotal_key(mc, cell):
     t = mc.tree
     sc, sigma = C.phi(cell) if mc.ordered else (cell, None)
     e = C.cell_edges(sc)[0]
-    base = cell_sort_key(t, sc, sigma)
+    base = reference_cell_sort_key(t, sc, sigma)
     mod_edge = (e[0], 1 if e in t.deleted_set else 0, e[1])
     return (base[0], mod_edge) + tuple(base[2:])
 
@@ -400,7 +400,7 @@ def reference_simplify(pres, mc, audit=None):
         (after cyclic reduction, when ``cyclic``)."""
         read = cyclic_reduce if cyclic else (lambda r: r)
         seps = [g for g in pres.generators if tags.get(g) == "separating"]
-        for g in sorted(seps, key=lambda g: cell_sort_key(
+        for g in sorted(seps, key=lambda g: reference_cell_sort_key(
                 mc.tree, C.phi(g)[0] if mc.ordered else g,
                 C.phi(g)[1] if mc.ordered else None)):
             candidates = [i for i, r in enumerate(pres.relators)
