@@ -12,12 +12,17 @@ ordered flavor, at n <= 2 only).
 
 Tietze elimination then removes pivotal generators in decreasing order and
 contracts separating generators along the labeled graph of their relations.
-It runs on signed-integer letters: generator i of the presentation (from 1)
-is the letter i and its inverse -i, and words are turned back into
-(cell, +-1) letters at the end and for each audit.  Every relator is kept
-freely reduced.  An index from each generator to the relators that may
-contain it only grows, so it may list relators that no longer hold the
-generator; a move rewrites only the relators the index lists.
+It runs on str words, one character per letter: generator i of the
+presentation (from 1) is chr(2 i) and its inverse chr(2 i + 1), so a word's
+inverse is one `str.translate` of its reverse.  Relators are encoded once
+on entry and turned back into (cell, +-1) letters at the end and for each
+audit.  Every relator is kept freely reduced, so a substitution is two
+`str.replace` calls, and letters can cancel only where the replacement
+meets the word: every cancelling pair is one of two bigrams, which
+`str.find` locates (see `substitute`).  An index from each generator to the
+relators that may contain it only grows, so it may list relators that no
+longer hold the generator; a move rewrites only the relators the index
+lists.
 `commutator_form` recognises relators of the form [u, v] for display.
 """
 
@@ -40,51 +45,88 @@ def cyclic_reduce(w) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# words on signed-integer letters: i and -i are generator i and its inverse
+# words on str letters: generator i (from 1) is chr(2 i), its inverse
+# chr(2 i + 1)
 
-def substitute(w, gen, repl, inv=None) -> tuple:
-    """w with every letter gen^e (gen > 0) replaced by repl^e, freely
-    reduced while it is spliced.  This is the stack of a free reduction run
-    over the spliced word in one pass: the runs of w between the letters of
-    gen, and repl, are each freely reduced, so only the first letters of a
-    run can cancel against the stack and the rest of the run is appended as
-    it is.  `inv`, repl's inverse, may be passed when many words take the
-    same repl."""
-    out: list = []
-    start = 0
-    neg = -gen
-    for i, x in enumerate(w):
-        if x == gen or x == neg:
-            _splice(out, w[start:i])
-            if x == gen:
-                _splice(out, repl)
+# the most generators the letters can spell: the last inverse is chr(0x10FFFF)
+MAX_GENERATORS = (0x10FFFF - 1) // 2
+
+# letter -> its inverse letter, and two `str.translate` tables (ordinal ->
+# ordinal): _FLIP turns each letter into its inverse and _GENERATOR into its
+# generator's letter.  `_alphabet` grows all three to the largest
+# presentation simplified so far.
+_INVERSE: dict = {}
+_FLIP: list = []
+_GENERATOR: list = []
+
+
+def _alphabet(count: int) -> None:
+    """Grow the letter tables to generators 1..count."""
+    for k in range(len(_FLIP), 2 * count + 2):
+        _FLIP.append(k ^ 1)
+        _GENERATOR.append(k & ~1)
+        _INVERSE[chr(k)] = chr(k ^ 1)
+
+
+def _inverse(w: str) -> str:
+    return w[::-1].translate(_FLIP)
+
+
+def substitute(w: str, gen: str, repl: str, inv: str | None = None) -> str:
+    """w with the letter gen (a generator's) replaced by repl and gen's
+    inverse by inv (repl's inverse, computed when not passed), freely
+    reduced.  w and repl are freely reduced and repl holds no letter of
+    gen, so two `str.replace` calls splice the word and a cancelling pair
+    can only sit on a seam, where a run of w meets repl or inv or two of
+    those meet.  Every such pair is one of two bigrams, inv[-1] repl[0] and
+    repl[-1] inv[0], so `str.find` finds them; at each, letters cancel
+    outward while the two on either side are inverses, and the search goes
+    on from the junction.  An empty repl joins the runs of w to one
+    another, so that word takes one full reduction pass."""
+    if inv is None:
+        inv = _inverse(repl)
+    s = w.replace(gen, repl).replace(_INVERSE[gen], inv)
+    if not repl:
+        out: list = []
+        for x in s:
+            if out and out[-1] == _INVERSE[x]:
+                out.pop()
             else:
-                if inv is None:
-                    inv = _inverse(repl)
-                _splice(out, inv)
-            start = i + 1
-    _splice(out, w[start:] if start else w)
-    return tuple(out)
+                out.append(x)
+        return "".join(out)
+    a = inv[-1] + repl[0]
+    b = repl[-1] + inv[0]
+    pa = s.find(a)
+    pb = s.find(b)
+    while pa >= 0 or pb >= 0:
+        p = pa if pb < 0 or 0 <= pa < pb else pb
+        i, j = p - 1, p + 2
+        n = len(s)
+        while i >= 0 and j < n and s[i] == _INVERSE[s[j]]:
+            i -= 1
+            j += 1
+        s = s[:i + 1] + s[j:]
+        # a bigram found past the removed block moves back by its length;
+        # one found inside it is sought again from the junction, which
+        # does not cancel
+        cut = j - i - 1
+        start = i if i > 0 else 0
+        if pa >= j:
+            pa -= cut
+        elif pa >= 0:
+            pa = s.find(a, start)
+        if pb >= j:
+            pb -= cut
+        elif pb >= 0:
+            pb = s.find(b, start)
+    return s
 
 
-def _splice(out: list, run) -> None:
-    """Push the freely reduced word `run` onto the reduced stack `out`."""
-    k = 0
-    while out and k < len(run) and out[-1] == -run[k]:
-        out.pop()
-        k += 1
-    out.extend(run[k:] if k else run)
-
-
-def _inverse(w) -> tuple:
-    return tuple(-x for x in reversed(w))
-
-
-def _cyclic_reduce(w) -> tuple:
+def _cyclic_reduce(w: str) -> str:
     """The freely reduced word w with the letters it is conjugated by
     stripped from both ends."""
     i, j = 0, len(w)
-    while j - i >= 2 and w[i] == -w[j - 1]:
+    while j - i >= 2 and w[i] == _INVERSE[w[j - 1]]:
         i += 1
         j -= 1
     return w[i:j]
@@ -237,43 +279,57 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
     them under the generators of the replacement word.  Nothing leaves the
     index: it may list a deleted relator, which readers skip, or one that
     lost the generator by cancellation, which readers find by counting
-    letters and a move rewrites unchanged.  The moves run on signed-integer
-    letters (see the module docstring).
+    letters and a move rewrites unchanged.  The moves run on str words,
+    one character per letter, and each substitution is two `str.replace`
+    calls with free reduction only at the seams that cancel (see the module
+    docstring and `substitute`).  More generators than `MAX_GENERATORS`
+    have no letters, and are refused.
 
     `audit`, when given, is called with the presentation after every Tietze
     move (used by tests to confirm the abelianization never changes)."""
-    out = Presentation(list(pres.generators), [], pres.names,
-                       list(pres.moves))
+    gens = pres.generators
+    if len(gens) > MAX_GENERATORS:
+        raise MorseError(f"a presentation on {len(gens):,} generators is "
+                         f"past the {MAX_GENERATORS:,} that Tietze moves "
+                         "can spell")
+    _alphabet(len(gens))
+    out = Presentation(list(gens), [], pres.names, list(pres.moves))
     tags = classify_1cells(mc)
     pairs = _leading_pairs(mc)
-    # letter i is generator i (from 1) and -i its inverse; letter[x] turns
-    # x back into a (cell, +-1) letter
-    number = {g: i for i, g in enumerate(pres.generators, 1)}
-    letter = ([None] + [(g, 1) for g in pres.generators]
-              + [(g, -1) for g in reversed(pres.generators)])
+    # generator i (from 1) is the letter chr(2 i) and its inverse
+    # chr(2 i + 1); number[cell] is 2 i, and letter[ordinal] turns a
+    # character back into a (cell, +-1) letter
+    number = {g: 2 * i for i, g in enumerate(gens, 1)}
+    letter = [None] * (2 * len(gens) + 2)
+    letter[2::2] = [(g, 1) for g in gens]
+    letter[3::2] = [(g, -1) for g in gens]
 
     def decode(r):
-        return tuple(map(letter.__getitem__, r))
+        return tuple(map(letter.__getitem__, map(ord, r)))
 
-    rels = {i: tuple(number[g] * e for g, e in r)
+    rels = {i: "".join([chr(number[g] + (e < 0)) for g, e in r])
             for i, r in enumerate(pres.relators)}
     index: dict = {}
     for i, r in rels.items():
-        for g in set(map(abs, r)):
+        for g in set(r.translate(_GENERATOR)):
             index.setdefault(g, set()).add(i)
 
     def eliminate(gen, rid, why):
         rel = rels[rid]
-        hits = [i for i, x in enumerate(rel) if x == gen or x == -gen]
-        if len(hits) != 1:
+        nc = _INVERSE[gen]
+        if rel.count(gen) + rel.count(nc) != 1:
             return
-        i = hits[0]
-        u, x, v = rel[:i], rel[i], rel[i + 1:]
-        repl = list(_inverse(u))
-        _splice(repl, _inverse(v))
-        repl = tuple(repl)
-        inv = _inverse(repl)
-        if x < 0:
+        i = rel.find(gen)
+        if i < 0:
+            i = rel.find(nc)
+        u, v = rel[:i], rel[i + 1:]
+        # rel = u x v, so x = (v u)^-1: v's end cancels against u's start
+        k = 0
+        while k < len(u) and k < len(v) and v[-1 - k] == _INVERSE[u[k]]:
+            k += 1
+        inv = v[:len(v) - k] + u[k:]
+        repl = _inverse(inv)
+        if rel[i] == nc:
             repl, inv = inv, repl
         del rels[rid]
         rewritten = []
@@ -282,9 +338,9 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
             if r is not None:
                 rels[j] = substitute(r, gen, repl, inv)
                 rewritten.append(j)
-        for g in set(map(abs, repl)):
+        for g in set(repl.translate(_GENERATOR)):
             index[g].update(rewritten)
-        cell = letter[gen][0]
+        cell = letter[ord(gen)][0]
         out.generators.remove(cell)
         out.moves.append(("eliminate", cell, why))
         if audit is not None:
@@ -297,7 +353,7 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
     for g in pivotal:
         rid = mc.index[2][pairs[g]]
         if rid in rels:
-            eliminate(number[g], rid, "pivotal")
+            eliminate(chr(number[g]), rid, "pivotal")
 
     # separating contraction: repeatedly remove the smallest separating
     # generator (the basis is in decreasing order) that some relator uses
@@ -307,18 +363,19 @@ def simplify(pres: Presentation, mc: MorseComplex, audit=None) -> Presentation:
     # reduction does is replaced by that conjugate and the move is made
     # there.  A generator used once has exponent sum +-1, so this never
     # happens on a presentation whose relators are all balanced.
-    separating = [number[g] for g in sorted(
+    separating = [chr(number[g]) for g in sorted(
         (g for g in out.generators if tags.get(g) == "separating"),
         key=lambda g: -mc.index[1][g])]
 
     def contract(cyclic: bool) -> bool:
         for g in separating:
+            nc = _INVERSE[g]
             best = None
             for rid in index.get(g, ()):
-                r = rels.get(rid, ())
+                r = rels.get(rid, "")
                 if cyclic:
                     r = _cyclic_reduce(r)
-                if r.count(g) + r.count(-g) == 1 and (
+                if r.count(g) + r.count(nc) == 1 and (
                         best is None or (len(r), rid) < best):
                     best = (len(r), rid)
             if best is not None:

@@ -16,7 +16,9 @@ from graphbraids.morse import (WORDS, CriticalName, MorseError, Reducer,
                                Term, _branch_chain, _vec_profile, cell_shape,
                                edge_sort_key, morse_boundary,
                                name_critical_cell)
-from graphbraids.present import cyclic_reduce
+from graphbraids.closedforms import classify_1cells
+from graphbraids.present import (Presentation, _leading_pairs,
+                                 _modified_pivotal_key, cyclic_reduce)
 from graphbraids.trees import OrderedTree
 
 
@@ -998,3 +1000,149 @@ def quadratic_genus(w):
     if (2 - chi) % 2:
         return None
     return (2 - chi) // 2
+
+
+# ---------------------------------------------------------------------------
+# Tietze moves on signed-integer letters: i and -i are generator i (from 1)
+# and its inverse.  This is `present.simplify` as it was before its moves ran
+# on str words; the str words must give the same generators, relators and
+# moves.
+
+def reference_substitute(w, gen, repl, inv=None) -> tuple:
+    """w with every letter gen^e (gen > 0) replaced by repl^e, freely
+    reduced while it is spliced.  This is the stack of a free reduction run
+    over the spliced word in one pass: the runs of w between the letters of
+    gen, and repl, are each freely reduced, so only the first letters of a
+    run can cancel against the stack and the rest of the run is appended as
+    it is.  `inv`, repl's inverse, may be passed when many words take the
+    same repl."""
+    out: list = []
+    start = 0
+    neg = -gen
+    for i, x in enumerate(w):
+        if x == gen or x == neg:
+            _splice(out, w[start:i])
+            if x == gen:
+                _splice(out, repl)
+            else:
+                if inv is None:
+                    inv = int_inverse(repl)
+                _splice(out, inv)
+            start = i + 1
+    _splice(out, w[start:] if start else w)
+    return tuple(out)
+
+
+def _splice(out: list, run) -> None:
+    """Push the freely reduced word `run` onto the reduced stack `out`."""
+    k = 0
+    while out and k < len(run) and out[-1] == -run[k]:
+        out.pop()
+        k += 1
+    out.extend(run[k:] if k else run)
+
+
+def int_inverse(w) -> tuple:
+    return tuple(-x for x in reversed(w))
+
+
+def _int_cyclic_reduce(w) -> tuple:
+    """The freely reduced word w with the letters it is conjugated by
+    stripped from both ends."""
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i] == -w[j - 1]:
+        i += 1
+        j -= 1
+    return w[i:j]
+
+
+def reference_simplify(pres, mc, audit=None):
+    """`present.simplify` on signed-integer letters: the same index, move
+    order, tie-breaks and records."""
+    out = Presentation(list(pres.generators), [], pres.names,
+                       list(pres.moves))
+    tags = classify_1cells(mc)
+    pairs = _leading_pairs(mc)
+    # letter i is generator i (from 1) and -i its inverse; letter[x] turns
+    # x back into a (cell, +-1) letter
+    number = {g: i for i, g in enumerate(pres.generators, 1)}
+    letter = ([None] + [(g, 1) for g in pres.generators]
+              + [(g, -1) for g in reversed(pres.generators)])
+
+    def decode(r):
+        return tuple(map(letter.__getitem__, r))
+
+    rels = {i: tuple(number[g] * e for g, e in r)
+            for i, r in enumerate(pres.relators)}
+    index: dict = {}
+    for i, r in rels.items():
+        for g in set(map(abs, r)):
+            index.setdefault(g, set()).add(i)
+
+    def eliminate(gen, rid, why):
+        rel = rels[rid]
+        hits = [i for i, x in enumerate(rel) if x == gen or x == -gen]
+        if len(hits) != 1:
+            return
+        i = hits[0]
+        u, x, v = rel[:i], rel[i], rel[i + 1:]
+        repl = list(int_inverse(u))
+        _splice(repl, int_inverse(v))
+        repl = tuple(repl)
+        inv = int_inverse(repl)
+        if x < 0:
+            repl, inv = inv, repl
+        del rels[rid]
+        rewritten = []
+        for j in index.pop(gen):
+            r = rels.get(j)
+            if r is not None:
+                rels[j] = reference_substitute(r, gen, repl, inv)
+                rewritten.append(j)
+        for g in set(map(abs, repl)):
+            index[g].update(rewritten)
+        cell = letter[gen][0]
+        out.generators.remove(cell)
+        out.moves.append(("eliminate", cell, why))
+        if audit is not None:
+            out.relators = [decode(r) for r in rels.values()]
+            audit(out)
+
+    pivotal = [g for g in out.generators
+               if tags.get(g) == "pivotal" and g in pairs]
+    pivotal.sort(key=lambda g: _modified_pivotal_key(mc, g), reverse=True)
+    for g in pivotal:
+        rid = mc.index[2][pairs[g]]
+        if rid in rels:
+            eliminate(number[g], rid, "pivotal")
+
+    separating = [number[g] for g in sorted(
+        (g for g in out.generators if tags.get(g) == "separating"),
+        key=lambda g: -mc.index[1][g])]
+
+    def contract(cyclic: bool) -> bool:
+        for g in separating:
+            best = None
+            for rid in index.get(g, ()):
+                r = rels.get(rid, ())
+                if cyclic:
+                    r = _int_cyclic_reduce(r)
+                if r.count(g) + r.count(-g) == 1 and (
+                        best is None or (len(r), rid) < best):
+                    best = (len(r), rid)
+            if best is not None:
+                rid = best[1]
+                why = "separating merge"
+                if cyclic:
+                    rels[rid] = _int_cyclic_reduce(rels[rid])
+                    why += ", relator cyclically reduced"
+                eliminate(g, rid, why)
+                separating.remove(g)
+                return True
+        return False
+
+    while contract(False) or contract(True):
+        pass
+
+    out.relators = [decode(r) for r in rels.values() if r]
+    return out

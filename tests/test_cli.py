@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphbraids
+from graphbraids import present
 from graphbraids.cli import run, make_parser
 from graphbraids.graphs import BUILTIN_GRAPHS, FAMILY_CAP
 
@@ -451,6 +452,34 @@ def _assert_report_digest(capsys, argv, digest):
         "cells-K5-n5-boundaries", "check-K5-n5"])
 def test_build_reports_are_unchanged(capsys, argv, digest):
     _assert_report_digest(capsys, argv, digest)
+
+
+# sha256 of the reports, less timing_ms, from the Tietze moves on
+# signed-integer letters
+@pytest.mark.parametrize("argv, digest", [
+    (["--graph", "K33", "--n", "2"],
+     "507c43bb0ac6cc4ed7a7f6dcd4894f0914654382be8c827fc73cfdeb4306be2e"),
+    (["--graph", "K33", "--n", "2", "--flavor", "ordered"],
+     "ec4339985e49da68de4a85b5516bbf5b4c9dfe5cd612a9efaf347e7583a18f9c"),
+    (["--graph", "Theta4", "--n", "3"],
+     "189eea67fac79a7b3d82f6cc6d491f4261b700d69b64541f04ad334779a99606"),
+    (["--graph", "K5", "--n", "4"],
+     "da3e3fe04ff4b0e07882ed936c8a48b6d9a57405e99eecdd31ef96be195dd90a"),
+], ids=["K33-n2", "K33-n2-ordered", "Theta4-n3", "K5-n4"])
+def test_present_reports_equal_the_integer_letter_moves(capsys, argv, digest):
+    status, rep = capture(capsys, ["present"] + argv)
+    assert status == 0
+    del rep["timing_ms"]
+    text = json.dumps(rep, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+def test_more_generators_than_letters_is_one_line(capsys, monkeypatch):
+    # a presentation past present.MAX_GENERATORS (557,055) would need
+    # letters beyond chr(0x10FFFF); a lowered bound stands in for one
+    monkeypatch.setattr(present, "MAX_GENERATORS", 3)
+    _one_line_error(capsys, ["present", "--graph", "K33", "--n", "2"],
+                    "error: a presentation on ")
 
 
 def test_graph_path_that_is_a_directory_is_one_line(tmp_path, capsys):

@@ -2,7 +2,7 @@ import copy
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphbraids import cells as C, morse, present
 from graphbraids.cells import format_cell, vertex, boundary_word
@@ -22,7 +22,9 @@ from graphbraids.present import (cyclic_reduce, raw_presentation, simplify,
 from reference import (ReferenceReducer, cell_vertices, classify,
                        dense_boundaries, exponent_sums, matching, parse_cell,
                        planted_graph, quadratic_genus, reference_cell_sort_key,
-                       reference_classify_1cells, unblocked_vertices)
+                       int_inverse, reference_classify_1cells,
+                       reference_simplify, reference_substitute,
+                       unblocked_vertices)
 
 
 def w(*letters):
@@ -37,8 +39,9 @@ def test_word_ops():
     assert winv(w(a, b)) == w(bi, ai)
     assert cyclic_reduce(w(a, b, ai)) == w(b)
     assert exponent_sums(w(a, b, a, bi)) == {"a": 2}
-    # substitute runs on signed-integer letters: a = 1, b = 2
-    assert substitute((1, 2), 2, (-1,)) == ()
+    # substitute runs on str letters: a = chr(2), a^-1 = chr(3), b = chr(4)
+    present._alphabet(2)
+    assert substitute("\x02\x04", "\x04", "\x03") == ""
 
 
 def test_boundary_word_theta4():
@@ -337,7 +340,9 @@ def reference_rewrite(t, w, ordered: bool = False) -> Word:
 
 
 
-def reference_substitute(w, gen, repl):
+def naive_substitute(w, gen, repl):
+    """Replace every letter of gen in the (cell, +-1) word w, then freely
+    reduce the whole word."""
     out = []
     for g, e in w:
         if g == gen:
@@ -358,7 +363,9 @@ def reference_modified_pivotal_key(mc, cell):
     return (base[0], mod_edge) + tuple(base[2:])
 
 
-def reference_simplify(pres, mc, audit=None):
+def naive_simplify(pres, mc, audit=None):
+    """Tietze moves on (cell, +-1) words with no index: every move
+    rewrites every relator, and the orders are read off the cells."""
     pres = Presentation(list(pres.generators), list(pres.relators),
                         dict(pres.names), list(pres.moves))
     tags = reference_classify_1cells(mc)
@@ -375,7 +382,7 @@ def reference_simplify(pres, mc, audit=None):
         repl = wmul(winv(u), winv(v))
         if e == -1:
             repl = winv(repl)
-        pres.relators = [reference_substitute(r, gen, repl)
+        pres.relators = [naive_substitute(r, gen, repl)
                          for j, r in enumerate(pres.relators) if j != rel_idx]
         del cell2_for_relator[rel_idx]
         pres.generators.remove(gen)
@@ -452,7 +459,7 @@ def _generic_complex(g, n, flavor):
 
 def _same_simplification(mc):
     raw = raw_presentation(mc)
-    got, want = simplify(raw, mc), reference_simplify(raw, mc)
+    got, want = simplify(raw, mc), naive_simplify(raw, mc)
     assert got.generators == want.generators
     assert got.relators == want.relators
     assert list(got.history) == list(want.history)
@@ -638,7 +645,7 @@ def test_simplify_audits_every_move_without_touching_its_input(make):
     seen, want = [], []
     got = simplify(raw, mc, audit=lambda p: seen.append(
         (list(p.generators), list(p.relators), list(p.history))))
-    reference_simplify(raw, mc, audit=lambda p: want.append(
+    naive_simplify(raw, mc, audit=lambda p: want.append(
         (list(p.generators), list(p.relators), list(p.history))))
     assert len(seen) == len(got.history) - len(raw.history) > 0
     assert seen == want
@@ -690,7 +697,7 @@ def _check_formats_only_what_it_reads(make):
     eager = {c: mc.name_of(c) for c in mc.critical.get(1, ())}
     assert shown == Presentation(out.generators, out.relators, eager,
                                  out.moves).display()
-    want = reference_simplify(Presentation(raw.generators, raw.relators,
+    want = naive_simplify(Presentation(raw.generators, raw.relators,
                                            eager, raw.moves), mc)
     assert list(out.history) == list(want.history)
 
@@ -727,7 +734,7 @@ def test_simplify_rewrites_relators_that_lost_a_generator(monkeypatch):
 
     def spy(w, gen, repl, inv=None):
         out = substitute(w, gen, repl, inv)
-        if gen not in w and -gen not in w:
+        if gen not in w and chr(ord(gen) + 1) not in w:
             assert out == w
             stale.append(gen)
         return out
@@ -738,12 +745,15 @@ def test_simplify_rewrites_relators_that_lost_a_generator(monkeypatch):
 
 
 letters = st.tuples(st.sampled_from("abc"), st.sampled_from([1, -1]))
-NUMBER = {"a": 1, "b": 2, "c": 3}
-LETTER = [None, ("a", 1), ("b", 1), ("c", 1), ("c", -1), ("b", -1), ("a", -1)]
+# a, b, c are generators 1, 2, 3: the letters chr(2 i) and chr(2 i + 1)
+LETTER = {chr(2 * i + (e < 0)): (g, e)
+          for i, g in enumerate("abc", 1) for e in (1, -1)}
+CODE = {x: c for c, x in LETTER.items()}
+present._alphabet(4)
 
 
 def encode(w):
-    return tuple(NUMBER[g] * e for g, e in w)
+    return "".join(CODE[x] for x in w)
 
 
 def decode(w):
@@ -756,10 +766,11 @@ def decode(w):
 def test_substitute_matches_reference(w, gen, repl):
     w = free_reduce(tuple(w))
     repl = free_reduce(tuple(x for x in repl if x[0] != gen))
-    want = reference_substitute(w, gen, repl)
-    got = substitute(encode(w), NUMBER[gen], encode(repl))
+    want = naive_substitute(w, gen, repl)
+    got = substitute(encode(w), CODE[gen, 1], encode(repl))
     assert decode(got) == want
-    got = substitute(encode(w), NUMBER[gen], encode(repl), encode(winv(repl)))
+    got = substitute(encode(w), CODE[gen, 1], encode(repl),
+                     encode(winv(repl)))
     assert decode(got) == want
 
 
@@ -774,9 +785,9 @@ def test_substitute_chain_matches_reference(w, moves):
     got = encode(want)
     for gen, repl, pass_inv in moves:
         repl = free_reduce(tuple(x for x in repl if x[0] != gen))
-        want = reference_substitute(want, gen, repl)
+        want = naive_substitute(want, gen, repl)
         inv = encode(winv(repl)) if pass_inv else None
-        got = substitute(got, NUMBER[gen], encode(repl), inv)
+        got = substitute(got, CODE[gen, 1], encode(repl), inv)
         assert decode(got) == want
 
 
@@ -788,3 +799,111 @@ def test_commutator_form_matches_reference(w, u, v, c):
     built = wmul(c, u, v, winv(u), winv(v), winv(c))
     for word in (tuple(w), built, built + tuple(w[:1])):
         assert commutator_form(word) == reference_commutator_form(word)
+
+
+# ---------------------------------------------------------------------------
+# str letters against the signed-integer letters they replaced
+
+def _same_as_integer_letters(mc):
+    raw = raw_presentation(mc)
+    for audited in (False, True):
+        seen, want = [], []
+
+        def hook(log):
+            return lambda p: log.append(
+                (list(p.generators), list(p.relators), list(p.moves)))
+
+        got = simplify(raw, mc, audit=hook(seen) if audited else None)
+        ref = reference_simplify(raw, mc,
+                                 audit=hook(want) if audited else None)
+        assert got.generators == ref.generators
+        assert got.relators == ref.relators
+        assert got.moves == ref.moves
+        assert seen == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(
+    [(1, "unordered"), (2, "unordered"), (3, "unordered"), (2, "ordered")]))
+def test_simplify_equals_the_integer_letter_reference_on_corpus(seed, setting):
+    n, flavor = setting
+    try:
+        _same_as_integer_letters(
+            _generic_complex(corpus(seed, 1)[0], n, flavor))
+    except MorseError as exc:
+        # a topological segment has no joining generator to kill
+        assert flavor == "ordered" and "joins the two 0-cells" in str(exc)
+
+
+# generators 1..4 as signed integers: x > 0 is chr(2 x), -x is chr(2 x + 1)
+SIGNED = [1, -1, 2, -2, 3, -3, 4, -4]
+
+
+def str_word(w):
+    return "".join(chr(2 * abs(x) + (x < 0)) for x in w)
+
+
+def int_word(s):
+    return tuple((ord(c) >> 1) * (-1 if ord(c) & 1 else 1) for c in s)
+
+
+def int_reduce(w):
+    out = []
+    for x in w:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+@st.composite
+def substitutions(draw):
+    """(w, gen, repl): freely reduced words, repl free of gen.  Besides
+    random words, the kinds are an empty repl; a repl whose first and last
+    letters are inverses, between copies of gen, so repl|repl seams cancel;
+    and t repl^-1 gen t^-1, where the cancellation runs through the whole
+    replacement into the run after it."""
+    gen = draw(st.integers(1, 4))
+    others = st.sampled_from([x for x in SIGNED if abs(x) != gen])
+    kind = draw(st.sampled_from(["random", "empty", "inverse ends",
+                                 "through"]))
+    repl = int_reduce(draw(st.lists(others, max_size=6)))
+    if kind == "empty":
+        repl = ()
+    elif kind == "inverse ends":
+        x = draw(others)
+        repl = int_reduce((x,) + repl + (-x,))
+    sign = draw(st.sampled_from([1, -1]))
+    runs = draw(st.lists(st.lists(others, max_size=4), min_size=1,
+                         max_size=5))
+    w = []
+    for run in runs:
+        w += run
+        w += [sign * gen] * draw(st.integers(0, 2))
+    if kind == "through":
+        t = tuple(draw(st.lists(others, min_size=1, max_size=4)))
+        w = list(t + int_inverse(repl) + (gen,) + int_inverse(t)) + w
+    return int_reduce(w), gen, repl
+
+
+@settings(max_examples=400, deadline=None)
+@given(substitutions())
+@example(((1, 2, -1), 2, ()))
+@example(((2, 2, 2), 2, (1, 3, -1)))
+@example(((3, -1, 2, -3, 4), 2, (1,)))
+def test_substitute_equals_the_integer_letter_reference(case):
+    w, gen, repl = case
+    want = reference_substitute(w, gen, repl)
+    got = substitute(str_word(w), chr(2 * gen), str_word(repl))
+    assert int_word(got) == want
+    got = substitute(str_word(w), chr(2 * gen), str_word(repl),
+                     str_word(int_inverse(repl)))
+    assert int_word(got) == want
+
+
+def test_the_alphabet_ends_at_the_last_code_point():
+    last = present.MAX_GENERATORS
+    assert chr(2 * last + 1) == chr(0x10FFFF)
+    with pytest.raises(ValueError):
+        chr(2 * (last + 1))
